@@ -13,7 +13,6 @@ use tukwila_exec::op::IncOp;
 use tukwila_relation::agg::AggFunc;
 use tukwila_relation::{Tuple, Value};
 use tukwila_stats::DynamicHistogram;
-use tukwila_storage::btree::BPlusTree;
 use tukwila_storage::{StateStructure, TupleHashTable};
 
 fn dataset() -> Dataset {
@@ -156,15 +155,6 @@ fn bench_state_structures(c: &mut Criterion) {
             let mut t = TupleHashTable::new(0);
             for r in &rows {
                 t.insert(r.clone()).unwrap();
-            }
-            t.len()
-        })
-    });
-    g.bench_function("btree_build", |b| {
-        b.iter(|| {
-            let mut t = BPlusTree::new(0);
-            for r in &rows {
-                t.insert(r.clone());
             }
             t.len()
         })

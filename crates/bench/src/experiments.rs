@@ -2038,7 +2038,7 @@ pub fn serve_suite(cfg: &ExpConfig) -> (String, bool) {
     (out, ok)
 }
 
-/// Ablations over the design choices DESIGN.md calls out: the value of
+/// Ablations over two design choices: the value of
 /// stitch-up's registry reuse, and the sensitivity of corrective query
 /// processing to the polling interval (the paper's 1-second choice).
 pub fn ablation_suite(cfg: &ExpConfig) -> String {

@@ -3,9 +3,8 @@
 //! plain-text table formatting.
 //!
 //! Every table and figure of the paper maps to one function in
-//! [`experiments`]; the `repro` binary is a thin CLI over them. See
-//! DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
-//! results.
+//! [`experiments`]; the `repro` binary is a thin CLI over them. Recorded
+//! results live in `results/` (see `results/README.md`).
 
 pub mod experiments;
 pub mod fmt;

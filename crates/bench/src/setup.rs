@@ -14,8 +14,7 @@ use tukwila_stats::{Clock, TraceSink};
 pub struct ExpConfig {
     /// TPC-H scale factor; the paper uses 0.1, our default budget-friendly
     /// scale is 0.01 (the Q5 given-cardinalities trap plan is
-    /// intentionally quadratic — see EXPERIMENTS.md — so large scales need
-    /// large memory).
+    /// intentionally quadratic, so large scales need large memory).
     pub scale: f64,
     /// Repetitions per measurement (paper: minimum 4).
     pub runs: usize,
@@ -87,7 +86,7 @@ impl WorkloadQuery {
     /// Q5 (there triggered in the given-cardinalities mode; here in the
     /// no-statistics mode). Either way, the experiment's subject — a
     /// running plan with a blowing-up intermediate, and corrective
-    /// processing escaping it — is preserved. See EXPERIMENTS.md.
+    /// processing escaping it — is preserved.
     pub fn paper_nostats_order(self) -> Option<Vec<u32>> {
         let o = TableId::Orders.rel_id();
         let l = TableId::Lineitem.rel_id();
@@ -143,7 +142,7 @@ pub fn local_sources(d: &Dataset, q: &LogicalQuery) -> Vec<Box<dyn Source>> {
         .collect()
 }
 
-/// Bursty-wireless sources for a query (DESIGN.md substitution S3).
+/// Bursty-wireless sources for a query (the paper's wireless network).
 pub fn wireless_sources(d: &Dataset, q: &LogicalQuery, cfg: &ExpConfig) -> Vec<Box<dyn Source>> {
     let model = DelayModel::Wireless {
         bytes_per_sec: cfg.wireless_bps,

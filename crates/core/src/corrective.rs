@@ -1,22 +1,30 @@
 //! Corrective query processing (paper §4): execute, monitor, re-optimize,
 //! switch plans in mid-pipeline, stitch up at the end.
 //!
-//! Phase plans execute in one of two modes:
+//! [`CorrectiveExec::run`] is one control loop. Each phase lowers the
+//! current plan — fragmented at exchange boundaries when
+//! [`CorrectiveConfig::fragments`] is set — and executes it as a
+//! [`FragmentRun`] in one of two modes:
 //!
-//! * **Sequential** (the seed behavior, and every virtual-clock run): the
-//!   corrective loop drives all fragments on its own thread through the
-//!   sequential [`FragmentRun`] — exchange handoff is immediate, so a
-//!   switch can seal at any batch boundary.
+//! * **Inline** (every virtual-clock run, and every unfragmented one):
+//!   zero producer threads. All fragments run on the controller's thread
+//!   with immediate exchange handoff, so a switch can seal at any batch
+//!   boundary; every source stays in the caller's slice.
 //! * **Threaded** (wall clock + fragmentation configured): each phase
 //!   plan's producer fragments run on their own threads behind bounded
-//!   exchange queues ([`tukwila_exec::ThreadedFragmentRun`]), so a
-//!   CPU-heavy subtree genuinely overlaps delivery-bound scans *while the
-//!   monitor keeps re-optimizing*. A switch then uses the loss-free
-//!   **quiesce protocol**: producers park at a batch boundary and report
-//!   their high-water marks, the controller drains every exchange's
-//!   in-flight tuples into the old plan, seals all fragments, recovers
-//!   the sources, and spawns the next phase's fragments — no tuple is
-//!   ever dropped or duplicated, and no thread outlives the run.
+//!   exchange queues, so a CPU-heavy subtree genuinely overlaps
+//!   delivery-bound scans *while the monitor keeps re-optimizing*. A
+//!   switch then uses the loss-free **quiesce protocol**: producers park
+//!   at a batch boundary and report their high-water marks, the seal
+//!   drains every exchange's in-flight tuples into the old plan, seals
+//!   all fragments, and returns the lent sources — no tuple is ever
+//!   dropped or duplicated, and no thread outlives the run.
+//!
+//! The loop is the same either way: sweep the root's sources and exchange
+//! streams, monitor on a batch cadence (root sources observed in slot
+//! order, then producer high-water marks), calibrate `unit_us` during
+//! the warmup phase, quiesce + seal + restart on a switch, stitch up at
+//! the end. Inline is simply the mode with no producers to park.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,14 +34,13 @@ use tukwila_exec::agg::SharedGroupTable;
 use tukwila_exec::driver::charged_cost;
 use tukwila_exec::plan::NodeObservation;
 use tukwila_exec::{
-    Batch, CpuCostModel, DataBatch, ExchangePoll, ExecReport, FragmentOptions, FragmentRun,
-    PushTarget, ThreadedFragmentRun, Timeline,
+    Batch, CpuCostModel, ExchangePoll, ExecReport, FragmentOptions, FragmentRun, Timeline,
 };
 use tukwila_optimizer::{
     FragmentationConfig, LogicalQuery, Optimizer, OptimizerContext, PhysPlan, PreAggConfig,
 };
 use tukwila_relation::{Error, Expr, Result, Schema, Tuple};
-use tukwila_source::{Poll, Source, SourceProgressView};
+use tukwila_source::Source;
 use tukwila_stats::selectivity::SourceProgress;
 use tukwila_stats::trace::SpanKind;
 use tukwila_stats::{Clock, DeliveryCosts, SelectivityCatalog, TraceEvent, TraceSink};
@@ -49,7 +56,7 @@ pub struct CorrectiveConfig {
     pub batch_size: usize,
     pub cpu: CpuCostModel,
     /// Re-optimizer polling interval in source batches. The paper polls
-    /// every second at SF 0.1; per DESIGN.md S5 we scale by data volume.
+    /// every second at SF 0.1; we scale the interval by data volume.
     pub poll_every_batches: u64,
     /// Switch when `candidate cost < threshold × current remaining cost`.
     pub switch_threshold: f64,
@@ -83,7 +90,7 @@ pub struct CorrectiveConfig {
     /// `Some` fragments every phase plan at exchange boundaries chosen by
     /// the optimizer's fragmentation pass (re-evaluated at each switch
     /// with the live catalog, so cuts follow observed delivery rates).
-    /// Under the virtual clock fragments execute sequentially in the
+    /// Under the virtual clock fragments execute inline in the
     /// corrective loop; under a wall clock the producer fragments run on
     /// real threads (see [`CorrectiveConfig::threaded_fragments`]), and a
     /// mid-stream switch quiesces them loss-free. `None` (default)
@@ -92,9 +99,9 @@ pub struct CorrectiveConfig {
     /// Whether fragmented phase plans run their producer fragments on
     /// real threads. `None` (default) decides automatically: threaded
     /// when [`CorrectiveConfig::clock`] is a wall clock and
-    /// [`CorrectiveConfig::fragments`] is configured, sequential
-    /// otherwise. `Some(false)` forces sequential fragment execution even
-    /// on a wall clock (baseline comparisons); `Some(true)` requires the
+    /// [`CorrectiveConfig::fragments`] is configured, inline otherwise.
+    /// `Some(false)` forces inline fragment execution even on a wall
+    /// clock (baseline comparisons); `Some(true)` requires the
     /// wall clock + fragments and errors without them.
     pub threaded_fragments: Option<bool>,
     /// Exchange-queue and quiesce knobs for threaded fragment execution.
@@ -194,68 +201,23 @@ fn calibrate_unit_us(measured_cpu_us: f64, total_units: f64, remaining_units: f6
     Some((measured_cpu_us / consumed_units).clamp(1e-3, 10.0))
 }
 
-/// A phase plan lowered for corrective execution: the (possibly
-/// single-fragment) fragment run plus the lowering metadata the monitor
-/// needs.
-struct PhaseLowered {
-    run: FragmentRun,
-    join_nodes: Vec<(usize, u64)>,
-    table: Option<Arc<SharedGroupTable>>,
-    post_project: Option<(Vec<Expr>, Schema)>,
-    fragments: usize,
+/// Resync `timeline` and read it: the instant trace events are stamped
+/// with.
+fn stamp(timeline: &mut Timeline) -> u64 {
+    timeline.resync();
+    timeline.now_us()
 }
 
-/// Placeholder occupying a caller's source slot while the real source is
-/// owned by a threaded phase (producer fragment thread or the
-/// controller's root list). Never polled — the threaded runner takes
-/// every slot up front and restores the recovered sources before
-/// returning; polling one is a bug.
-struct TakenSource {
-    rel_id: u32,
-    name: String,
-    schema: Schema,
-}
-
-impl Source for TakenSource {
-    fn rel_id(&self) -> u32 {
-        self.rel_id
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn poll(&mut self, _now_us: u64, _max_tuples: usize) -> Poll {
-        panic!(
-            "source '{}' (relation {}) is owned by a threaded corrective phase",
-            self.name, self.rel_id
-        );
-    }
-
-    fn progress(&self) -> SourceProgressView {
-        SourceProgressView {
-            tuples_read: 0,
-            fraction_read: None,
-            eof: false,
-        }
-    }
-}
-
-/// How a threaded phase ended.
+/// How a phase ended.
 enum PhaseEnd {
     /// Every input ran dry; the query is done.
     Completed,
     /// The monitor decided to switch to this candidate and every producer
-    /// quiesced in time.
+    /// (if any) quiesced in time.
     Switched(Box<PhysPlan>),
 }
 
-/// Exchange-queue statistics aggregated across a run's phases (threaded
-/// mode; the sequential fragment run has no queues and reports zeros).
+/// Exchange-queue statistics aggregated across a run's phases.
 #[derive(Debug, Default)]
 struct ExchangeTotals {
     /// High-water mark of queue depth (batches) in any one exchange.
@@ -279,18 +241,17 @@ impl ExchangeTotals {
     }
 }
 
-/// The mutable run-wide state the sequential and threaded drivers share,
-/// handed to the common stitch-up/finalize tail.
+/// The run-wide state the control loop hands to the stitch-up/finalize
+/// tail.
 struct RunTotals {
     timeline: Timeline,
     answers: Batch,
     phases: Vec<PhaseInfo>,
     total_batches: u64,
-    /// CPU charged by producer fragment threads (threaded mode only) —
-    /// added to the report's `cpu_us` next to the controller timeline's.
+    /// CPU charged by producer fragment threads — added to the report's
+    /// `cpu_us` next to the controller timeline's.
     extra_cpu_us: u64,
     calibrated_unit_us: Option<f64>,
-    /// Exchange backpressure/depth totals (threaded mode only).
     exchange_stats: ExchangeTotals,
 }
 
@@ -303,36 +264,6 @@ pub struct CorrectiveExec {
 impl CorrectiveExec {
     pub fn new(q: LogicalQuery, config: CorrectiveConfig) -> CorrectiveExec {
         CorrectiveExec { q, config }
-    }
-
-    /// Lower a phase plan, fragmenting it at the cuts the optimizer's
-    /// fragmentation pass chooses from the *current* context (observed
-    /// delivery rates included) when fragments are enabled. `fragments`
-    /// is the run's live fragmentation config — the drivers thread a
-    /// mutable copy so the warmup calibration can reprice exchanges
-    /// before later phases lower.
-    fn lower_phase(
-        &self,
-        phys: &PhysPlan,
-        ctx: &OptimizerContext,
-        shared: Option<Arc<SharedGroupTable>>,
-        fragments: Option<&FragmentationConfig>,
-    ) -> Result<PhaseLowered> {
-        let cuts = match fragments {
-            Some(fcfg) => {
-                tukwila_optimizer::choose_cuts_traced(phys, ctx, fcfg, &self.config.trace)
-            }
-            None => Vec::new(),
-        };
-        let fl = lower_fragmented(phys, &cuts, shared, false)?;
-        let fragments = fl.plan.fragment_count();
-        Ok(PhaseLowered {
-            run: fl.plan.into_run(),
-            join_nodes: fl.join_nodes,
-            table: fl.table,
-            post_project: fl.post_project,
-            fragments,
-        })
     }
 
     fn make_ctx(
@@ -380,8 +311,8 @@ impl CorrectiveExec {
         sigs
     }
 
-    /// Whether this configuration runs phase plans with threaded producer
-    /// fragments.
+    /// Whether this configuration runs phase plans threaded (producer
+    /// fragments on their own threads) rather than inline.
     fn wants_threaded(&self) -> bool {
         match self.config.threaded_fragments {
             Some(t) => t,
@@ -392,13 +323,452 @@ impl CorrectiveExec {
         }
     }
 
-    /// Run to completion over the given sources.
-    pub fn run(&self, sources: &mut [Box<dyn Source>]) -> Result<CorrectiveReport> {
-        if self.wants_threaded() {
-            self.run_threaded(sources)
-        } else {
-            self.run_sequential(sources)
+    /// The wall clock producer fragments run on when this configuration
+    /// runs threaded; `None` runs inline.
+    fn producer_clock(&self) -> Result<Option<Arc<dyn Clock>>> {
+        let cfg = &self.config;
+        if !self.wants_threaded() {
+            return Ok(None);
         }
+        if !cfg.clock.as_ref().is_some_and(|c| c.is_wall()) {
+            return Err(Error::Plan(
+                "threaded corrective execution needs a wall clock (CorrectiveConfig::clock)".into(),
+            ));
+        }
+        if cfg.fragments.is_none() {
+            return Err(Error::Plan(
+                "threaded corrective execution needs a fragmentation config \
+                 (CorrectiveConfig::fragments)"
+                    .into(),
+            ));
+        }
+        Ok(cfg.clock.clone())
+    }
+
+    /// Run to completion over the given sources.
+    ///
+    /// One control loop serves both run modes: each phase lowers the
+    /// current plan (fragmented at the cuts the optimizer's fragmentation
+    /// pass chooses from the live catalog, when fragments are enabled),
+    /// starts a [`FragmentRun`] — threaded when a wall clock and fragments
+    /// are configured (or [`CorrectiveConfig::threaded_fragments`] asks),
+    /// inline otherwise — and polls the root fragment's
+    /// sources and exchange streams while the monitor re-optimizes. A
+    /// switch quiesces, seals, and starts the next phase's run over the
+    /// same sources. A source that returned `Eof` is never polled again:
+    /// its port in a later plan closes at switch time.
+    ///
+    /// Inline runs never take a source out of `sources`, so the slice
+    /// holds the caller's sources on every path, `Err` included. Threaded
+    /// runs lend producer-bound sources to their threads and put them
+    /// back at every seal.
+    pub fn run(&self, sources: &mut [Box<dyn Source>]) -> Result<CorrectiveReport> {
+        let cfg = &self.config;
+        let threads = self.producer_clock()?;
+        let catalog = Arc::new(SelectivityCatalog::new());
+        let registry = StateRegistry::new();
+        let mut consumed_total: HashMap<u32, u64> = HashMap::new();
+        let mut consumed_phase: HashMap<u32, u64> = HashMap::new();
+        let mut calibrated: Option<f64> = None;
+        // Live fragmentation config (exchange prices recalibrate when the
+        // warmup calibration lands), plus the deferred source repricing:
+        // producer-bound sources can only adopt new delivery costs at the
+        // next phase start, when they are back in `sources`.
+        let mut frag_cfg = cfg.fragments.clone();
+        let mut pending_recal: Option<DeliveryCosts> = None;
+
+        // Phase 0 plan.
+        let optimizer = Optimizer::new(self.make_ctx(&catalog, &consumed_total, calibrated));
+        let mut current_phys: PhysPlan = match &cfg.initial_order {
+            Some(order) => optimizer.plan_with_order(&self.q, order)?,
+            None => optimizer.optimize(&self.q)?,
+        };
+
+        let mut shared_table: Option<Arc<SharedGroupTable>> = None;
+        let mut post_project: Option<(Vec<Expr>, Schema)> = None;
+        let mut phases: Vec<PhaseInfo> = Vec::new();
+        let mut phase_batches: u64 = 0;
+        // `total_batches` counts only the controller's own polls (it is
+        // the monitor's cadence counter); producer batches accumulate
+        // separately and join it for the final report.
+        let mut total_batches: u64 = 0;
+        let mut producer_batches_total: u64 = 0;
+        let mut next_poll_at: u64 = cfg.warmup_batches.max(cfg.poll_every_batches);
+        let mut phase = 0usize;
+        let mut answers: Batch = Vec::new();
+        // The shared clock-mode accounting (virtual accumulator or wall
+        // clock) lives in exec::Timeline so this loop and SimDriver
+        // cannot drift apart on clock semantics.
+        let mut timeline = Timeline::new(cfg.clock.clone());
+        let mut extra_cpu_us: u64 = 0;
+        let mut exchange_stats = ExchangeTotals::default();
+        // Per caller slot: the source returned `Eof`.
+        let mut eof = vec![false; sources.len()];
+        let trace = cfg.trace.clone();
+        // The fragment layer (producer spans, exchange counters, the park
+        // sub-span) journals into the corrective sink unless the caller
+        // configured a dedicated one on the fragment options.
+        let mut fopts = cfg.fragment_options.clone();
+        if !fopts.trace.is_enabled() {
+            fopts.trace = trace.clone();
+        }
+        trace.record_at(stamp(&mut timeline), SpanKind::Query.begin("corrective"));
+        // Whether a quiesce span is open across the seal/restart of a plan
+        // switch (it closes once the next phase's run has started).
+        let mut quiesce_open = false;
+
+        'phases: loop {
+            // Sources recovered from the previous phase adopt the
+            // recalibrated delivery prices before the new phase binds
+            // them to producer threads.
+            if let Some(costs) = pending_recal.take() {
+                for src in sources.iter_mut() {
+                    src.recalibrate_delivery_costs(&costs);
+                }
+            }
+            let cuts = match &frag_cfg {
+                Some(fcfg) => tukwila_optimizer::choose_cuts_traced(
+                    &current_phys,
+                    &self.make_ctx(&catalog, &consumed_total, calibrated),
+                    fcfg,
+                    &cfg.trace,
+                ),
+                None => Vec::new(),
+            };
+            let fl = lower_fragmented(&current_phys, &cuts, shared_table.clone(), false)?;
+            if phase == 0 {
+                shared_table = fl.table.clone();
+                post_project = fl.post_project.clone();
+            }
+            let phase_fragments = fl.plan.fragment_count();
+            let join_nodes = fl.join_nodes;
+            if quiesce_open {
+                trace.record_at(stamp(&mut timeline), SpanKind::Respawn.begin("respawn"));
+            }
+            let mut run = match &threads {
+                Some(clock) => FragmentRun::spawn(
+                    fl.plan,
+                    sources,
+                    clock.clone(),
+                    cfg.batch_size,
+                    cfg.cpu,
+                    &fopts,
+                )?,
+                None => FragmentRun::inline(fl.plan, sources)?,
+            };
+            if quiesce_open {
+                let now = stamp(&mut timeline);
+                trace.record_at(now, SpanKind::Respawn.end("respawn"));
+                trace.record_at(now, SpanKind::Quiesce.end("switch"));
+                quiesce_open = false;
+            }
+            trace.record_at(
+                stamp(&mut timeline),
+                SpanKind::Phase.begin(format!("phase-{phase}")),
+            );
+            let root_slots = run.root_slots().to_vec();
+            // Sources recovered from a sealed previous phase arrive with
+            // their delivery accounting still paused. Producer threads
+            // resume their own; resume the ones this controller polls (a
+            // no-op for fresh sources).
+            let now = stamp(&mut timeline);
+            for &slot in &root_slots {
+                sources[slot].resume_delivery(now);
+            }
+            // Baselines for folding producer high-water marks into the
+            // cross-phase consumed totals.
+            let producer_base: HashMap<u32, u64> = run
+                .quiesce_handles()
+                .flat_map(|h| h.high_water_marks().iter())
+                .map(|p| {
+                    (
+                        p.rel_id(),
+                        consumed_total.get(&p.rel_id()).copied().unwrap_or(0),
+                    )
+                })
+                .collect();
+            let phase_base: HashMap<u32, u64> = producer_base
+                .keys()
+                .map(|rel| (*rel, consumed_phase.get(rel).copied().unwrap_or(0)))
+                .collect();
+            // The inputs this controller polls: the root's sources, then
+            // its exchange streams. Sources that already returned `Eof`
+            // close their ports in the new plan instead of being polled.
+            let mut done: Vec<bool> = root_slots.iter().map(|&slot| eof[slot]).collect();
+            let (target, exchanges) = run.root_split();
+            for &slot in root_slots.iter().filter(|&&slot| eof[slot]) {
+                target.finish_source(sources[slot].rel_id(), &mut answers)?;
+            }
+            done.resize(root_slots.len() + exchanges.len(), false);
+
+            let end: PhaseEnd = loop {
+                timeline.resync();
+                let mut any_ready = false;
+                let mut next_ready: Option<u64> = None;
+                let mut all_done = true;
+                let (target, exchanges) = run.root_split();
+                for (i, input_done) in done.iter_mut().enumerate() {
+                    if *input_done {
+                        continue;
+                    }
+                    all_done = false;
+                    let now = timeline.now_us();
+                    let slot = root_slots.get(i).copied();
+                    let (rel, polled) = match slot {
+                        Some(slot) => {
+                            let src = &mut sources[slot];
+                            (src.rel_id(), src.poll(now, cfg.batch_size).into())
+                        }
+                        None => {
+                            // Columnar producer batches feed the
+                            // vectorized operator entry directly.
+                            let ex = &mut exchanges[i - root_slots.len()];
+                            (ex.rel_id(), ex.poll_data(now, cfg.batch_size))
+                        }
+                    };
+                    match polled {
+                        ExchangePoll::Ready(batch) => {
+                            any_ready = true;
+                            total_batches += 1;
+                            phase_batches += 1;
+                            if slot.is_some() {
+                                *consumed_total.entry(rel).or_insert(0) += batch.len() as u64;
+                                *consumed_phase.entry(rel).or_insert(0) += batch.len() as u64;
+                            }
+                            let cost = charged_cost(cfg.cpu, &timeline, batch.len(), || {
+                                target.push_data(rel, &batch, &mut answers)
+                            })?;
+                            timeline.charge(cost);
+                        }
+                        ExchangePoll::Pending { next_ready_us } => {
+                            next_ready = Some(match next_ready {
+                                Some(n) => n.min(next_ready_us),
+                                None => next_ready_us,
+                            });
+                        }
+                        ExchangePoll::Eof => {
+                            *input_done = true;
+                            if let Some(slot) = slot {
+                                eof[slot] = true;
+                                catalog.observe_source(
+                                    rel,
+                                    SourceProgress {
+                                        tuples_read: consumed_total.get(&rel).copied().unwrap_or(0),
+                                        fraction_read: Some(1.0),
+                                        eof: true,
+                                    },
+                                );
+                            }
+                            let cost = charged_cost(cfg.cpu, &timeline, 0, || {
+                                target.finish_source(rel, &mut answers)
+                            })?;
+                            timeline.charge(cost);
+                        }
+                    }
+                }
+                if all_done {
+                    break PhaseEnd::Completed;
+                }
+                if !any_ready {
+                    if let Some(n) = next_ready {
+                        timeline.idle_toward(n);
+                    }
+                    continue;
+                }
+
+                // Monitor: poll the re-optimizer on schedule. (The batch
+                // counter advances by up-to-#inputs per sweep, so the
+                // schedule is a moving threshold, not a divisibility
+                // test.)
+                if total_batches >= next_poll_at && phase + 1 < cfg.max_phases {
+                    next_poll_at = total_batches + cfg.poll_every_batches;
+                    Self::refresh_producer_counts(
+                        &run,
+                        &producer_base,
+                        &phase_base,
+                        &mut consumed_total,
+                        &mut consumed_phase,
+                    );
+                    for &slot in &root_slots {
+                        let src = &sources[slot];
+                        let p = src.progress();
+                        catalog.observe_source(
+                            src.rel_id(),
+                            SourceProgress {
+                                tuples_read: consumed_total
+                                    .get(&src.rel_id())
+                                    .copied()
+                                    .unwrap_or(0),
+                                fraction_read: p.fraction_read,
+                                eof: p.eof,
+                            },
+                        );
+                        // Self-profiling sources (the federation adapter)
+                        // also publish their observed arrival schedule,
+                        // so re-optimization prices plans with the shared
+                        // DeliveryModel over observed — not assumed —
+                        // source behavior. Plain sources fall back to the
+                        // uniform schedule derived from their observed
+                        // rate.
+                        if let Some(schedule) = src.observed_schedule() {
+                            catalog.observe_source_schedule(src.rel_id(), schedule);
+                        }
+                    }
+                    // Relations producer threads poll: their published
+                    // high-water marks.
+                    for progress in run.quiesce_handles().flat_map(|h| h.high_water_marks()) {
+                        catalog.observe_source(
+                            progress.rel_id(),
+                            SourceProgress {
+                                tuples_read: consumed_total
+                                    .get(&progress.rel_id())
+                                    .copied()
+                                    .unwrap_or(0),
+                                fraction_read: progress.fraction_read(),
+                                eof: progress.eof(),
+                            },
+                        );
+                        if let Some(schedule) = progress.schedule() {
+                            catalog.observe_source_schedule(progress.rel_id(), schedule);
+                        }
+                    }
+                    Self::publish_plan_observations(
+                        &catalog,
+                        &run.observations(),
+                        &join_nodes,
+                        &consumed_phase,
+                    );
+                    // Whole-run measured CPU: the controller's timeline
+                    // plus the live producer-thread counters (plus prior
+                    // phases' producer CPU already folded into
+                    // extra_cpu_us) — same coverage as the cost-unit
+                    // denominator of the warmup calibration.
+                    let measured_cpu_us =
+                        timeline.cpu_us() + (extra_cpu_us + run.producer_cpu_us()) as f64;
+                    let was_uncalibrated = calibrated.is_none();
+                    let candidate = self.consider_switch(
+                        &catalog,
+                        &consumed_total,
+                        &mut calibrated,
+                        &current_phys,
+                        &registry,
+                        &mut timeline,
+                        phase,
+                        total_batches,
+                        measured_cpu_us,
+                    )?;
+                    if was_uncalibrated {
+                        if let Some(unit) = calibrated {
+                            // Calibration landed: re-derive the delivery
+                            // unit prices from the measured kernels and
+                            // push them into every pricing surface — the
+                            // controller's own sources now (lent slots
+                            // ignore it), producer-bound sources at the
+                            // next phase start, and the fragment
+                            // optimizer's exchange tax for every later
+                            // phase's cuts.
+                            let costs = DeliveryCosts::from_unit_us(unit);
+                            for src in sources.iter_mut() {
+                                src.recalibrate_delivery_costs(&costs);
+                            }
+                            if let Some(fc) = frag_cfg.as_mut() {
+                                fc.recalibrate(unit);
+                            }
+                            pending_recal = Some(costs);
+                        }
+                    }
+                    if let Some(candidate) = candidate {
+                        // Pause delivery accounting on the controller's
+                        // own sources: the quiesce + seal + restart
+                        // window stops polling them exactly like the
+                        // producers' sources, and a federated mirror
+                        // must not read that silence as a stall or its
+                        // queue backpressure as consumer saturation.
+                        for &slot in &root_slots {
+                            sources[slot].quiesce_delivery();
+                        }
+                        // Quiesce: every producer parks at a batch
+                        // boundary. If one cannot (wedged source), resume
+                        // and abandon this switch — correctness over
+                        // adaptivity.
+                        trace.record_at(stamp(&mut timeline), SpanKind::Quiesce.begin("switch"));
+                        if run.quiesce() {
+                            quiesce_open = true;
+                            break PhaseEnd::Switched(Box::new(candidate));
+                        }
+                        let now = stamp(&mut timeline);
+                        trace.record_at(now, SpanKind::Quiesce.end("switch"));
+                        run.resume();
+                        for &slot in &root_slots {
+                            sources[slot].resume_delivery(now);
+                        }
+                    }
+                }
+            };
+
+            // Seal the phase (switch or completion): join the producers,
+            // drain every exchange's in-flight tuples into the old plan,
+            // register the sealed state, put lent sources back.
+            Self::refresh_producer_counts(
+                &run,
+                &producer_base,
+                &phase_base,
+                &mut consumed_total,
+                &mut consumed_phase,
+            );
+            let outcome = run.seal(sources, &mut answers)?;
+            extra_cpu_us += outcome.producer_cpu_us;
+            exchange_stats.absorb(outcome.max_queue_depth, &outcome.blocked_by_exchange);
+            // Producer batches count toward reporting only — folding them
+            // into `total_batches` (the monitor's cadence counter) would
+            // blow past `next_poll_at` and fire the next phase's first
+            // monitor poll on one batch of evidence.
+            phase_batches += outcome.producer_batches;
+            producer_batches_total += outcome.producer_batches;
+            for state in outcome.states {
+                if let Some(sig) = state.sig {
+                    registry.register(sig, phase, state.schema, state.structure);
+                }
+            }
+            phases.push(PhaseInfo {
+                plan: current_phys.describe(),
+                batches: phase_batches,
+                consumed: consumed_phase.clone(),
+                fragments: phase_fragments,
+            });
+            trace.record_at(
+                stamp(&mut timeline),
+                SpanKind::Phase.end(format!("phase-{phase}")),
+            );
+            match end {
+                PhaseEnd::Completed => break 'phases,
+                PhaseEnd::Switched(candidate) => {
+                    current_phys = *candidate;
+                    phase += 1;
+                    phase_batches = 0;
+                    consumed_phase.clear();
+                }
+            }
+        }
+
+        trace.record_at(stamp(&mut timeline), SpanKind::Query.end("corrective"));
+        let nphases = phase + 1;
+        self.stitch_and_finalize(
+            &current_phys,
+            &shared_table,
+            &post_project,
+            &registry,
+            nphases,
+            RunTotals {
+                timeline,
+                answers,
+                phases,
+                total_batches: total_batches + producer_batches_total,
+                extra_cpu_us,
+                calibrated_unit_us: calibrated,
+                exchange_stats,
+            },
+        )
     }
 
     /// The monitor's poll: re-optimize over the live catalog, recost the
@@ -484,726 +854,11 @@ impl CorrectiveExec {
         }
     }
 
-    /// The sequential corrective driver (the seed behavior): all
-    /// fragments on this thread, immediate exchange handoff.
-    fn run_sequential(&self, sources: &mut [Box<dyn Source>]) -> Result<CorrectiveReport> {
-        let catalog = Arc::new(SelectivityCatalog::new());
-        let registry = StateRegistry::new();
-        let cfg = &self.config;
-
-        let mut consumed_total: HashMap<u32, u64> = HashMap::new();
-        let mut consumed_phase: HashMap<u32, u64> = HashMap::new();
-        let mut calibrated: Option<f64> = None;
-        // Live copy of the fragmentation config: the warmup calibration
-        // repriced exchanges here affect every later phase's cuts.
-        let mut frag_cfg = cfg.fragments.clone();
-
-        // Phase 0 plan.
-        let optimizer = Optimizer::new(self.make_ctx(&catalog, &consumed_total, calibrated));
-        let mut current_phys: PhysPlan = match &cfg.initial_order {
-            Some(order) => optimizer.plan_with_order(&self.q, order)?,
-            None => optimizer.optimize(&self.q)?,
-        };
-        let mut lowered: PhaseLowered = self.lower_phase(
-            &current_phys,
-            &self.make_ctx(&catalog, &consumed_total, calibrated),
-            None,
-            frag_cfg.as_ref(),
-        )?;
-        let shared = lowered.table.clone();
-        let post_project = lowered.post_project.clone();
-
-        let mut phases: Vec<PhaseInfo> = Vec::new();
-        let mut phase_batches: u64 = 0;
-        let mut total_batches: u64 = 0;
-        let mut next_poll_at: u64 = cfg.warmup_batches.max(cfg.poll_every_batches);
-        let mut phase = 0usize;
-
-        let mut answers: Batch = Vec::new();
-        // The shared clock-mode accounting (virtual accumulator or wall
-        // clock) lives in exec::Timeline so this driver and SimDriver
-        // cannot drift apart on clock semantics.
-        let mut timeline = Timeline::new(cfg.clock.clone());
-        let mut eof: Vec<bool> = vec![false; sources.len()];
-        let trace = cfg.trace.clone();
-        timeline.resync();
-        trace.record_at(timeline.now_us(), SpanKind::Query.begin("corrective"));
-        trace.record_at(timeline.now_us(), SpanKind::Phase.begin("phase-0"));
-
-        loop {
-            timeline.resync();
-            let mut any_ready = false;
-            let mut next_ready: Option<u64> = None;
-            let mut all_done = true;
-            for (i, src) in sources.iter_mut().enumerate() {
-                if eof[i] {
-                    continue;
-                }
-                all_done = false;
-                match src.poll(timeline.now_us(), cfg.batch_size) {
-                    Poll::Ready(batch) => {
-                        any_ready = true;
-                        total_batches += 1;
-                        phase_batches += 1;
-                        let rel = src.rel_id();
-                        *consumed_total.entry(rel).or_insert(0) += batch.len() as u64;
-                        *consumed_phase.entry(rel).or_insert(0) += batch.len() as u64;
-                        let cost = charged_cost(cfg.cpu, &timeline, batch.len(), || {
-                            lowered.run.push_source(rel, &batch, &mut answers)
-                        })?;
-                        timeline.charge(cost);
-                    }
-                    Poll::Pending { next_ready_us } => {
-                        next_ready = Some(match next_ready {
-                            Some(n) => n.min(next_ready_us),
-                            None => next_ready_us,
-                        });
-                    }
-                    Poll::Eof => {
-                        eof[i] = true;
-                        let rel = src.rel_id();
-                        catalog.observe_source(
-                            rel,
-                            SourceProgress {
-                                tuples_read: consumed_total.get(&rel).copied().unwrap_or(0),
-                                fraction_read: Some(1.0),
-                                eof: true,
-                            },
-                        );
-                        let cost = charged_cost(cfg.cpu, &timeline, 0, || {
-                            lowered.run.finish_source(rel, &mut answers)
-                        })?;
-                        timeline.charge(cost);
-                    }
-                }
-            }
-            if all_done {
-                break;
-            }
-            if !any_ready {
-                if let Some(n) = next_ready {
-                    timeline.idle_toward(n);
-                }
-                continue;
-            }
-
-            // Monitor: poll the re-optimizer on schedule. (The batch
-            // counter advances by up-to-#sources per sweep, so the
-            // schedule is a moving threshold, not a divisibility test.)
-            if total_batches >= next_poll_at && phase + 1 < cfg.max_phases {
-                next_poll_at = total_batches + cfg.poll_every_batches;
-                self.update_catalog(
-                    &catalog,
-                    &lowered,
-                    sources,
-                    &consumed_total,
-                    &consumed_phase,
-                );
-                let measured_cpu_us = timeline.cpu_us();
-                let was_uncalibrated = calibrated.is_none();
-                let candidate = self.consider_switch(
-                    &catalog,
-                    &consumed_total,
-                    &mut calibrated,
-                    &current_phys,
-                    &registry,
-                    &mut timeline,
-                    phase,
-                    total_batches,
-                    measured_cpu_us,
-                )?;
-                if was_uncalibrated {
-                    if let Some(unit) = calibrated {
-                        // Warmup calibration just landed: re-derive the
-                        // delivery unit prices from the measured kernels
-                        // and push them into every pricing surface —
-                        // source-side hedge gates and the fragment
-                        // optimizer's exchange tax.
-                        let costs = DeliveryCosts::from_unit_us(unit);
-                        for src in sources.iter_mut() {
-                            src.recalibrate_delivery_costs(&costs);
-                        }
-                        if let Some(fc) = frag_cfg.as_mut() {
-                            fc.recalibrate(unit);
-                        }
-                    }
-                }
-                if let Some(candidate) = candidate {
-                    // Switch: seal the current phase, register its state,
-                    // resume into the new plan. Sealing covers *every*
-                    // fragment of the old plan — exchange handoff is
-                    // immediate in the sequential fragment run, so there
-                    // are no buffered in-flight exchange tuples to lose,
-                    // and state buffered on exchange leaves registers
-                    // under the producer subtree's signature.
-                    let fresh = self.lower_phase(
-                        &candidate,
-                        &self.make_ctx(&catalog, &consumed_total, calibrated),
-                        shared.clone(),
-                        frag_cfg.as_ref(),
-                    )?;
-                    let old = std::mem::replace(&mut lowered, fresh);
-                    let old_fragments = old.fragments;
-                    for state in old.run.seal() {
-                        if let Some(sig) = state.sig {
-                            registry.register(sig, phase, state.schema, state.structure);
-                        }
-                    }
-                    phases.push(PhaseInfo {
-                        plan: current_phys.describe(),
-                        batches: phase_batches,
-                        consumed: consumed_phase.clone(),
-                        fragments: old_fragments,
-                    });
-                    trace.record_at(
-                        timeline.now_us(),
-                        SpanKind::Phase.end(format!("phase-{phase}")),
-                    );
-                    current_phys = candidate;
-                    phase += 1;
-                    phase_batches = 0;
-                    consumed_phase.clear();
-                    trace.record_at(
-                        timeline.now_us(),
-                        SpanKind::Phase.begin(format!("phase-{phase}")),
-                    );
-                    // Sources already at EOF must close their ports in the
-                    // new plan too.
-                    let mut sink = Batch::new();
-                    for (i, src) in sources.iter().enumerate() {
-                        if eof[i] {
-                            lowered.run.finish_source(src.rel_id(), &mut sink)?;
-                        }
-                    }
-                    answers.extend(sink);
-                }
-            }
-        }
-
-        // Seal the final phase.
-        let nphases = phase + 1;
-        let final_lowered = lowered;
-        let final_fragments = final_lowered.fragments;
-        for state in final_lowered.run.seal() {
-            if let Some(sig) = state.sig {
-                registry.register(sig, phase, state.schema, state.structure);
-            }
-        }
-        phases.push(PhaseInfo {
-            plan: current_phys.describe(),
-            batches: phase_batches,
-            consumed: consumed_phase.clone(),
-            fragments: final_fragments,
-        });
-        trace.record_at(
-            timeline.now_us(),
-            SpanKind::Phase.end(format!("phase-{phase}")),
-        );
-        trace.record_at(timeline.now_us(), SpanKind::Query.end("corrective"));
-
-        self.stitch_and_finalize(
-            &current_phys,
-            &shared,
-            &post_project,
-            &registry,
-            nphases,
-            RunTotals {
-                timeline,
-                answers,
-                phases,
-                total_batches,
-                extra_cpu_us: 0,
-                calibrated_unit_us: calibrated,
-                exchange_stats: ExchangeTotals::default(),
-            },
-        )
-    }
-
-    /// The threaded corrective driver: producer fragments of every phase
-    /// plan race on their own threads while this loop polls the root
-    /// fragment's inputs (its base relations plus the exchange streams)
-    /// and the monitor re-optimizes; switches go through the quiesce
-    /// protocol.
-    fn run_threaded(&self, sources: &mut [Box<dyn Source>]) -> Result<CorrectiveReport> {
-        let cfg = &self.config;
-        let clock: Arc<dyn Clock> =
-            match &cfg.clock {
-                Some(c) if c.is_wall() => c.clone(),
-                _ => return Err(Error::Plan(
-                    "threaded corrective execution needs a wall clock (CorrectiveConfig::clock)"
-                        .into(),
-                )),
-            };
-        if cfg.fragments.is_none() {
-            return Err(Error::Plan(
-                "threaded corrective execution needs a fragmentation config \
-                 (CorrectiveConfig::fragments)"
-                    .into(),
-            ));
-        }
-
-        let catalog = Arc::new(SelectivityCatalog::new());
-        let registry = StateRegistry::new();
-        let mut consumed_total: HashMap<u32, u64> = HashMap::new();
-        let mut consumed_phase: HashMap<u32, u64> = HashMap::new();
-        let mut calibrated: Option<f64> = None;
-        // Live fragmentation config (exchange prices recalibrate when the
-        // warmup calibration lands), plus the deferred source repricing:
-        // producer-bound sources can only adopt new delivery costs at the
-        // next phase spawn, when this controller briefly owns them.
-        let mut frag_cfg = cfg.fragments.clone();
-        let mut pending_recal: Option<DeliveryCosts> = None;
-
-        // Phase 0 plan.
-        let optimizer = Optimizer::new(self.make_ctx(&catalog, &consumed_total, calibrated));
-        let mut current_phys: PhysPlan = match &cfg.initial_order {
-            Some(order) => optimizer.plan_with_order(&self.q, order)?,
-            None => optimizer.optimize(&self.q)?,
-        };
-
-        // Take every source out of the caller's slice; recovered sources
-        // go back into their slots before this returns (on success; an
-        // error path leaves placeholders, but also no answer).
-        let mut avail: Vec<Option<Box<dyn Source>>> = sources
-            .iter_mut()
-            .map(|s| {
-                let placeholder: Box<dyn Source> = Box::new(TakenSource {
-                    rel_id: s.rel_id(),
-                    name: s.name().to_string(),
-                    schema: s.schema().clone(),
-                });
-                Some(std::mem::replace(s, placeholder))
-            })
-            .collect();
-
-        let mut shared_table: Option<Arc<SharedGroupTable>> = None;
-        let mut post_project: Option<(Vec<Expr>, Schema)> = None;
-        let mut phases: Vec<PhaseInfo> = Vec::new();
-        let mut phase_batches: u64 = 0;
-        // `total_batches` counts only the controller's own polls (it is
-        // the monitor's cadence counter); producer batches accumulate
-        // separately and join it for the final report.
-        let mut total_batches: u64 = 0;
-        let mut producer_batches_total: u64 = 0;
-        let mut next_poll_at: u64 = cfg.warmup_batches.max(cfg.poll_every_batches);
-        let mut phase = 0usize;
-        let mut answers: Batch = Vec::new();
-        let mut timeline = Timeline::new(Some(clock.clone()));
-        let mut extra_cpu_us: u64 = 0;
-        let mut exchange_stats = ExchangeTotals::default();
-        let trace = cfg.trace.clone();
-        // The fragment layer (producer spans, exchange counters, the park
-        // sub-span) journals into the corrective sink unless the caller
-        // configured a dedicated one on the fragment options.
-        let mut fopts = cfg.fragment_options.clone();
-        if !fopts.trace.is_enabled() {
-            fopts.trace = trace.clone();
-        }
-        trace.record_at(clock.now_us(), SpanKind::Query.begin("corrective"));
-        // Whether a quiesce span is open across the seal/respawn of a plan
-        // switch (it closes once the next phase's producers are running).
-        let mut quiesce_open = false;
-
-        'phases: loop {
-            // Sources recovered from the previous phase adopt the
-            // recalibrated delivery prices before the new phase binds
-            // them to producer threads.
-            if let Some(costs) = pending_recal.take() {
-                for src in avail.iter_mut().flatten() {
-                    src.recalibrate_delivery_costs(&costs);
-                }
-            }
-            // Lower this phase with cuts chosen from the live catalog.
-            let ctx = self.make_ctx(&catalog, &consumed_total, calibrated);
-            let cuts = tukwila_optimizer::choose_cuts_traced(
-                &current_phys,
-                &ctx,
-                frag_cfg.as_ref().expect("checked above"),
-                &cfg.trace,
-            );
-            let fl = lower_fragmented(&current_phys, &cuts, shared_table.clone(), false)?;
-            if shared_table.is_none() {
-                shared_table = fl.table.clone();
-                post_project = fl.post_project.clone();
-            }
-            let phase_fragments = fl.plan.fragment_count();
-            let join_nodes = fl.join_nodes;
-
-            // Gather whatever sources are available and spawn the phase.
-            let mut slot_map: Vec<usize> = Vec::new();
-            let mut phase_sources: Vec<Box<dyn Source>> = Vec::new();
-            for (i, s) in avail.iter_mut().enumerate() {
-                if let Some(src) = s.take() {
-                    slot_map.push(i);
-                    phase_sources.push(src);
-                }
-            }
-            if quiesce_open {
-                trace.record_at(clock.now_us(), SpanKind::Respawn.begin("respawn"));
-            }
-            let (mut run, mut root_sources) = ThreadedFragmentRun::spawn(
-                fl.plan,
-                phase_sources,
-                clock.clone(),
-                cfg.batch_size,
-                cfg.cpu,
-                &fopts,
-            )?;
-            if quiesce_open {
-                trace.record_at(clock.now_us(), SpanKind::Respawn.end("respawn"));
-                trace.record_at(clock.now_us(), SpanKind::Quiesce.end("switch"));
-                quiesce_open = false;
-            }
-            trace.record_at(
-                clock.now_us(),
-                SpanKind::Phase.begin(format!("phase-{phase}")),
-            );
-            // Sources recovered from a sealed previous phase arrive with
-            // their delivery accounting still paused (their old producer
-            // quiesced them and sealing keeps the pause). Producer-bound
-            // sources are resumed by their new producer thread; the ones
-            // landing in the root fragment are polled by this controller,
-            // so resume them here (a no-op for fresh sources).
-            {
-                let now = clock.now_us();
-                for (_, src) in root_sources.iter_mut() {
-                    src.resume_delivery(now);
-                }
-            }
-            // Baselines for folding producer high-water marks into the
-            // cross-phase consumed totals.
-            let producer_base: HashMap<u32, u64> = run
-                .quiesce_handles()
-                .flat_map(|h| h.high_water_marks().iter())
-                .map(|p| {
-                    (
-                        p.rel_id(),
-                        consumed_total.get(&p.rel_id()).copied().unwrap_or(0),
-                    )
-                })
-                .collect();
-            let phase_base: HashMap<u32, u64> = producer_base
-                .keys()
-                .map(|rel| (*rel, consumed_phase.get(rel).copied().unwrap_or(0)))
-                .collect();
-            let mut eof_root = vec![false; root_sources.len()];
-            let mut eof_ex: Vec<bool> = Vec::new();
-
-            let end: PhaseEnd = loop {
-                timeline.resync();
-                let (any_ready, next_ready, all_done) = {
-                    let (pipeline, exchanges) = run.root_split();
-                    if eof_ex.is_empty() {
-                        eof_ex = vec![false; exchanges.len()];
-                    }
-                    let mut any_ready = false;
-                    let mut next_ready: Option<u64> = None;
-                    let mut all_done = true;
-                    for (i, (_, src)) in root_sources.iter_mut().enumerate() {
-                        if eof_root[i] {
-                            continue;
-                        }
-                        all_done = false;
-                        match src.poll(timeline.now_us(), cfg.batch_size) {
-                            Poll::Ready(batch) => {
-                                any_ready = true;
-                                total_batches += 1;
-                                phase_batches += 1;
-                                let rel = src.rel_id();
-                                *consumed_total.entry(rel).or_insert(0) += batch.len() as u64;
-                                *consumed_phase.entry(rel).or_insert(0) += batch.len() as u64;
-                                let cost = charged_cost(cfg.cpu, &timeline, batch.len(), || {
-                                    pipeline.push_source(rel, &batch, &mut answers)
-                                })?;
-                                timeline.charge(cost);
-                            }
-                            Poll::Pending { next_ready_us } => {
-                                next_ready = Some(match next_ready {
-                                    Some(n) => n.min(next_ready_us),
-                                    None => next_ready_us,
-                                });
-                            }
-                            Poll::Eof => {
-                                eof_root[i] = true;
-                                let rel = src.rel_id();
-                                catalog.observe_source(
-                                    rel,
-                                    SourceProgress {
-                                        tuples_read: consumed_total.get(&rel).copied().unwrap_or(0),
-                                        fraction_read: Some(1.0),
-                                        eof: true,
-                                    },
-                                );
-                                let cost = charged_cost(cfg.cpu, &timeline, 0, || {
-                                    pipeline.finish_source(rel, &mut answers)
-                                })?;
-                                timeline.charge(cost);
-                            }
-                        }
-                    }
-                    for (j, ex) in exchanges.iter_mut().enumerate() {
-                        if eof_ex[j] {
-                            continue;
-                        }
-                        all_done = false;
-                        // Columnar producer batches arrive as columns and
-                        // feed the vectorized operator entry directly; rows
-                        // (carry-buffer leftovers, row-mode producers) take
-                        // the row entry. No transpose on this path.
-                        match ex.poll_data(timeline.now_us(), cfg.batch_size) {
-                            ExchangePoll::Ready(batch) => {
-                                any_ready = true;
-                                total_batches += 1;
-                                phase_batches += 1;
-                                let rel = ex.rel_id();
-                                let cost =
-                                    charged_cost(
-                                        cfg.cpu,
-                                        &timeline,
-                                        batch.len(),
-                                        || match &batch {
-                                            DataBatch::Rows(b) => {
-                                                pipeline.push_source(rel, b, &mut answers)
-                                            }
-                                            DataBatch::Columns(c) => {
-                                                pipeline.push_source_columns(rel, c, &mut answers)
-                                            }
-                                        },
-                                    )?;
-                                timeline.charge(cost);
-                            }
-                            ExchangePoll::Pending { next_ready_us } => {
-                                next_ready = Some(match next_ready {
-                                    Some(n) => n.min(next_ready_us),
-                                    None => next_ready_us,
-                                });
-                            }
-                            ExchangePoll::Eof => {
-                                eof_ex[j] = true;
-                                let rel = ex.rel_id();
-                                let cost = charged_cost(cfg.cpu, &timeline, 0, || {
-                                    pipeline.finish_source(rel, &mut answers)
-                                })?;
-                                timeline.charge(cost);
-                            }
-                        }
-                    }
-                    (any_ready, next_ready, all_done)
-                };
-                if all_done {
-                    break PhaseEnd::Completed;
-                }
-                if !any_ready {
-                    if let Some(n) = next_ready {
-                        timeline.idle_toward(n);
-                    }
-                    continue;
-                }
-
-                // Monitor: same cadence as the sequential driver, fed by
-                // the controller's own polls plus the producers' shared
-                // high-water marks and live fragment observations.
-                if total_batches >= next_poll_at && phase + 1 < cfg.max_phases {
-                    next_poll_at = total_batches + cfg.poll_every_batches;
-                    Self::refresh_producer_counts(
-                        &run,
-                        &producer_base,
-                        &phase_base,
-                        &mut consumed_total,
-                        &mut consumed_phase,
-                    );
-                    for (_, src) in root_sources.iter() {
-                        let p = src.progress();
-                        catalog.observe_source(
-                            src.rel_id(),
-                            SourceProgress {
-                                tuples_read: consumed_total
-                                    .get(&src.rel_id())
-                                    .copied()
-                                    .unwrap_or(0),
-                                fraction_read: p.fraction_read,
-                                eof: p.eof,
-                            },
-                        );
-                        if let Some(schedule) = src.observed_schedule() {
-                            catalog.observe_source_schedule(src.rel_id(), schedule);
-                        }
-                    }
-                    for progress in run.quiesce_handles().flat_map(|h| h.high_water_marks()) {
-                        catalog.observe_source(
-                            progress.rel_id(),
-                            SourceProgress {
-                                tuples_read: consumed_total
-                                    .get(&progress.rel_id())
-                                    .copied()
-                                    .unwrap_or(0),
-                                fraction_read: progress.fraction_read(),
-                                eof: progress.eof(),
-                            },
-                        );
-                        if let Some(schedule) = progress.schedule() {
-                            catalog.observe_source_schedule(progress.rel_id(), schedule);
-                        }
-                    }
-                    Self::publish_plan_observations(
-                        &catalog,
-                        &run.observations(),
-                        &join_nodes,
-                        &consumed_phase,
-                    );
-                    // Whole-run measured CPU: the controller's timeline
-                    // plus the live producer-thread counters (plus prior
-                    // phases' producer CPU already folded into
-                    // extra_cpu_us) — same coverage as the cost-unit
-                    // denominator of the warmup calibration.
-                    let measured_cpu_us =
-                        timeline.cpu_us() + (extra_cpu_us + run.producer_cpu_us()) as f64;
-                    let was_uncalibrated = calibrated.is_none();
-                    let candidate = self.consider_switch(
-                        &catalog,
-                        &consumed_total,
-                        &mut calibrated,
-                        &current_phys,
-                        &registry,
-                        &mut timeline,
-                        phase,
-                        total_batches,
-                        measured_cpu_us,
-                    )?;
-                    if was_uncalibrated {
-                        if let Some(unit) = calibrated {
-                            // Calibration landed: reprice exchanges for
-                            // every later phase's cuts, reprice the root
-                            // fragment's own sources now, and queue the
-                            // repricing for producer-bound sources (they
-                            // adopt it when recovered at the next spawn).
-                            let costs = DeliveryCosts::from_unit_us(unit);
-                            for (_, src) in root_sources.iter_mut() {
-                                src.recalibrate_delivery_costs(&costs);
-                            }
-                            if let Some(fc) = frag_cfg.as_mut() {
-                                fc.recalibrate(unit);
-                            }
-                            pending_recal = Some(costs);
-                        }
-                    }
-                    if let Some(candidate) = candidate {
-                        // Pause delivery accounting on the controller's
-                        // own sources too: the quiesce-wait + seal +
-                        // respawn window stops polling them exactly like
-                        // the producers' sources, and a root-owned
-                        // federated mirror must not read that silence as
-                        // a stall or its queue backpressure as consumer
-                        // saturation. (The next phase resumes them right
-                        // after spawn; producer-bound ones are resumed by
-                        // their new producer thread.)
-                        for (_, src) in root_sources.iter_mut() {
-                            src.quiesce_delivery();
-                        }
-                        // Quiesce: every producer parks at a batch
-                        // boundary. If one cannot (wedged source), resume
-                        // and abandon this switch — correctness over
-                        // adaptivity.
-                        trace.record_at(clock.now_us(), SpanKind::Quiesce.begin("switch"));
-                        if run.quiesce() {
-                            quiesce_open = true;
-                            break PhaseEnd::Switched(Box::new(candidate));
-                        }
-                        trace.record_at(clock.now_us(), SpanKind::Quiesce.end("switch"));
-                        run.resume();
-                        let now = clock.now_us();
-                        for (_, src) in root_sources.iter_mut() {
-                            src.resume_delivery(now);
-                        }
-                    }
-                }
-            };
-
-            // Seal the phase (switch or completion): join the producers,
-            // drain every exchange's in-flight tuples into the old plan,
-            // register the sealed state, recover the sources.
-            Self::refresh_producer_counts(
-                &run,
-                &producer_base,
-                &phase_base,
-                &mut consumed_total,
-                &mut consumed_phase,
-            );
-            let mut sink = Batch::new();
-            let outcome = run.seal(&mut sink)?;
-            answers.extend(sink);
-            extra_cpu_us += outcome.producer_cpu_us;
-            exchange_stats.absorb(outcome.max_queue_depth, &outcome.blocked_by_exchange);
-            // Producer batches count toward reporting only — folding them
-            // into `total_batches` (the monitor's cadence counter) would
-            // blow past `next_poll_at` and fire the next phase's first
-            // monitor poll on one batch of evidence.
-            phase_batches += outcome.producer_batches;
-            producer_batches_total += outcome.producer_batches;
-            for state in outcome.states {
-                if let Some(sig) = state.sig {
-                    registry.register(sig, phase, state.schema, state.structure);
-                }
-            }
-            for (pslot, src) in outcome.sources {
-                avail[slot_map[pslot]] = Some(src);
-            }
-            for (pslot, src) in root_sources {
-                avail[slot_map[pslot]] = Some(src);
-            }
-            phases.push(PhaseInfo {
-                plan: current_phys.describe(),
-                batches: phase_batches,
-                consumed: consumed_phase.clone(),
-                fragments: phase_fragments,
-            });
-            trace.record_at(
-                clock.now_us(),
-                SpanKind::Phase.end(format!("phase-{phase}")),
-            );
-            match end {
-                PhaseEnd::Completed => break 'phases,
-                PhaseEnd::Switched(candidate) => {
-                    current_phys = *candidate;
-                    phase += 1;
-                    phase_batches = 0;
-                    consumed_phase.clear();
-                }
-            }
-        }
-
-        // Restore the caller's sources (every phase returned its loans).
-        for (i, s) in avail.into_iter().enumerate() {
-            if let Some(src) = s {
-                sources[i] = src;
-            }
-        }
-
-        trace.record_at(clock.now_us(), SpanKind::Query.end("corrective"));
-        let nphases = phase + 1;
-        self.stitch_and_finalize(
-            &current_phys,
-            &shared_table,
-            &post_project,
-            &registry,
-            nphases,
-            RunTotals {
-                timeline,
-                answers,
-                phases,
-                total_batches: total_batches + producer_batches_total,
-                extra_cpu_us,
-                calibrated_unit_us: calibrated,
-                exchange_stats,
-            },
-        )
-    }
-
     /// Fold the producers' shared high-water marks into the cross-phase
     /// consumed counters (the controller never polls producer-owned
     /// relations itself).
     fn refresh_producer_counts(
-        run: &ThreadedFragmentRun,
+        run: &FragmentRun,
         producer_base: &HashMap<u32, u64>,
         phase_base: &HashMap<u32, u64>,
         consumed_total: &mut HashMap<u32, u64>,
@@ -1220,7 +875,7 @@ impl CorrectiveExec {
         }
     }
 
-    /// The stitch-up phase and report assembly shared by both drivers.
+    /// The stitch-up phase and report assembly.
     fn stitch_and_finalize(
         &self,
         current_phys: &PhysPlan,
@@ -1317,52 +972,13 @@ impl CorrectiveExec {
         })
     }
 
-    /// Push the current plan's observations into the shared catalog
-    /// (paper §3.3 / §4.2). Observations span every fragment of the phase
-    /// plan — node ids are plan-wide, so the multiplicative-join flags
-    /// keep working across exchange boundaries.
-    fn update_catalog(
-        &self,
-        catalog: &Arc<SelectivityCatalog>,
-        lowered: &PhaseLowered,
-        sources: &[Box<dyn Source>],
-        consumed_total: &HashMap<u32, u64>,
-        consumed_phase: &HashMap<u32, u64>,
-    ) {
-        for src in sources.iter() {
-            let p = src.progress();
-            catalog.observe_source(
-                src.rel_id(),
-                SourceProgress {
-                    tuples_read: consumed_total.get(&src.rel_id()).copied().unwrap_or(0),
-                    fraction_read: p.fraction_read,
-                    eof: p.eof,
-                },
-            );
-            // Self-profiling sources (the federation adapter) also publish
-            // their observed arrival schedule, so re-optimization prices
-            // plans with the shared DeliveryModel over observed — not
-            // assumed — source behavior (burst allowance included).
-            // Plain sources fall back to the uniform schedule derived
-            // from their observed rate.
-            if let Some(schedule) = src.observed_schedule() {
-                catalog.observe_source_schedule(src.rel_id(), schedule);
-            }
-        }
-        Self::publish_plan_observations(
-            catalog,
-            &lowered.run.observations(),
-            &lowered.join_nodes,
-            consumed_phase,
-        );
-    }
-
     /// The plan-shaped half of a catalog update: observed selectivities
     /// per logical signature and multiplicative-join flags, computed from
-    /// operator counter snapshots. Shared by the sequential driver (whose
-    /// `FragmentRun` it owns) and the threaded driver (whose fragments
-    /// live on producer threads — the observations' counters are shared
-    /// atomics, so the monitor reads them live).
+    /// operator counter snapshots. Observations span every fragment of the
+    /// phase plan — node ids are plan-wide, so the multiplicative-join
+    /// flags keep working across exchange boundaries — and their counters
+    /// are shared atomics, so the monitor reads fragments on producer
+    /// threads live.
     fn publish_plan_observations(
         catalog: &Arc<SelectivityCatalog>,
         observations: &[NodeObservation],

@@ -23,33 +23,35 @@ use tukwila_stats::trace::SpanKind;
 use tukwila_stats::{Clock, TraceSink};
 
 use crate::metrics::ExecReport;
-use crate::op::Batch;
+use crate::op::{Batch, DataBatch};
 use crate::plan::PipelinePlan;
 
 /// Anything the round-robin driver can feed source batches into: a single
-/// [`PipelinePlan`], or a [`crate::fragments::FragmentRun`] that routes
-/// each batch to the fragment owning its relation and pumps produced
-/// batches across exchange boundaries.
+/// [`PipelinePlan`], or the root of a [`crate::fragments::FragmentRun`],
+/// which routes each batch to the fragment owning its relation and pumps
+/// produced batches across exchange boundaries.
 pub trait PushTarget {
     /// Push a source batch for `rel_id`; root output lands in `out`.
     fn push_source(&mut self, rel_id: u32, batch: &[Tuple], out: &mut Batch) -> Result<()>;
 
+    /// Push a batch in whichever representation it arrived in: columns
+    /// enter the vectorized operator entry as they are.
+    fn push_data(&mut self, rel_id: u32, batch: &DataBatch, out: &mut Batch) -> Result<()>;
+
     /// Signal EOF of source `rel_id`, flushing whatever that closes.
     fn finish_source(&mut self, rel_id: u32, out: &mut Batch) -> Result<()>;
-
-    /// Ship output buffered by the preceding push/finish. The driver
-    /// calls this *outside* the charged CPU section, so targets whose
-    /// delivery can block (a producer fragment sending into a bounded
-    /// exchange queue) park their batches during push and send them
-    /// here — backpressure wait must not be billed as CPU.
-    fn ship(&mut self) -> Result<()> {
-        Ok(())
-    }
 }
 
 impl PushTarget for PipelinePlan {
     fn push_source(&mut self, rel_id: u32, batch: &[Tuple], out: &mut Batch) -> Result<()> {
         PipelinePlan::push_source(self, rel_id, batch, out)
+    }
+
+    fn push_data(&mut self, rel_id: u32, batch: &DataBatch, out: &mut Batch) -> Result<()> {
+        match batch {
+            DataBatch::Rows(b) => PipelinePlan::push_source(self, rel_id, b, out),
+            DataBatch::Columns(c) => self.push_source_columns(rel_id, c, out),
+        }
     }
 
     fn finish_source(&mut self, rel_id: u32, out: &mut Batch) -> Result<()> {
@@ -240,8 +242,8 @@ impl SimDriver {
     }
 
     /// [`SimDriver::run`] generalized over [`PushTarget`]: the same
-    /// poll/push/idle loop drives a single pipeline, one fragment of a
-    /// threaded fragment plan, or a whole fragmented plan sequentially.
+    /// poll/push/idle loop drives a single pipeline or the root of a
+    /// [`crate::fragments::FragmentRun`] (the whole plan, inline).
     pub fn run_target(
         &self,
         plan: &mut dyn PushTarget,
@@ -255,8 +257,8 @@ impl SimDriver {
     }
 
     /// [`SimDriver::run_target`] over borrowed sources, so callers can
-    /// assemble one poll set from differently-owned collections (the
-    /// threaded fragment runner mixes the caller's base-relation sources
+    /// assemble one poll set from differently-owned collections (a
+    /// threaded fragment run mixes the caller's base-relation sources
     /// with the exchange sources it owns itself).
     pub fn run_target_refs(
         &self,
@@ -289,10 +291,6 @@ impl SimDriver {
                             plan.push_source(src.rel_id(), &batch, &mut out)
                         })?;
                         timeline.charge(cost);
-                        // Possibly-blocking delivery happens uncharged;
-                        // the next resync reads whatever real time the
-                        // backpressure wait consumed.
-                        plan.ship()?;
                         timeline.resync();
                     }
                     Poll::Pending { next_ready_us } => {
@@ -307,7 +305,6 @@ impl SimDriver {
                             plan.finish_source(src.rel_id(), &mut out)
                         })?;
                         timeline.charge(cost);
-                        plan.ship()?;
                         timeline.resync();
                     }
                 }

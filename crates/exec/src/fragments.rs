@@ -1,4 +1,5 @@
-//! Threaded plan fragments: racing parallel subplans over
+//! Plan fragments: an operator tree split at exchange boundaries, run
+//! inline or as racing parallel subplans over
 //! [`queue_pair`](crate::queue::queue_pair()) (the §5 parallel-subplan
 //! configuration).
 //!
@@ -7,22 +8,29 @@
 //! [`PipelinePlan`] whose leaves bind either real source relations or
 //! exchange streams (identified by synthetic relation ids at
 //! [`EXCHANGE_REL_BASE`]); a fragment's root output feeds the consumer
-//! fragment's exchange leaf. The same fragment plan executes in both
-//! modes of the dual-clock design:
+//! fragment's exchange leaf. One [`FragmentRun`] lifecycle — start, poll
+//! the root's sources and exchanges, observe, quiesce, resume, seal —
+//! executes it in either mode of the dual-clock design:
 //!
-//! * **Sequential** ([`FragmentRun`], [`SimDriver::run_fragments_sequential`]):
-//!   all fragments run on the driver thread; a batch produced by one
-//!   fragment is pushed into its consumer immediately, so the execution
-//!   is byte-for-byte the cascade of the unfragmented plan —
-//!   deterministic under a [`tukwila_stats::VirtualClock`] and
-//!   seed-compatible.
-//! * **Threaded** ([`SimDriver::run_fragments_threaded`]): every producer
-//!   fragment runs on its own thread, shipping root output through a
-//!   bounded [`queue_pair`](crate::queue::queue_pair()) queue that the
-//!   consumer reads as an ordinary [`Source`] ([`ExchangeSource`]). A
-//!   CPU-heavy join subtree then genuinely overlaps a slow federated
-//!   scan — the driver thread can block on a delivery-bound relation
-//!   while another core burns through the build side.
+//! * **Inline** ([`FragmentRun::inline`],
+//!   [`SimDriver::run_fragments_sequential`]): zero producer threads.
+//!   Every fragment runs on the calling thread and a batch produced by
+//!   one fragment is pushed into its consumer immediately, so the
+//!   execution is byte-for-byte the cascade of the unfragmented plan —
+//!   deterministic under a [`tukwila_stats::VirtualClock`]. Every source
+//!   is a root source and a quiesce succeeds at once.
+//! * **Threaded** ([`FragmentRun::spawn`],
+//!   [`SimDriver::run_fragments_threaded`]): every producer fragment runs
+//!   on its own thread, shipping root output as columns through a bounded
+//!   [`queue_pair`](crate::queue::queue_pair()) queue that the consumer
+//!   reads as an ordinary [`Source`] ([`ExchangeSource`]). A CPU-heavy
+//!   join subtree then genuinely overlaps a slow federated scan — the
+//!   driver thread can block on a delivery-bound relation while another
+//!   core burns through the build side.
+//!
+//! Both modes seal the same way: the fragments are reassembled into the
+//! inline executor, whatever was in flight across exchanges (nothing,
+//! inline) is pushed through it, and every pipeline is sealed.
 //!
 //! ## EOF, shutdown, and panic semantics
 //!
@@ -82,7 +90,7 @@ pub struct FragmentOptions {
     /// the queue full.
     pub poll_tick_us: u64,
     /// Timeline budget for a quiesce: how long
-    /// [`ThreadedFragmentRun::quiesce`] waits for every producer to park
+    /// [`FragmentRun::quiesce`] waits for every producer to park
     /// at a batch boundary before giving up (the caller then resumes the
     /// producers and abandons the plan switch instead of blocking the
     /// query). Producers park within one poll sweep plus one bounded
@@ -102,15 +110,6 @@ pub struct FragmentOptions {
     /// optimizer's fragmentation config (`cores`), which callers should
     /// pin to their fair share so over-subscription stays bounded.
     pub lease: Option<tukwila_stats::QueryLease>,
-    /// Ship exchange batches as typed columns instead of boxed rows —
-    /// producers transpose once at the batch boundary (refused sends
-    /// carry the *encoded* batch across retries), and columnar-aware
-    /// consumers route the columns straight into vectorized operator
-    /// kernels. Logically invisible (answers and decisions are
-    /// byte-identical either way, and the quiesce drain always
-    /// re-materializes rows losslessly); on by default now that every
-    /// hot operator consumes columns natively.
-    pub columnar_exchange: bool,
 }
 
 impl Default for FragmentOptions {
@@ -121,7 +120,6 @@ impl Default for FragmentOptions {
             quiesce_timeout_us: 5_000_000,
             trace: TraceSink::disabled(),
             lease: None,
-            columnar_exchange: true,
         }
     }
 }
@@ -256,57 +254,22 @@ impl FragmentPlan {
         self.fragments.len()
     }
 
-    /// Output schema of the root fragment.
-    pub fn root_schema(&self) -> &Schema {
-        self.fragments
-            .last()
-            .expect("validated non-empty")
-            .pipeline
-            .root_schema()
-    }
-
     /// The fragment index owning real source relation `rel_id`.
     pub fn fragment_of(&self, rel_id: u32) -> Option<usize> {
         self.fragments
             .iter()
             .position(|f| f.source_rels().contains(&rel_id))
     }
-
-    /// Convert into the incremental sequential executor.
-    pub fn into_run(self) -> FragmentRun {
-        let mut owner = HashMap::new();
-        let mut consumer = HashMap::new();
-        let mut open_inputs = Vec::with_capacity(self.fragments.len());
-        for (i, f) in self.fragments.iter().enumerate() {
-            for rel in f.source_rels() {
-                owner.insert(rel, i);
-            }
-            for ex in f.exchange_inputs() {
-                consumer.insert(ex, i);
-            }
-            open_inputs.push(f.pipeline.leaves().len());
-        }
-        FragmentRun {
-            fragments: self.fragments,
-            owner,
-            consumer,
-            open_inputs,
-        }
-    }
 }
 
-/// Sequential, incremental execution of a [`FragmentPlan`]: one thread,
-/// direct handoff across exchanges.
-///
-/// Implements [`PushTarget`], so the ordinary drivers (`SimDriver`, the
-/// corrective executor) feed it exactly like a single [`PipelinePlan`]:
-/// a pushed batch cascades through its owning fragment, any produced
-/// batches are pushed across exchange boundaries immediately, and root
-/// output lands in `out`. Because the handoff is immediate, nothing is
-/// ever buffered *between* pushes — a mid-stream plan switch (corrective
-/// execution) can seal the run at any batch boundary without losing
-/// in-flight exchange tuples.
-pub struct FragmentRun {
+/// The fragments a [`FragmentRun`] executes on the calling thread, with
+/// immediate handoff: a pushed batch cascades through its owning
+/// fragment, any produced batches are pushed across exchange boundaries
+/// at once, and root output lands in `out`. Because the handoff is
+/// immediate, nothing is ever buffered *between* pushes — a mid-stream
+/// plan switch can seal at any batch boundary without losing in-flight
+/// exchange tuples.
+struct LocalFragments {
     fragments: Vec<Fragment>,
     /// Real relation → owning fragment.
     owner: HashMap<u32, usize>,
@@ -316,32 +279,33 @@ pub struct FragmentRun {
     open_inputs: Vec<usize>,
 }
 
-impl FragmentRun {
-    /// Number of fragments.
-    pub fn fragment_count(&self) -> usize {
-        self.fragments.len()
-    }
-
-    /// Counter/signature snapshots across every fragment, with node ids
-    /// offset so they are unique plan-wide (fragment 0's nodes first).
-    pub fn observations(&self) -> Vec<NodeObservation> {
-        let mut out = Vec::new();
-        let mut offset = 0;
-        for f in &self.fragments {
-            for mut obs in f.pipeline.observations() {
-                obs.node += offset;
-                out.push(obs);
+impl LocalFragments {
+    fn new(fragments: Vec<Fragment>) -> LocalFragments {
+        let mut owner = HashMap::new();
+        let mut consumer = HashMap::new();
+        let mut open_inputs = Vec::with_capacity(fragments.len());
+        for (i, f) in fragments.iter().enumerate() {
+            for rel in f.source_rels() {
+                owner.insert(rel, i);
             }
-            offset += f.pipeline.node_count();
+            for ex in f.exchange_inputs() {
+                consumer.insert(ex, i);
+            }
+            open_inputs.push(f.pipeline.leaves().len());
         }
-        out
+        LocalFragments {
+            fragments,
+            owner,
+            consumer,
+            open_inputs,
+        }
     }
 
-    /// Seal every fragment (end of a suspended phase), extracting each
-    /// operator's state structures with plan-wide node ids. State buffered
-    /// on an exchange leaf carries the producer subtree's signature, so
-    /// cross-phase reuse works across fragment boundaries.
-    pub fn seal(self) -> Vec<SealedState> {
+    /// Seal every fragment, extracting each operator's state structures
+    /// with plan-wide node ids. State buffered on an exchange leaf carries
+    /// the producer subtree's signature, so cross-phase reuse works
+    /// across fragment boundaries.
+    fn seal(self) -> Vec<SealedState> {
         let mut out = Vec::new();
         let mut offset = 0;
         for f in self.fragments {
@@ -363,40 +327,36 @@ impl FragmentRun {
             .ok_or_else(|| Error::Plan(format!("no fragment binds relation {rel_id}")))
     }
 
-    fn push_into(&mut self, f: usize, rel: u32, batch: &[Tuple], out: &mut Batch) -> Result<()> {
+    /// Run `push` against fragment `f`'s pipeline: the root writes
+    /// straight into `out`, any other fragment forwards what it produced
+    /// across its exchange (recursion depth is bounded by the fragment
+    /// count — fragments form a DAG toward the root).
+    fn push_into(
+        &mut self,
+        f: usize,
+        out: &mut Batch,
+        push: impl FnOnce(&mut PipelinePlan, &mut Batch) -> Result<()>,
+    ) -> Result<()> {
+        let Some(ex) = self.fragments[f].output else {
+            return push(&mut self.fragments[f].pipeline, out);
+        };
         let mut produced = Batch::new();
-        self.fragments[f]
-            .pipeline
-            .push_source(rel, batch, &mut produced)?;
-        self.forward(f, produced, out)
+        push(&mut self.fragments[f].pipeline, &mut produced)?;
+        self.forward(ex, produced, out)
     }
 
-    /// Route a fragment's produced batch: root output to `out`, otherwise
-    /// across its exchange into the consumer (recursion depth is bounded
-    /// by the fragment count — fragments form a DAG toward the root).
-    fn forward(&mut self, f: usize, produced: Batch, out: &mut Batch) -> Result<()> {
+    /// Push a producer fragment's output across exchange `ex`.
+    fn forward(&mut self, ex: u32, produced: Batch, out: &mut Batch) -> Result<()> {
         if produced.is_empty() {
             return Ok(());
         }
-        match self.fragments[f].output {
-            None => {
-                out.extend(produced);
-                Ok(())
-            }
-            Some(ex) => {
-                let c = self.consumer[&ex];
-                self.push_into(c, ex, &produced, out)
-            }
-        }
+        let c = self.consumer[&ex];
+        self.push_into(c, out, |p, o| p.push_source(ex, &produced, o))
     }
 
     fn finish_in(&mut self, f: usize, rel: u32, out: &mut Batch) -> Result<()> {
-        let mut produced = Batch::new();
-        self.fragments[f]
-            .pipeline
-            .finish_source(rel, &mut produced)?;
+        self.push_into(f, out, |p, o| p.finish_source(rel, o))?;
         self.open_inputs[f] -= 1;
-        self.forward(f, produced, out)?;
         if self.open_inputs[f] == 0 {
             // Every input of this fragment closed: its pipeline has
             // flushed, so its output stream ends — close the exchange
@@ -411,10 +371,15 @@ impl FragmentRun {
     }
 }
 
-impl PushTarget for FragmentRun {
+impl PushTarget for LocalFragments {
     fn push_source(&mut self, rel_id: u32, batch: &[Tuple], out: &mut Batch) -> Result<()> {
         let f = self.fragment_for(rel_id)?;
-        self.push_into(f, rel_id, batch, out)
+        self.push_into(f, out, |p, o| p.push_source(rel_id, batch, o))
+    }
+
+    fn push_data(&mut self, rel_id: u32, batch: &DataBatch, out: &mut Batch) -> Result<()> {
+        let f = self.fragment_for(rel_id)?;
+        self.push_into(f, out, |p, o| p.push_data(rel_id, batch, o))
     }
 
     fn finish_source(&mut self, rel_id: u32, out: &mut Batch) -> Result<()> {
@@ -437,6 +402,18 @@ pub enum ExchangePoll {
     },
     /// Producer finished and the queue drained.
     Eof,
+}
+
+impl From<Poll> for ExchangePoll {
+    /// A base-relation poll, seen through the same lens: rows are one
+    /// representation an input can arrive in.
+    fn from(poll: Poll) -> ExchangePoll {
+        match poll {
+            Poll::Ready(b) => ExchangePoll::Ready(DataBatch::Rows(b)),
+            Poll::Pending { next_ready_us } => ExchangePoll::Pending { next_ready_us },
+            Poll::Eof => ExchangePoll::Eof,
+        }
+    }
 }
 
 /// The consumer end of an exchange, adapted to the [`Source`] trait so a
@@ -470,15 +447,6 @@ impl ExchangeSource {
         }
     }
 
-    fn emit(&mut self, mut fresh: Vec<Tuple>, max_tuples: usize) -> Poll {
-        let cap = max_tuples.max(1);
-        if fresh.len() > cap {
-            self.carry = fresh.split_off(cap);
-        }
-        self.delivered += fresh.len() as u64;
-        Poll::Ready(fresh)
-    }
-
     /// The exchange stream this source reads.
     pub fn exchange_id(&self) -> u32 {
         self.ex_id
@@ -491,38 +459,46 @@ impl ExchangeSource {
     /// [`Source::poll`]. The row-level `poll` remains the fallback for
     /// drivers that treat this source like any other relation.
     pub fn poll_data(&mut self, now_us: u64, max_tuples: usize) -> ExchangePoll {
-        if !self.carry.is_empty() {
-            let cap = max_tuples.max(1).min(self.carry.len());
-            let rest = self.carry.split_off(cap);
-            let head = std::mem::replace(&mut self.carry, rest);
-            self.delivered += head.len() as u64;
-            return ExchangePoll::Ready(DataBatch::Rows(head));
-        }
-        if self.done {
+        self.next(now_us, max_tuples, true)
+    }
+
+    /// The next batch: the carry tail first, then the queue. Columns stay
+    /// columns when `keep_columns`; rows go out at most `max_tuples` at a
+    /// time, the rest waiting in the carry buffer.
+    fn next(&mut self, now_us: u64, max_tuples: usize, keep_columns: bool) -> ExchangePoll {
+        let mut rows = if !self.carry.is_empty() {
+            std::mem::take(&mut self.carry)
+        } else if self.done {
             return ExchangePoll::Eof;
-        }
-        let status = match &self.reader {
-            Some(r) => r.try_recv_data(),
-            None => TryRecvData::Closed,
+        } else {
+            let status = match &self.reader {
+                Some(r) => r.try_recv_data(),
+                None => TryRecvData::Closed,
+            };
+            match status {
+                TryRecvData::Batch(DataBatch::Columns(c)) if keep_columns => {
+                    self.delivered += c.selected_rows() as u64;
+                    return ExchangePoll::Ready(DataBatch::Columns(c));
+                }
+                TryRecvData::Batch(b) => b.into_rows(),
+                TryRecvData::Empty => {
+                    return ExchangePoll::Pending {
+                        next_ready_us: now_us + self.poll_tick_us,
+                    }
+                }
+                TryRecvData::Closed => {
+                    self.done = true;
+                    self.reader = None;
+                    return ExchangePoll::Eof;
+                }
+            }
         };
-        match status {
-            TryRecvData::Batch(DataBatch::Columns(c)) => {
-                self.delivered += c.selected_rows() as u64;
-                ExchangePoll::Ready(DataBatch::Columns(c))
-            }
-            TryRecvData::Batch(DataBatch::Rows(b)) => match self.emit(b, max_tuples) {
-                Poll::Ready(head) => ExchangePoll::Ready(DataBatch::Rows(head)),
-                _ => unreachable!("emit always returns Ready"),
-            },
-            TryRecvData::Empty => ExchangePoll::Pending {
-                next_ready_us: now_us + self.poll_tick_us,
-            },
-            TryRecvData::Closed => {
-                self.done = true;
-                self.reader = None;
-                ExchangePoll::Eof
-            }
+        let cap = max_tuples.max(1);
+        if rows.len() > cap {
+            self.carry = rows.split_off(cap);
         }
+        self.delivered += rows.len() as u64;
+        ExchangePoll::Ready(DataBatch::Rows(rows))
     }
 
     /// Take everything currently buffered on the consumer side of this
@@ -565,30 +541,10 @@ impl Source for ExchangeSource {
     }
 
     fn poll(&mut self, now_us: u64, max_tuples: usize) -> Poll {
-        if !self.carry.is_empty() {
-            let cap = max_tuples.max(1).min(self.carry.len());
-            let rest = self.carry.split_off(cap);
-            let head = std::mem::replace(&mut self.carry, rest);
-            self.delivered += head.len() as u64;
-            return Poll::Ready(head);
-        }
-        if self.done {
-            return Poll::Eof;
-        }
-        let status = match &self.reader {
-            Some(r) => r.try_recv_status(),
-            None => TryRecv::Closed,
-        };
-        match status {
-            TryRecv::Batch(b) => self.emit(b, max_tuples),
-            TryRecv::Empty => Poll::Pending {
-                next_ready_us: now_us + self.poll_tick_us,
-            },
-            TryRecv::Closed => {
-                self.done = true;
-                self.reader = None;
-                Poll::Eof
-            }
+        match self.next(now_us, max_tuples, false) {
+            ExchangePoll::Ready(batch) => Poll::Ready(batch.into_rows()),
+            ExchangePoll::Pending { next_ready_us } => Poll::Pending { next_ready_us },
+            ExchangePoll::Eof => Poll::Eof,
         }
     }
 
@@ -765,7 +721,7 @@ impl FragmentSourceProgress {
 
 /// Controller-side handle to one threaded producer fragment: request a
 /// park, observe that it happened, read the producer's high-water marks,
-/// and resume it. (Sealing goes through [`ThreadedFragmentRun::seal`],
+/// and resume it. (Sealing goes through [`FragmentRun::seal`],
 /// which needs every producer at once to reassemble the plan.)
 #[derive(Debug)]
 pub struct QuiesceHandle {
@@ -1017,11 +973,7 @@ fn run_producer(
             // push without a row detour.
             let polled = match &mut sources[i] {
                 ProducerSource::Exchange(ex) => ex.poll_data(timeline.now_us(), batch_size),
-                ProducerSource::Real { src, .. } => match src.poll(timeline.now_us(), batch_size) {
-                    Poll::Ready(b) => ExchangePoll::Ready(DataBatch::Rows(b)),
-                    Poll::Pending { next_ready_us } => ExchangePoll::Pending { next_ready_us },
-                    Poll::Eof => ExchangePoll::Eof,
-                },
+                ProducerSource::Real { src, .. } => src.poll(timeline.now_us(), batch_size).into(),
             };
             match polled {
                 ExchangePoll::Ready(batch) => {
@@ -1029,9 +981,8 @@ fn run_producer(
                     report.batches += 1;
                     let n = batch.len();
                     let rel = sources[i].as_source_mut().rel_id();
-                    let pushed = charged_cost(cpu, &timeline, n, || match &batch {
-                        DataBatch::Rows(b) => pipeline.push_source(rel, b, &mut pending),
-                        DataBatch::Columns(c) => pipeline.push_source_columns(rel, c, &mut pending),
+                    let pushed = charged_cost(cpu, &timeline, n, || {
+                        pipeline.push_data(rel, &batch, &mut pending)
                     });
                     match pushed {
                         Ok(cost) => timeline.charge(cost),
@@ -1172,16 +1123,13 @@ fn run_producer(
     }
 }
 
-/// Everything recovered by sealing a [`ThreadedFragmentRun`]: the state
-/// structures of every fragment (plan-wide node ids, same numbering as
-/// [`FragmentRun::seal`] on the equivalent sequential run), the caller's
-/// sources, and the producers' accounting.
+/// Everything recovered by sealing a [`FragmentRun`]: the state
+/// structures of every fragment (plan-wide node ids, identical in both
+/// modes) and the producers' accounting (zero inline).
+#[derive(Default)]
 pub struct SealedOutcome {
     /// Sealed state structures across every fragment, root last.
     pub states: Vec<SealedState>,
-    /// Recovered base-relation sources, tagged with the slot each held in
-    /// the source vector handed to [`ThreadedFragmentRun::spawn`].
-    pub sources: Vec<SlottedSource>,
     /// CPU µs (timeline) the producer threads charged.
     pub producer_cpu_us: u64,
     /// Source batches the producer threads consumed.
@@ -1200,43 +1148,86 @@ struct ProducerSlot {
     quiesce: QuiesceHandle,
 }
 
-/// A base-relation source tagged with the slot it held in the source
-/// vector handed to [`ThreadedFragmentRun::spawn`] (so the caller can put
-/// recovered sources back where they came from).
-pub type SlottedSource = (usize, Box<dyn Source>);
+/// Placeholder holding a caller's source slot while the real source is
+/// lent to a producer fragment thread. [`FragmentRun::seal`] puts the
+/// source back; polling the placeholder is a bug.
+struct LentSource {
+    rel_id: u32,
+    name: String,
+    schema: Schema,
+}
 
-/// Threaded execution of a [`FragmentPlan`] as an explicit state machine
-/// the corrective executor can own across plan switches:
+impl Source for LentSource {
+    fn rel_id(&self) -> u32 {
+        self.rel_id
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn poll(&mut self, _now_us: u64, _max_tuples: usize) -> Poll {
+        panic!(
+            "source '{}' (relation {}) is lent to a producer fragment thread",
+            self.name, self.rel_id
+        );
+    }
+
+    fn progress(&self) -> SourceProgressView {
+        SourceProgressView {
+            tuples_read: 0,
+            fraction_read: None,
+            eof: false,
+        }
+    }
+}
+
+/// Execution of a [`FragmentPlan`] as an explicit state machine the
+/// corrective executor can own across plan switches. Two modes share
+/// every step of one lifecycle:
 ///
-/// * **spawn** — every producer fragment starts its quiesce-aware driver
-///   loop on its own thread; the root fragment's pipeline and
-///   [`ExchangeSource`]s stay with the caller, who polls them like any
-///   other sources ([`ThreadedFragmentRun::root_split`]).
-/// * **poll** — the controller reads live observations
-///   ([`ThreadedFragmentRun::observations`]: counters are shared atomics)
-///   and per-source high-water marks
-///   ([`ThreadedFragmentRun::quiesce_handles`]) while producers run.
+/// * **start** — [`FragmentRun::inline`] keeps every fragment on the
+///   calling thread: zero producer threads, immediate handoff across
+///   exchanges, every source a root source. [`FragmentRun::spawn`] starts
+///   every producer fragment's quiesce-aware driver loop on its own
+///   thread, lending it the sources it binds, and keeps only the root
+///   fragment here.
+/// * **poll** — the caller polls the root's sources
+///   ([`FragmentRun::root_slots`]) and exchange streams and pushes into
+///   the root target ([`FragmentRun::root_split`]); live observations
+///   ([`FragmentRun::observations`]: counters are shared atomics) and
+///   per-source high-water marks ([`FragmentRun::quiesce_handles`]) are
+///   readable while producers run.
 /// * **quiesce** — ask every producer to park at a batch boundary and
 ///   wait (clock-driven timeout); on timeout the caller **resumes** and
-///   abandons whatever needed the quiesce.
+///   abandons whatever needed the quiesce. Inline, a quiesce succeeds at
+///   once.
 /// * **seal** — join every thread (re-raising panics, surfacing producer
 ///   errors), drain every exchange's in-flight tuples into the
-///   reassembled sequential plan (so nothing buffered between fragments
-///   is lost), seal all pipelines, and hand back the caller's sources.
+///   reassembled inline plan (so nothing buffered between fragments is
+///   lost), seal all pipelines, and return lent sources to their slots.
 ///
 /// Dropping a run that was never sealed requests a seal, joins every
 /// thread, and discards the yields — no leaked threads on any path.
-pub struct ThreadedFragmentRun {
-    producers: Vec<ProducerSlot>,
-    root_pipeline: PipelinePlan,
-    /// Exchange streams the root fragment consumes; the controller polls
-    /// these next to its own base-relation sources.
+pub struct FragmentRun {
+    /// The fragments running on the calling thread: all of them inline,
+    /// only the root when threaded.
+    local: LocalFragments,
+    /// Slots of the caller's sources the root fragment binds.
+    root_slots: Vec<usize>,
+    /// Exchange streams the root fragment consumes (none inline).
     root_exchanges: Vec<ExchangeSource>,
+    producers: Vec<ProducerSlot>,
     /// Output exchange of every fragment (topological order, root last).
     outputs: Vec<Option<u32>>,
     /// Observation templates with plan-wide node ids; counters are live.
     obs_templates: Vec<NodeObservation>,
-    clock: Arc<dyn Clock>,
+    /// The wall clock producers run on (`None` inline).
+    clock: Option<Arc<dyn Clock>>,
     opts: FragmentOptions,
     /// Cores actually granted by `opts.lease` for the producer threads
     /// (zero without a lease, or when the arbiter had nothing free).
@@ -1245,22 +1236,39 @@ pub struct ThreadedFragmentRun {
     joined: bool,
 }
 
-impl ThreadedFragmentRun {
-    /// Spawn the producer fragments of `plan` on their own threads.
+impl FragmentRun {
+    /// Start `plan` inline over `sources`: every fragment runs on the
+    /// calling thread and every source stays in the caller's slice.
+    pub fn inline(plan: FragmentPlan, sources: &[Box<dyn Source>]) -> Result<FragmentRun> {
+        let (outputs, obs_templates) = Self::bind(&plan, sources)?;
+        Ok(FragmentRun {
+            local: LocalFragments::new(plan.fragments),
+            root_slots: (0..sources.len()).collect(),
+            root_exchanges: Vec::new(),
+            producers: Vec::new(),
+            outputs,
+            obs_templates,
+            clock: None,
+            opts: FragmentOptions::default(),
+            lease_granted: 0,
+            joined: false,
+        })
+    }
+
+    /// Start `plan` with every producer fragment on its own thread.
     ///
-    /// Consumes every source in `sources`; those bound by producer
-    /// fragments move into the threads (to be recovered by
-    /// [`ThreadedFragmentRun::seal`]), while the root fragment's sources
-    /// are returned, tagged with their original slots, for the caller to
-    /// poll alongside [`ThreadedFragmentRun::root_split`]'s exchanges.
+    /// Sources bound by producer fragments move into the threads (their
+    /// slots hold placeholders until [`FragmentRun::seal`] puts them
+    /// back); the root fragment's sources stay in the caller's slice at
+    /// [`FragmentRun::root_slots`].
     pub fn spawn(
         plan: FragmentPlan,
-        sources: Vec<Box<dyn Source>>,
+        sources: &mut [Box<dyn Source>],
         clock: Arc<dyn Clock>,
         batch_size: usize,
         cpu: CpuCostModel,
         opts: &FragmentOptions,
-    ) -> Result<(ThreadedFragmentRun, Vec<SlottedSource>)> {
+    ) -> Result<FragmentRun> {
         if !clock.is_wall() {
             return Err(Error::Plan(
                 "threaded fragments need a wall clock; use run_fragments_sequential \
@@ -1268,42 +1276,29 @@ impl ThreadedFragmentRun {
                     .into(),
             ));
         }
+        let (outputs, obs_templates) = Self::bind(&plan, sources)?;
         let nfrag = plan.fragment_count();
 
-        // Observation templates with plan-wide node ids, captured before
-        // the pipelines move into their threads. Counters are Arc-shared
-        // atomics, so these stay live.
-        let mut obs_templates = Vec::new();
-        let mut offset = 0;
-        for f in plan.fragments() {
-            for mut obs in f.pipeline.observations() {
-                obs.node += offset;
-                obs_templates.push(obs);
-            }
-            offset += f.pipeline.node_count();
-        }
-        let outputs: Vec<Option<u32>> = plan.fragments().iter().map(|f| f.output).collect();
-
-        // Partition the sources among the fragments that bind them.
+        // Lend every producer-bound source to its fragment.
         let mut per_fragment: Vec<Vec<ProducerSource>> = (0..nfrag).map(|_| Vec::new()).collect();
-        let mut root_sources: Vec<SlottedSource> = Vec::new();
-        for (slot, src) in sources.into_iter().enumerate() {
-            let f = plan.fragment_of(src.rel_id()).ok_or_else(|| {
-                Error::Plan(format!(
-                    "no fragment binds source relation {}",
-                    src.rel_id()
-                ))
-            })?;
+        let mut root_slots = Vec::new();
+        for (slot, s) in sources.iter_mut().enumerate() {
+            let f = plan.fragment_of(s.rel_id()).expect("checked by bind");
             if f == nfrag - 1 {
-                root_sources.push((slot, src));
-            } else {
-                let progress = Arc::new(FragmentSourceProgress::new(src.rel_id()));
-                per_fragment[f].push(ProducerSource::Real {
-                    slot,
-                    src,
-                    progress,
-                });
+                root_slots.push(slot);
+                continue;
             }
+            let placeholder: Box<dyn Source> = Box::new(LentSource {
+                rel_id: s.rel_id(),
+                name: s.name().to_string(),
+                schema: s.schema().clone(),
+            });
+            let progress = Arc::new(FragmentSourceProgress::new(s.rel_id()));
+            per_fragment[f].push(ProducerSource::Real {
+                slot,
+                src: std::mem::replace(s, placeholder),
+                progress,
+            });
         }
 
         // Exchange → consuming fragment index, computed before the
@@ -1324,7 +1319,7 @@ impl ThreadedFragmentRun {
             let ex = frag.output.expect("non-root fragments output an exchange");
             let (mut writer, reader) =
                 queue_pair(frag.pipeline.root_schema().clone(), opts.queue_capacity);
-            writer.set_columnar(opts.columnar_exchange);
+            writer.set_columnar(true);
             let exchange_source = ExchangeSource::new(
                 ex,
                 frag.pipeline.root_schema().clone(),
@@ -1405,23 +1400,51 @@ impl ThreadedFragmentRun {
             .as_ref()
             .map_or(0, |lease| lease.try_acquire(producers.len()));
 
-        Ok((
-            ThreadedFragmentRun {
-                producers,
-                root_pipeline: root.pipeline,
-                root_exchanges,
-                outputs,
-                obs_templates,
-                clock,
-                opts: opts.clone(),
-                lease_granted,
-                joined: false,
-            },
-            root_sources,
-        ))
+        Ok(FragmentRun {
+            local: LocalFragments::new(vec![root]),
+            root_slots,
+            root_exchanges,
+            producers,
+            outputs,
+            obs_templates,
+            clock: Some(clock),
+            opts: opts.clone(),
+            lease_granted,
+            joined: false,
+        })
     }
 
-    /// Number of producer fragments running on threads.
+    /// Check that the plan binds every source, before either mode touches
+    /// one, and capture each fragment's output exchange plus observation
+    /// templates with plan-wide node ids (counters are Arc-shared
+    /// atomics, so the templates stay live once pipelines move into
+    /// threads).
+    fn bind(
+        plan: &FragmentPlan,
+        sources: &[Box<dyn Source>],
+    ) -> Result<(Vec<Option<u32>>, Vec<NodeObservation>)> {
+        for s in sources {
+            if plan.fragment_of(s.rel_id()).is_none() {
+                return Err(Error::Plan(format!(
+                    "no fragment binds source relation {}",
+                    s.rel_id()
+                )));
+            }
+        }
+        let mut obs_templates = Vec::new();
+        let mut offset = 0;
+        for f in plan.fragments() {
+            for mut obs in f.pipeline.observations() {
+                obs.node += offset;
+                obs_templates.push(obs);
+            }
+            offset += f.pipeline.node_count();
+        }
+        let outputs = plan.fragments().iter().map(|f| f.output).collect();
+        Ok((outputs, obs_templates))
+    }
+
+    /// Number of producer fragments running on threads (0 inline).
     pub fn producer_count(&self) -> usize {
         self.producers.len()
     }
@@ -1431,11 +1454,18 @@ impl ThreadedFragmentRun {
         self.outputs.len()
     }
 
-    /// The root fragment's pipeline and the exchange sources it consumes,
-    /// split-borrowed so the caller's poll sweep can push exchange
-    /// batches into the pipeline it owns alongside its own sources.
-    pub fn root_split(&mut self) -> (&mut PipelinePlan, &mut [ExchangeSource]) {
-        (&mut self.root_pipeline, &mut self.root_exchanges)
+    /// Slots (in the source slice handed to the constructor) of the
+    /// sources the caller polls for the root fragment, ascending. Inline,
+    /// that is every slot.
+    pub fn root_slots(&self) -> &[usize] {
+        &self.root_slots
+    }
+
+    /// The push target for root-polled batches — root output lands in the
+    /// caller's `out` — and the exchange sources the root consumes,
+    /// split-borrowed so one poll sweep can feed both.
+    pub fn root_split(&mut self) -> (&mut dyn PushTarget, &mut [ExchangeSource]) {
+        (&mut self.local, &mut self.root_exchanges)
     }
 
     /// Per-producer quiesce handles (park / observe / high-water marks /
@@ -1444,8 +1474,8 @@ impl ThreadedFragmentRun {
         self.producers.iter().map(|p| &p.quiesce)
     }
 
-    /// Counter/signature snapshots across every fragment with plan-wide
-    /// node ids — the same numbering [`FragmentRun::observations`] uses.
+    /// Counter/signature snapshots across every fragment, with node ids
+    /// offset so they are unique plan-wide (fragment 0's nodes first).
     /// Counters are live shared atomics: the monitor reads fragments it
     /// does not own while their producer threads run.
     pub fn observations(&self) -> Vec<NodeObservation> {
@@ -1468,27 +1498,22 @@ impl ThreadedFragmentRun {
     /// Ask every producer to park at its next batch boundary and wait for
     /// it to happen, up to the configured quiesce timeout (timeline µs,
     /// waited on the shared clock). Returns whether every producer is
-    /// quiescent; on `false` the caller should [`ThreadedFragmentRun::
-    /// resume`] and abandon the plan switch rather than stall the query.
+    /// quiescent; on `false` the caller should [`FragmentRun::resume`]
+    /// and abandon the plan switch rather than stall the query.
     pub fn quiesce(&mut self) -> bool {
-        self.opts
-            .trace
-            .record_at(self.clock.now_us(), SpanKind::Park.begin("park"));
+        let Some(clock) = self.clock.clone() else {
+            return true;
+        };
+        self.journal(SpanKind::Park.begin("park"));
         for p in &self.producers {
             p.quiesce.request_quiesce();
         }
-        let deadline = self
-            .clock
-            .now_us()
-            .saturating_add(self.opts.quiesce_timeout_us);
-        let clock = self.clock.clone();
+        let deadline = clock.now_us().saturating_add(self.opts.quiesce_timeout_us);
         let producers = &self.producers;
         let parked = tukwila_stats::clock::wait_until(clock.as_ref(), deadline, || {
             producers.iter().all(|p| p.quiesce.is_stopped())
         });
-        self.opts
-            .trace
-            .record_at(self.clock.now_us(), SpanKind::Park.end("park"));
+        self.journal(SpanKind::Park.end("park"));
         parked
     }
 
@@ -1500,17 +1525,29 @@ impl ThreadedFragmentRun {
         }
     }
 
+    /// Journal a protocol step on the producers' clock (threaded only).
+    fn journal(&self, event: tukwila_stats::TraceEvent) {
+        if let Some(clock) = &self.clock {
+            self.opts.trace.record_at(clock.now_us(), event);
+        }
+    }
+
     /// End the run: join every producer thread (re-raising the first
     /// panic; surfacing the first real producer error), drain every
     /// exchange's in-flight tuples — consumer-side carry, queued batches,
-    /// and producer-side unshipped output — into the reassembled
-    /// sequential plan (root output lands in `out`), seal every pipeline,
-    /// and recover the caller's sources.
+    /// and producer-side unshipped output — into the reassembled inline
+    /// plan (root output lands in `out`), seal every pipeline, and put
+    /// every lent source back into its slot of `sources`.
     ///
-    /// Call after [`ThreadedFragmentRun::quiesce`] for a mid-stream plan
-    /// switch, or at natural completion (every producer finished and the
-    /// root ran dry) for the end-of-phase seal; both paths are loss-free.
-    pub fn seal(mut self, out: &mut Batch) -> Result<SealedOutcome> {
+    /// Call after [`FragmentRun::quiesce`] for a mid-stream plan switch,
+    /// or at natural completion (every producer finished and the root ran
+    /// dry) for the end-of-phase seal; both paths are loss-free. Inline,
+    /// there is nothing to join or drain: this only seals the pipelines.
+    pub fn seal(
+        mut self,
+        sources: &mut [Box<dyn Source>],
+        out: &mut Batch,
+    ) -> Result<SealedOutcome> {
         let (mut yields, panic_payload) = self.join_all();
         if let Some(payload) = panic_payload {
             eprintln!("fragment producer thread panicked");
@@ -1523,8 +1560,7 @@ impl ThreadedFragmentRun {
         // Collect every exchange's leftovers before reassembly: the
         // consumer side (carry + still-queued batches) in stream order,
         // then the producer's unshipped output.
-        let trace = self.opts.trace.clone();
-        trace.record_at(self.clock.now_us(), SpanKind::Drain.begin("drain"));
+        self.journal(SpanKind::Drain.begin("drain"));
         let mut leftovers: HashMap<u32, Vec<Tuple>> = HashMap::new();
         for ex in &mut self.root_exchanges {
             leftovers.insert(ex.exchange_id(), ex.drain_buffered());
@@ -1546,23 +1582,21 @@ impl ThreadedFragmentRun {
         }
 
         // Reassemble the fragments in topological order and push the
-        // leftovers across their exchanges: the sequential FragmentRun
-        // forwards in memory, so drained tuples cascade straight through
-        // consumers (root output to `out`) with nothing re-queued.
-        let mut producer_cpu_us = 0;
-        let mut producer_batches = 0;
-        let mut max_queue_depth = 0;
-        let mut blocked_by_exchange: Vec<(u32, u64)> = Vec::new();
-        let mut recovered: Vec<SlottedSource> = Vec::new();
+        // leftovers across their exchanges: the inline executor forwards
+        // in memory, so drained tuples cascade straight through consumers
+        // (root output to `out`) with nothing re-queued.
+        let mut outcome = SealedOutcome::default();
         let mut fragments: Vec<Fragment> = Vec::with_capacity(self.outputs.len());
         for y in yields {
-            producer_cpu_us += y.report.cpu_us;
-            producer_batches += y.report.batches;
-            max_queue_depth = max_queue_depth.max(y.report.max_queue_depth);
-            blocked_by_exchange.extend(y.report.blocked_by_exchange.iter().copied());
+            outcome.producer_cpu_us += y.report.cpu_us;
+            outcome.producer_batches += y.report.batches;
+            outcome.max_queue_depth = outcome.max_queue_depth.max(y.report.max_queue_depth);
+            outcome
+                .blocked_by_exchange
+                .extend(y.report.blocked_by_exchange.iter().copied());
             for s in y.sources {
                 if let ProducerSource::Real { slot, src, .. } = s {
-                    recovered.push((slot, src));
+                    sources[slot] = src;
                 }
             }
             fragments.push(Fragment {
@@ -1570,11 +1604,8 @@ impl ThreadedFragmentRun {
                 output: self.outputs[y.frag_index],
             });
         }
-        fragments.push(Fragment {
-            pipeline: std::mem::replace(&mut self.root_pipeline, empty_pipeline()),
-            output: None,
-        });
-        let mut run = FragmentPlan::new(fragments)?.into_run();
+        fragments.append(&mut self.local.fragments);
+        let mut run = LocalFragments::new(fragments);
         for ex in self.outputs.iter().flatten() {
             if let Some(tuples) = leftovers.remove(ex) {
                 if !tuples.is_empty() {
@@ -1582,20 +1613,12 @@ impl ThreadedFragmentRun {
                 }
             }
         }
-        trace.record_at(self.clock.now_us(), SpanKind::Drain.end("drain"));
-        trace.record_at(self.clock.now_us(), SpanKind::Seal.begin("seal"));
-        let states = run.seal();
-        trace.record_at(self.clock.now_us(), SpanKind::Seal.end("seal"));
-        recovered.sort_by_key(|(slot, _)| *slot);
-        blocked_by_exchange.sort_by_key(|(id, _)| *id);
-        Ok(SealedOutcome {
-            states,
-            sources: recovered,
-            producer_cpu_us,
-            producer_batches,
-            max_queue_depth,
-            blocked_by_exchange,
-        })
+        self.journal(SpanKind::Drain.end("drain"));
+        self.journal(SpanKind::Seal.begin("seal"));
+        outcome.states = run.seal();
+        self.journal(SpanKind::Seal.end("seal"));
+        outcome.blocked_by_exchange.sort_by_key(|(id, _)| *id);
+        Ok(outcome)
     }
 
     /// Request a seal on every producer and join the threads. Yields come
@@ -1628,7 +1651,7 @@ impl ThreadedFragmentRun {
     }
 }
 
-impl Drop for ThreadedFragmentRun {
+impl Drop for FragmentRun {
     fn drop(&mut self) {
         if !self.joined {
             // An abandoned run (error elsewhere, test teardown) must not
@@ -1652,50 +1675,34 @@ impl Drop for ThreadedFragmentRun {
     }
 }
 
-/// A minimal placeholder pipeline used to move the real root pipeline out
-/// of a [`ThreadedFragmentRun`] during `seal` (the run still needs a
-/// valid value for its own `Drop`).
-fn empty_pipeline() -> PipelinePlan {
-    let mut b = PipelinePlan::builder();
-    let schema = Schema::empty();
-    let op = Box::new(crate::project::ProjectOp::columns(&[], &schema));
-    let id = b.add_op(op, &[None], None).expect("placeholder op");
-    b.bind_source(u32::MAX, id, 0).expect("placeholder bind");
-    b.build().expect("placeholder pipeline")
-}
-
 impl SimDriver {
     /// Execute a fragmented plan, dispatching on the driver's clock:
-    /// threaded when a wall clock drives the run, sequential otherwise
-    /// (the virtual clock is single-threaded by construction — producer
-    /// naps would teleport the shared timeline).
+    /// threaded when a wall clock drives the run, inline otherwise (the
+    /// virtual clock is single-threaded by construction — producer naps
+    /// would teleport the shared timeline).
     pub fn run_fragments(
         &self,
         plan: FragmentPlan,
         sources: Vec<Box<dyn Source>>,
         opts: &FragmentOptions,
     ) -> Result<(Batch, ExecReport)> {
-        match &self.clock {
-            Some(c) if c.is_wall() => self.run_fragments_threaded(plan, sources, opts),
-            _ => self.run_fragments_sequential(plan, sources),
-        }
+        let threaded = self.clock.as_ref().is_some_and(|c| c.is_wall());
+        self.drive_fragments(plan, sources, threaded.then_some(opts))
     }
 
-    /// Sequential execution of a fragmented plan: the standard driver loop
-    /// over [`FragmentRun`]. Identical semantics (and, under the virtual
-    /// clock, identical timing) to running the unfragmented plan.
+    /// Inline execution of a fragmented plan: identical semantics (and,
+    /// under the virtual clock, identical timing) to running the
+    /// unfragmented plan.
     pub fn run_fragments_sequential(
         &self,
         plan: FragmentPlan,
-        mut sources: Vec<Box<dyn Source>>,
+        sources: Vec<Box<dyn Source>>,
     ) -> Result<(Batch, ExecReport)> {
-        let mut run = plan.into_run();
-        self.run_target(&mut run, &mut sources)
+        self.drive_fragments(plan, sources, None)
     }
 
     /// Threaded execution of a fragmented plan: every producer fragment
-    /// runs its quiesce-aware driver loop on its own thread (a
-    /// [`ThreadedFragmentRun`] driven straight to completion), shipping
+    /// runs its quiesce-aware driver loop on its own thread, shipping
     /// root output through a bounded exchange queue; the root fragment
     /// runs on the calling thread over its own sources plus the
     /// [`ExchangeSource`]s.
@@ -1709,66 +1716,57 @@ impl SimDriver {
         sources: Vec<Box<dyn Source>>,
         opts: &FragmentOptions,
     ) -> Result<(Batch, ExecReport)> {
-        let clock: Arc<dyn Clock> = match &self.clock {
-            Some(c) if c.is_wall() => c.clone(),
-            _ => {
-                return Err(Error::Plan(
-                    "threaded fragments need a wall clock; use run_fragments_sequential \
-                     for virtual-clock runs"
-                        .into(),
-                ))
-            }
-        };
-        // The driver's own sink covers runs whose caller configured
-        // tracing on the driver but not on the fragment options.
-        let mut opts = opts.clone();
-        if !opts.trace.is_enabled() && self.trace.is_enabled() {
-            opts.trace = self.trace.clone();
-        }
-        let (mut run, mut root_sources) = ThreadedFragmentRun::spawn(
-            plan,
-            sources,
-            clock.clone(),
-            self.batch_size,
-            self.cpu,
-            &opts,
-        )?;
+        self.drive_fragments(plan, sources, Some(opts))
+    }
 
-        // Root fragment on this thread, over its base relations plus the
-        // exchange streams.
-        let root_result = {
-            let (pipeline, exchanges) = run.root_split();
-            let mut refs: Vec<&mut dyn Source> = Vec::new();
-            for (_, s) in root_sources.iter_mut() {
-                refs.push(s.as_mut());
+    /// The one body behind both modes: start a [`FragmentRun`] (threaded
+    /// when `threaded` carries options), drive its root to completion
+    /// with the standard poll/push/idle loop, and seal it.
+    fn drive_fragments(
+        &self,
+        plan: FragmentPlan,
+        mut sources: Vec<Box<dyn Source>>,
+        threaded: Option<&FragmentOptions>,
+    ) -> Result<(Batch, ExecReport)> {
+        let mut run = match threaded {
+            Some(opts) => {
+                let clock = self
+                    .clock
+                    .clone()
+                    .ok_or_else(|| Error::Plan("threaded fragments need a wall clock".into()))?;
+                // The driver's own sink covers runs whose caller
+                // configured tracing on the driver but not on the
+                // fragment options.
+                let mut opts = opts.clone();
+                if !opts.trace.is_enabled() && self.trace.is_enabled() {
+                    opts.trace = self.trace.clone();
+                }
+                FragmentRun::spawn(plan, &mut sources, clock, self.batch_size, self.cpu, &opts)?
             }
-            for ex in exchanges.iter_mut() {
-                refs.push(ex);
-            }
-            self.run_target_refs(pipeline, &mut refs)
+            None => FragmentRun::inline(plan, &sources)?,
         };
-
-        match root_result {
-            Ok((mut out, mut report)) => {
-                // Natural completion: the queues are already drained, so
-                // the seal only joins threads and collects accounting.
-                let mut sink = Batch::new();
-                let outcome = run.seal(&mut sink)?;
-                out.extend(sink);
-                report.cpu_us += outcome.producer_cpu_us;
-                report.tuples_out = out.len() as u64;
-                report.max_queue_depth = outcome.max_queue_depth;
-                report.blocked_by_exchange = outcome.blocked_by_exchange.clone();
-                Ok((out, report))
-            }
-            Err(e) => {
-                // Teardown: the run's Drop seals and joins every producer
-                // (swallowing their errors — the root's failure wins, as
-                // the sequential path's would).
-                drop(run);
-                Err(e)
-            }
-        }
+        // On error the run's Drop seals and joins every producer
+        // (swallowing their errors — the root's failure wins).
+        let (mut out, mut report) = {
+            let root_slots = run.root_slots().to_vec();
+            let (target, exchanges) = run.root_split();
+            let mut refs: Vec<&mut dyn Source> = sources
+                .iter_mut()
+                .enumerate()
+                .filter(|(slot, _)| root_slots.contains(slot))
+                .map(|(_, s)| &mut **s as &mut dyn Source)
+                .collect();
+            refs.extend(exchanges.iter_mut().map(|ex| ex as &mut dyn Source));
+            self.run_target_refs(target, &mut refs)?
+        };
+        // Natural completion: the queues are already drained, so the seal
+        // only joins threads and collects accounting.
+        let outcome = run.seal(&mut sources, &mut out)?;
+        report.cpu_us += outcome.producer_cpu_us;
+        report.tuples_out = out.len() as u64;
+        report.max_queue_depth = outcome.max_queue_depth;
+        report.blocked_by_exchange = outcome.blocked_by_exchange;
+        Ok((out, report))
     }
 }
 
@@ -1984,14 +1982,14 @@ mod tests {
             bytes_per_sec: 1e6,
             initial_latency_us: 2_000,
         };
-        let sources: Vec<Box<dyn Source>> = vec![
+        let mut sources: Vec<Box<dyn Source>> = vec![
             Box::new(DelayedSource::new(1, "a", schema("a"), tuples(200), &model)),
             Box::new(DelayedSource::new(2, "b", schema("b"), tuples(200), &model)),
             Box::new(DelayedSource::new(3, "c", schema("c"), tuples(200), &model)),
         ];
-        let (mut run, mut root_sources) = ThreadedFragmentRun::spawn(
+        let mut run = FragmentRun::spawn(
             two_fragment_plan(),
-            sources,
+            &mut sources,
             clock.clone(),
             32,
             CpuCostModel::Measured,
@@ -2000,6 +1998,7 @@ mod tests {
         .unwrap();
         assert_eq!(run.producer_count(), 1);
         assert_eq!(run.fragment_count(), 2);
+        assert_eq!(run.root_slots(), &[2], "only c is polled by the root");
         // Quiesce mid-stream: the producer parks at a batch boundary.
         assert!(run.quiesce(), "producer must park within the budget");
         assert!(run.producers_stopped());
@@ -2007,23 +2006,22 @@ mod tests {
         run.resume();
         let driver = SimDriver::new(32, CpuCostModel::Measured).with_clock(clock);
         let (out, _) = {
-            let (pipeline, exchanges) = run.root_split();
-            let mut refs: Vec<&mut dyn Source> = Vec::new();
-            for (_, s) in root_sources.iter_mut() {
-                refs.push(s.as_mut());
-            }
+            let (root, rest) = sources.split_at_mut(2);
+            let (target, exchanges) = run.root_split();
+            let mut refs: Vec<&mut dyn Source> = vec![rest[0].as_mut()];
             for ex in exchanges.iter_mut() {
                 refs.push(ex);
             }
-            driver.run_target_refs(pipeline, &mut refs).unwrap()
+            let _ = root;
+            driver.run_target_refs(target, &mut refs).unwrap()
         };
         assert_eq!(keys(&out), (0..200).collect::<Vec<_>>());
         let mut sink = Batch::new();
-        let outcome = run.seal(&mut sink).unwrap();
+        let outcome = run.seal(&mut sources, &mut sink).unwrap();
         assert!(sink.is_empty(), "nothing left in flight at completion");
-        // The producer's sources (a, b) come back tagged with their slots.
-        let slots: Vec<usize> = outcome.sources.iter().map(|(s, _)| *s).collect();
-        assert_eq!(slots, vec![0, 1]);
+        // The producer's sources (a, b) are back in their slots.
+        let names: Vec<&str> = sources.iter().map(|s| s.name()).collect();
+        assert_eq!(names, vec!["a", "b", "c"]);
         assert!(outcome.producer_batches > 0);
     }
 
@@ -2034,14 +2032,14 @@ mod tests {
             bytes_per_sec: 2e5,
             initial_latency_us: 1_000,
         };
-        let sources: Vec<Box<dyn Source>> = vec![
+        let mut sources: Vec<Box<dyn Source>> = vec![
             Box::new(DelayedSource::new(1, "a", schema("a"), tuples(300), &model)),
             Box::new(DelayedSource::new(2, "b", schema("b"), tuples(300), &model)),
             Box::new(DelayedSource::new(3, "c", schema("c"), tuples(300), &model)),
         ];
-        let (mut run, _root_sources) = ThreadedFragmentRun::spawn(
+        let mut run = FragmentRun::spawn(
             two_fragment_plan(),
-            sources,
+            &mut sources,
             clock.clone(),
             16,
             CpuCostModel::Measured,
@@ -2059,15 +2057,15 @@ mod tests {
         assert!(run.quiesce(), "mid-stream quiesce must succeed");
         let consumed_at_seal: Vec<u64> = progress.iter().map(|p| p.consumed()).collect();
         let mut sink = Batch::new();
-        let outcome = run.seal(&mut sink).unwrap();
+        let outcome = run.seal(&mut sources, &mut sink).unwrap();
         assert!(
             !outcome.states.is_empty(),
             "mid-stream seal must extract join state"
         );
         // Loss-freedom at the source level: what the producer consumed
-        // plus what remains in the recovered source is exactly the
-        // relation — nothing dropped, nothing re-read.
-        for ((slot, mut src), consumed) in outcome.sources.into_iter().zip(consumed_at_seal) {
+        // plus what remains in the recovered source (slots 0 and 1) is
+        // exactly the relation — nothing dropped, nothing re-read.
+        for ((slot, src), consumed) in sources.iter_mut().enumerate().zip(consumed_at_seal) {
             let mut remaining = 0u64;
             loop {
                 match src.poll(clock.now_us(), 1024) {

@@ -47,8 +47,7 @@ pub mod split;
 pub use driver::{CpuCostModel, PushTarget, SimDriver, Timeline};
 pub use fragments::{
     is_exchange, ExchangePoll, ExchangeSource, Fragment, FragmentOptions, FragmentPlan,
-    FragmentRun, FragmentSourceProgress, QuiesceHandle, SealedOutcome, ThreadedFragmentRun,
-    EXCHANGE_REL_BASE,
+    FragmentRun, FragmentSourceProgress, QuiesceHandle, SealedOutcome, EXCHANGE_REL_BASE,
 };
 pub use metrics::ExecReport;
 pub use op::{Batch, DataBatch, ExtractedState, IncOp};

@@ -33,9 +33,8 @@ pub struct FederationConfig {
     /// Unit prices of the hedge gate's waste side (duplicate dedup work,
     /// queue backpressure, core contention). A stall only activates a
     /// standby when the `DeliveryModel`'s expected latency win exceeds
-    /// the waste priced here. `None` restores the legacy unconditional
-    /// stall-only hedging (deprecated; kept for A/B comparison only).
-    pub hedge_costs: Option<DeliveryCosts>,
+    /// the waste priced here.
+    pub hedge_costs: DeliveryCosts,
     /// When true (default), a stalled candidate stays active after the
     /// scheduler activates its backup — the two are raced and deduped
     /// (hedged read). When false, a stalled candidate is demoted to the
@@ -93,7 +92,7 @@ impl Default for FederationConfig {
             stall_sigma: 4.0,
             min_stall_us: 20_000,
             prior_rate_tuples_per_sec: 0.0,
-            hedge_costs: Some(DeliveryCosts::default()),
+            hedge_costs: DeliveryCosts::default(),
             hedge: true,
             queue_capacity: 8,
             producer_batch: 256,

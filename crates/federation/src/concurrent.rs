@@ -635,6 +635,7 @@ impl Drop for ConcurrentFederatedSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use tukwila_relation::{DataType, Field, Value};
     use tukwila_source::{DelayModel, DelayedSource};
     use tukwila_stats::WallClock;
@@ -825,6 +826,43 @@ mod tests {
         let _ = drain(&mut fed, &clock);
     }
 
+    /// Lets the wrapped source deliver one batch, then holds it `Pending`
+    /// until `open` is raised.
+    struct Gated {
+        inner: Box<dyn Source>,
+        delivered_one: bool,
+        open: Arc<AtomicBool>,
+    }
+
+    impl Source for Gated {
+        fn rel_id(&self) -> u32 {
+            self.inner.rel_id()
+        }
+
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+
+        fn poll(&mut self, now_us: u64, max_tuples: usize) -> Poll {
+            if self.delivered_one && !self.open.load(Ordering::Acquire) {
+                return Poll::Pending {
+                    next_ready_us: now_us + 2_000,
+                };
+            }
+            let polled = self.inner.poll(now_us, max_tuples);
+            self.delivered_one |= matches!(polled, Poll::Ready(_));
+            polled
+        }
+
+        fn progress(&self) -> SourceProgressView {
+            self.inner.progress()
+        }
+    }
+
     #[test]
     fn quiesce_forgives_pause_backpressure_and_loses_nothing() {
         let clock = wall();
@@ -833,16 +871,18 @@ mod tests {
             producer_batch: 8,
             ..Default::default()
         };
-        let mut fed = ConcurrentFederatedSource::new(
-            vec![0],
-            vec![steady("m0", 0..400, 5e6)],
-            cfg,
-            clock.clone(),
-        )
-        .unwrap();
-        // Pull one batch so the lane is producing, then quiesce: the lane
-        // keeps racing into its bounded queue with nobody draining, so
-        // its sends block.
+        let open = Arc::new(AtomicBool::new(false));
+        let gated = Gated {
+            inner: steady("m0", 0..400, 5e6),
+            delivered_one: false,
+            open: open.clone(),
+        };
+        let mut fed =
+            ConcurrentFederatedSource::new(vec![0], vec![Box::new(gated)], cfg, clock.clone())
+                .unwrap();
+        // Pull the one batch the gate lets through: the queue is then
+        // empty and the lane waits on the gate, not on a send, so the
+        // blocked-send count cannot move before the pause begins.
         let mut keys: Vec<i64> = Vec::new();
         loop {
             match fed.poll(clock.now_us(), 64) {
@@ -858,7 +898,10 @@ mod tests {
         }
         fed.quiesce_delivery();
         let before = fed.report().candidates[0].blocked_sends;
-        // Wait until the pause has demonstrably produced backpressure.
+        // Open the gate during the pause: the lane races into its one-slot
+        // queue with nobody draining, so its sends must block. Wait until
+        // they demonstrably have.
+        open.store(true, Ordering::Release);
         while fed.report().candidates[0].blocked_sends == before {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }

@@ -337,7 +337,7 @@ pub struct FederationReport {
     /// Candidate activations beyond the first (failovers/hedges).
     pub failovers: u64,
     /// Stalls whose hedge the delivery-model cost gate declined — races
-    /// the legacy stall-only rule would have started.
+    /// an unconditional stall-only rule would have started.
     pub declined_hedges: u64,
     /// Standbys never activated because their declared key range was
     /// already fully delivered by drained candidates.

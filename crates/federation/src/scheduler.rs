@@ -252,7 +252,7 @@ impl PermutationScheduler {
         self.failovers
     }
 
-    /// Stalls whose hedge the cost gate declined (races the legacy
+    /// Stalls whose hedge the cost gate declined (races an unconditional
     /// stall-only rule would have started).
     pub fn declined_hedges(&self) -> u64 {
         self.declined
@@ -268,12 +268,8 @@ impl PermutationScheduler {
     /// (the corrective warmup measured this host's actual cost-unit→µs
     /// conversion and re-derived the delivery prices from it). Future
     /// gate evaluations use the new prices; decisions already made stand.
-    /// A no-op in the deprecated stall-only mode (`hedge_costs: None`) —
-    /// recalibration must not silently enable the gate.
     pub fn set_hedge_costs(&mut self, costs: tukwila_stats::DeliveryCosts) {
-        if self.config.hedge_costs.is_some() {
-            self.config.hedge_costs = Some(costs);
-        }
+        self.config.hedge_costs = costs;
     }
 
     /// The current permutation prefix: active, non-EOF candidates in the
@@ -342,18 +338,10 @@ impl PermutationScheduler {
         if self.profiles[idx].check_stall(now_us, &self.config) {
             let standbys = self.activatable_standbys();
             if standbys.is_empty() {
-                // Nothing the legacy rule could have activated either:
-                // neither a race nor a decline.
+                // Nothing to activate: neither a race nor a decline.
                 return None;
             }
-            let Some(costs) = self.config.hedge_costs.clone() else {
-                // Deprecated stall-only mode: always race, next standby
-                // in registration order (the legacy behavior, preserved
-                // for A/B comparison).
-                let woken = self.activate_idx(standbys[0], now_us);
-                self.trace_hedge(now_us, idx, Vec::new(), woken, 0.0, 0.0);
-                return woken;
-            };
+            let costs = self.config.hedge_costs.clone();
             let (scores, best) = self.score_standbys(costs, &standbys, now_us);
             match best {
                 Some((best_idx, decision)) => {

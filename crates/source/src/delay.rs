@@ -1,5 +1,5 @@
 //! Delayed sources: constant-bandwidth links and the bursty wireless model
-//! (DESIGN.md substitution S3, for the paper's Figure 3 / Table 2).
+//! (standing in for the paper's Figure 3 / Table 2 network sources).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

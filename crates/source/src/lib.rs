@@ -8,7 +8,7 @@
 //!   schedules*, and the engine driver advances the clock either by doing
 //!   CPU work or by idling until the next tuple arrives. Experiments report
 //!   virtual completion time, which makes network experiments (the paper's
-//!   Figure 3) both fast and reproducible. See DESIGN.md substitution S2/S3.
+//!   Figure 3) both fast and reproducible.
 //! * [`Source`] — the pull interface: `poll(now, max)` returns tuples that
 //!   have arrived by `now`, a `Pending` instant to retry at, or `Eof`.
 //! * [`mem::MemSource`] — local table, everything available immediately.

@@ -10,9 +10,6 @@
 //! * [`hash_table::TupleHashTable`] — equi-key hash table with lazy
 //!   partition-wise spill to disk (the XJoin-style overflow interface of
 //!   §3.3/§5).
-//! * [`hash_sorted::HashSorted`] — hash over sorted data; buckets stay
-//!   sorted so range probes binary-search within a bucket.
-//! * [`btree::BPlusTree`] — B+ tree with linked leaves for ordered scans.
 //!
 //! Every structure advertises its properties ([`state::StructProps`]) so the
 //! router and re-optimizer can reason about what an existing structure
@@ -24,9 +21,7 @@
 //! describes, and keeps the reuse/discard accounting reported in the paper's
 //! Tables 1 and 2.
 
-pub mod btree;
 pub mod fx;
-pub mod hash_sorted;
 pub mod hash_table;
 pub mod list;
 pub mod registry;

@@ -7,8 +7,8 @@
 //! (mostly-)sorted sources, and adjustable-window pre-aggregation.
 //!
 //! This crate is a facade re-exporting the workspace members; see the
-//! README for the architecture overview and `DESIGN.md` / `EXPERIMENTS.md`
-//! for the paper mapping.
+//! README and `ARCHITECTURE.md` for the architecture overview and the
+//! paper mapping.
 //!
 //! ```no_run
 //! use tukwila::core::{CorrectiveConfig, CorrectiveExec};

@@ -458,8 +458,8 @@ fn selection_all_none_and_empty_edges() {
 }
 
 /// Dual-clock equivalence with columns shipped across every fragment
-/// exchange: the threaded wall-clock run with `columnar_exchange: true`
-/// must produce the identical canonicalized answer as the sequential
+/// exchange (fragment exchanges always ship columns): the threaded
+/// wall-clock run must produce the identical canonicalized answer as the sequential
 /// virtual-clock anchor and plain local execution.
 #[test]
 fn dual_clock_equivalence_with_columnar_exchanges() {
@@ -497,13 +497,9 @@ fn dual_clock_equivalence_with_columnar_exchanges() {
     // Threaded wall-clock run shipping columns across every exchange.
     let clock: Arc<dyn Clock> = Arc::new(WallClock::accelerated(200.0));
     let frag = lower_fragmented(&plan, &cuts, None, true).unwrap();
-    let opts = FragmentOptions {
-        columnar_exchange: true,
-        ..Default::default()
-    };
     let (rows_w, _) = SimDriver::new(256, CpuCostModel::Measured)
         .with_clock(clock)
-        .run_fragments(frag.plan, mk_sources(), &opts)
+        .run_fragments(frag.plan, mk_sources(), &FragmentOptions::default())
         .unwrap();
     assert_eq!(
         canonicalize_approx(&rows_w),
@@ -513,7 +509,7 @@ fn dual_clock_equivalence_with_columnar_exchanges() {
 }
 
 /// The full corrective executor with fragmentation on and *default*
-/// fragment options — columns on the wire is the default now — must
+/// fragment options — exchanges always ship columns — must
 /// answer identically under the sequential virtual-clock driver and the
 /// threaded wall-clock driver, and both runs must journal phase spans
 /// into the adaptivity trace.
@@ -525,11 +521,6 @@ fn corrective_dual_clock_with_default_columnar_exchange() {
     use tukwila::optimizer::FragmentationConfig;
     use tukwila::source::MemSource;
     use tukwila::stats::{TraceEvent, TraceSink, VirtualClock};
-
-    assert!(
-        FragmentOptions::default().columnar_exchange,
-        "columns on the wire must be the exchange default"
-    );
 
     let d = flights::generate(200, 1200, 1, 59);
     let q = flights::query();

@@ -14,6 +14,7 @@
 //!    switching mid-stream across an exchange boundary must never drop or
 //!    duplicate tuples, for any seed, data size, or polling cadence.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -24,7 +25,8 @@ use tukwila::exec::reference::canonicalize_approx;
 use tukwila::exec::{CpuCostModel, FragmentOptions, SimDriver};
 use tukwila::federation::{FederatedCatalog, FederationConfig};
 use tukwila::optimizer::{choose_cuts, FragmentationConfig, Optimizer, OptimizerContext};
-use tukwila::source::{DelayModel, DelayedSource, MemSource, Source};
+use tukwila::relation::Schema;
+use tukwila::source::{DelayModel, DelayedSource, MemSource, Poll, Source, SourceProgressView};
 use tukwila::stats::{Clock, WallClock};
 
 mod common;
@@ -195,20 +197,11 @@ fn corrective_with_fragments_over_threaded_federation() {
     );
 }
 
-/// Dual-clock equivalence of the *threaded* corrective executor: with
-/// forced switches and aggressive fragmentation, the sequential
-/// virtual-clock corrective run and the threaded wall-clock corrective
-/// run (producer fragments on real threads, quiesced at every switch,
-/// over threaded federated mirrors racing into the fragment queues) must
-/// produce the identical canonicalized answer — which both must equal
-/// plain local execution.
-#[test]
-fn dual_clock_threaded_corrective_equivalence() {
-    let d = flights::generate(200, 1200, 1, 91);
-    let q = flights::query();
-    let expected = mem_answer(&d, &q);
-
-    let forced = |clock: Option<Arc<dyn Clock>>| CorrectiveConfig {
+/// Forced switching (any structurally different candidate wins) over
+/// aggressively fragmented phase plans: `Measured` CPU on a clock, free
+/// CPU on the virtual accumulator.
+fn forced(clock: Option<Arc<dyn Clock>>) -> CorrectiveConfig {
+    CorrectiveConfig {
         batch_size: 128,
         cpu: if clock.is_some() {
             CpuCostModel::Measured
@@ -223,7 +216,22 @@ fn dual_clock_threaded_corrective_equivalence() {
         fragments: Some(FragmentationConfig::aggressive()),
         clock,
         ..Default::default()
-    };
+    }
+}
+
+/// Dual-clock equivalence of the *threaded* corrective executor: with
+/// forced switches and aggressive fragmentation, the sequential
+/// virtual-clock corrective run and the threaded wall-clock corrective
+/// run (producer fragments on real threads, quiesced at every switch,
+/// over threaded federated mirrors racing into the fragment queues) must
+/// produce the identical canonicalized answer — which both must equal
+/// plain local execution. The same loop in inline mode on the wall clock
+/// (zero producer threads) must agree too.
+#[test]
+fn dual_clock_threaded_corrective_equivalence() {
+    let d = flights::generate(200, 1200, 1, 91);
+    let q = flights::query();
+    let expected = mem_answer(&d, &q);
 
     // Sequential anchor under the deterministic virtual clock.
     let mut sources = scenario_sources("federated", &d, 91, None);
@@ -250,6 +258,153 @@ fn dual_clock_threaded_corrective_equivalence() {
         report_w.phases.iter().any(|p| p.fragments > 1),
         "threaded phases must actually have producer fragments"
     );
+
+    // Inline mode of the same loop on the same kind of clock: fragmented
+    // phase plans, zero producer threads.
+    let clock: Arc<dyn Clock> = Arc::new(WallClock::accelerated(200.0));
+    let mut sources = scenario_sources("federated", &d, 91, Some(clock.clone()));
+    let exec = CorrectiveExec::new(
+        q.clone(),
+        CorrectiveConfig {
+            threaded_fragments: Some(false),
+            ..forced(Some(clock))
+        },
+    );
+    let report_i = exec.run(&mut sources).unwrap();
+    assert_eq!(
+        canonicalize_approx(&report_i.rows),
+        canonicalize_approx(&report_v.rows),
+        "inline wall-clock corrective answer diverged from the virtual run"
+    );
+}
+
+/// Wraps a source and counts the polls it receives after it first
+/// returned `Eof`.
+struct PollsAfterEof {
+    inner: Box<dyn Source>,
+    eof: bool,
+    after: Arc<AtomicU64>,
+}
+
+impl Source for PollsAfterEof {
+    fn rel_id(&self) -> u32 {
+        self.inner.rel_id()
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn poll(&mut self, now_us: u64, max_tuples: usize) -> Poll {
+        if self.eof {
+            self.after.fetch_add(1, Ordering::Relaxed);
+        }
+        let polled = self.inner.poll(now_us, max_tuples);
+        self.eof |= matches!(polled, Poll::Eof);
+        polled
+    }
+
+    fn progress(&self) -> SourceProgressView {
+        self.inner.progress()
+    }
+}
+
+/// The inline loop's source guarantees, unfragmented and fragmented under
+/// the virtual clock: (a) a forced switch after a relation reached EOF
+/// never polls it again — its port in the new plan closes at switch time
+/// — and the answer is unchanged; (b) an `Err` leaves every caller slot
+/// holding its original, still-pollable source.
+#[test]
+fn inline_corrective_never_repolls_eof_and_keeps_sources_on_error() {
+    // Four trips per traveler: F (200 tuples) runs dry while T still has
+    // switches ahead.
+    let d = flights::generate(200, 600, 4, 91);
+    let q = flights::query();
+    let expected = mem_answer(&d, &q);
+
+    for fragments in [None, Some(FragmentationConfig::aggressive())] {
+        let cfg = CorrectiveConfig {
+            batch_size: 64,
+            fragments: fragments.clone(),
+            ..forced(None)
+        };
+
+        // (a) F runs dry long before the others.
+        let after = Arc::new(AtomicU64::new(0));
+        let mut sources = scenario_sources("local", &d, 91, None);
+        let f_total = d.flights.len() as u64;
+        let inner = sources.remove(0);
+        sources.insert(
+            0,
+            Box::new(PollsAfterEof {
+                inner,
+                eof: false,
+                after: after.clone(),
+            }),
+        );
+        let report = CorrectiveExec::new(q.clone(), cfg.clone())
+            .run(&mut sources)
+            .unwrap();
+        assert_eq!(canonicalize_approx(&report.rows), expected);
+        // F's data ran out in phase `p`; its `Eof` came no later than the
+        // first sweep of phase p+1, so a phase p+2 began after the `Eof`.
+        let mut seen = 0;
+        let p = report
+            .phases
+            .iter()
+            .position(|ph| {
+                seen += ph.consumed.get(&flights::FLIGHTS).copied().unwrap_or(0);
+                seen == f_total
+            })
+            .unwrap();
+        assert!(
+            report.phase_count() >= p + 3,
+            "fragments {:?}: no switch after F's EOF (F done in phase {p} of {})",
+            fragments.is_some(),
+            report.phase_count()
+        );
+        assert_eq!(
+            after.load(Ordering::Relaxed),
+            0,
+            "fragments {:?}: F was polled again after its EOF",
+            fragments.is_some()
+        );
+
+        // (b) A relation the query does not bind fails the run; every slot
+        // still holds the caller's untouched source.
+        let mut sources = scenario_sources("local", &d, 91, None);
+        sources.push(Box::new(MemSource::new(
+            99,
+            "unbound",
+            flights::children_schema(),
+            d.children.clone(),
+        )));
+        let sizes: Vec<(String, usize)> = sources
+            .iter()
+            .map(|s| s.name().to_string())
+            .zip([
+                d.flights.len(),
+                d.travelers.len(),
+                d.children.len(),
+                d.children.len(),
+            ])
+            .collect();
+        assert!(CorrectiveExec::new(q.clone(), cfg)
+            .run(&mut sources)
+            .is_err());
+        for (src, (name, len)) in sources.iter_mut().zip(sizes) {
+            assert_eq!(src.name(), name);
+            let mut n = 0;
+            while let Poll::Ready(b) = src.poll(u64::MAX / 2, 1024) {
+                n += b.len();
+            }
+            assert_eq!(n, len, "{name}: the source was consumed or replaced");
+        }
+    }
 }
 
 proptest! {

@@ -237,73 +237,6 @@ fn cost_gated_hedging_dual_clock_equivalence() {
     );
 }
 
-/// The deprecated stall-only mode (`hedge_costs: None`) still races
-/// unconditionally — and produces the same answer, just with more
-/// activations.
-#[test]
-fn legacy_stall_only_mode_races_everything() {
-    let d = flights::generate(150, 900, 1, 53);
-    let q = flights::query();
-    let expected = mem_answer(&d, &q);
-
-    let run = |config: FederationConfig| {
-        let mut catalog = FederatedCatalog::new(config);
-        for (rel, name, schema, rows) in tables(&d) {
-            for (suffix, model) in [
-                ("flaky", flaky_model(53 ^ u64::from(rel))),
-                ("steady", steady_model()),
-                ("remote", remote_model()),
-            ] {
-                catalog
-                    .register(
-                        vec![0],
-                        Box::new(DelayedSource::new(
-                            rel,
-                            format!("{name}-{suffix}"),
-                            schema.clone(),
-                            rows.clone(),
-                            &model,
-                        )) as Box<dyn Source>,
-                    )
-                    .unwrap();
-            }
-        }
-        let mut sources = catalog.into_sources().unwrap();
-        let out = run_static(
-            &q,
-            &mut sources,
-            OptimizerContext::no_statistics(),
-            256,
-            CpuCostModel::Zero,
-        )
-        .unwrap();
-        let (mut declined, mut activations) = (0u64, 0usize);
-        for s in &sources {
-            if let Some(fed) = s.as_any().and_then(|a| a.downcast_ref::<FederatedSource>()) {
-                let r = fed.report();
-                declined += r.declined_hedges;
-                activations += r.candidates.iter().filter(|c| c.activated).count();
-            }
-        }
-        (canonicalize_approx(&out.rows), declined, activations)
-    };
-
-    let gated = run(FederationConfig::default());
-    let legacy = run(FederationConfig {
-        hedge_costs: None,
-        ..Default::default()
-    });
-    assert_eq!(gated.0, expected);
-    assert_eq!(legacy.0, expected, "legacy mode must not change the answer");
-    assert_eq!(legacy.1, 0, "stall-only mode never declines");
-    assert!(
-        legacy.2 >= gated.2,
-        "the gate can only reduce activations ({} legacy vs {} gated)",
-        legacy.2,
-        gated.2
-    );
-}
-
 fn kv_schema() -> Schema {
     use tukwila::relation::{DataType, Field};
     Schema::new(vec![
