@@ -17,9 +17,7 @@ use tukwila_exec::join::PipelinedHashJoin;
 use tukwila_exec::op::IncOp;
 use tukwila_exec::reference::canonicalize_approx;
 use tukwila_exec::{CpuCostModel, SimDriver};
-use tukwila_federation::{
-    ConcurrentFederatedSource, FederatedSource, FederationConfig, FederationReport,
-};
+use tukwila_federation::{FederatedSource, FederationConfig, FederationReport};
 use tukwila_optimizer::{OptimizerContext, PreAggConfig, PreAggMode};
 use tukwila_relation::{Tuple, Value};
 use tukwila_stats::estimate::JoinEstimator;
@@ -749,19 +747,14 @@ pub fn mirror_failover_suite(cfg: &ExpConfig) -> String {
     )
 }
 
-/// Federation report from either adapter (sequential or threaded).
+/// Federation report of a federated source (either lane kind).
 fn fed_report_of(s: &dyn Source) -> Option<FederationReport> {
-    let any = s.as_any()?;
-    if let Some(fed) = any.downcast_ref::<FederatedSource>() {
-        return Some(fed.report());
-    }
-    any.downcast_ref::<ConcurrentFederatedSource>()
-        .map(|fed| fed.report())
+    Some(s.as_any()?.downcast_ref::<FederatedSource>()?.report())
 }
 
 /// Wall-clock variant of the mirror-failover scenario: the same flaky ×
 /// steady mirror pair per relation, but the candidates race on real
-/// producer threads (`federation::concurrent`) while an accelerated
+/// producer threads (queue lanes, `FederatedSource::threaded`) while an accelerated
 /// [`WallClock`] plays the delivery schedules back in real time. Reports
 /// *measured* wall seconds, and asserts that (a) the threaded hedged run
 /// produces the identical deduped answer as the deterministic

@@ -654,7 +654,6 @@ impl CorrectiveExec {
                         &registry,
                         &mut timeline,
                         phase,
-                        total_batches,
                         measured_cpu_us,
                     )?;
                     if was_uncalibrated {
@@ -784,7 +783,6 @@ impl CorrectiveExec {
         registry: &StateRegistry,
         timeline: &mut Timeline,
         phase: usize,
-        total_batches: u64,
         measured_cpu_us: f64,
     ) -> Result<Option<PhysPlan>> {
         let cfg = &self.config;
@@ -823,14 +821,6 @@ impl CorrectiveExec {
         let reopt_us = start.elapsed().as_secs_f64() * 1e6;
         if matches!(cfg.cpu, CpuCostModel::Measured) {
             timeline.charge_background(reopt_us);
-        }
-        if std::env::var_os("TUKWILA_DEBUG").is_some() {
-            eprintln!(
-                "[monitor] batch {total_batches}: current {} cost {current_cost:.0}                          (total {current_total:.0}); candidate {} cost {:.0}",
-                current_phys.describe(),
-                candidate.describe(),
-                candidate.est_cost
-            );
         }
         let switching = candidate.est_cost < cfg.switch_threshold * current_cost
             && current_cost > cfg.min_remaining_fraction * current_total

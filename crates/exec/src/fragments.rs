@@ -35,7 +35,7 @@
 //! ## EOF, shutdown, and panic semantics
 //!
 //! The threaded mode reuses the lifecycle discipline of the threaded
-//! federation layer (`federation::concurrent`):
+//! federation layer (the queue lanes of `federation::FederatedSource`):
 //!
 //! * A producer fragment `finish`es its queue only after all of its own
 //!   inputs reached EOF and its pipeline flushed; the consumer sees

@@ -35,24 +35,13 @@ pub struct FederationConfig {
     /// standby when the `DeliveryModel`'s expected latency win exceeds
     /// the waste priced here.
     pub hedge_costs: DeliveryCosts,
-    /// When true (default), a stalled candidate stays active after the
-    /// scheduler activates its backup — the two are raced and deduped
-    /// (hedged read). When false, a stalled candidate is demoted to the
-    /// back of the permutation, so its backup is preferred while the
-    /// stall lasts; the demoted candidate is still drained when everything
-    /// ranked ahead of it is pending (demotion, not abandonment).
-    pub hedge: bool,
-    /// Threaded mode only: bounded depth (in batches) of each candidate's
+    /// Queue lanes only: bounded depth (in batches) of each candidate's
     /// delivery queue. A full queue blocks that candidate's producer
     /// thread (backpressure) until the consumer catches up.
     pub queue_capacity: usize,
-    /// Threaded mode only: how many tuples a producer thread pulls from
-    /// its candidate per poll.
+    /// Queue lanes only: how many tuples a producer thread pulls from its
+    /// candidate per poll.
     pub producer_batch: usize,
-    /// Threaded mode only: how far ahead (timeline µs) the consumer
-    /// schedules its next look when every queue is empty and no stall
-    /// deadline is nearer. Smaller reacts faster, wakes more.
-    pub poll_tick_us: u64,
     /// Adaptivity trace journal. Every hedge-gate evaluation (fired or
     /// declined, with per-candidate win/waste scores), EOF-sweep
     /// activation, and backpressure tally is recorded here. The default
@@ -76,7 +65,7 @@ pub struct FederationConfig {
     /// with learned healthy rates, so real-time jitter on a live mirror
     /// cannot read as a stall.
     pub warm_stall_us: Option<u64>,
-    /// Threaded mode: core budget for the hedge gate's busy-core waste
+    /// Queue lanes only: core budget for the hedge gate's busy-core waste
     /// term. `None` (default) reads the host's
     /// `available_parallelism` — correct when the query is alone.
     /// A serving front end sets this to the admitted query's fair share
@@ -93,10 +82,8 @@ impl Default for FederationConfig {
             min_stall_us: 20_000,
             prior_rate_tuples_per_sec: 0.0,
             hedge_costs: DeliveryCosts::default(),
-            hedge: true,
             queue_capacity: 8,
             producer_batch: 256,
-            poll_tick_us: 500,
             trace: TraceSink::disabled(),
             learning: None,
             warm_stall_us: None,
@@ -204,9 +191,10 @@ impl FederatedCatalog {
         self.relations.get(&rel).map_or(0, |e| e.candidates.len())
     }
 
-    /// Consume the catalog, producing one [`FederatedSource`] per
-    /// registered relation (in `rel_id` order) — a drop-in `Vec<Box<dyn
-    /// Source>>` for `SimDriver`, `CorrectiveExec`, and the baselines.
+    /// Consume the catalog, producing one [`FederatedSource`] with inline
+    /// lanes per registered relation (in `rel_id` order) — a drop-in
+    /// `Vec<Box<dyn Source>>` for `SimDriver`, `CorrectiveExec`, and the
+    /// baselines.
     pub fn into_sources(self) -> Result<Vec<Box<dyn Source>>> {
         let config = self.config;
         self.relations
@@ -218,17 +206,17 @@ impl FederatedCatalog {
             .collect()
     }
 
-    /// Consume the catalog, producing one
-    /// [`ConcurrentFederatedSource`](crate::concurrent::ConcurrentFederatedSource)
-    /// per registered relation: every candidate runs on its own producer
-    /// thread, racing for real against `clock` (normally an accelerated
+    /// Consume the catalog, producing one [`FederatedSource`] with queue
+    /// lanes ([`FederatedSource::threaded`]) per registered relation:
+    /// every candidate runs on its own producer thread, racing for real
+    /// against `clock` (normally an accelerated
     /// [`tukwila_stats::WallClock`] shared with the driver).
     pub fn into_concurrent_sources(self, clock: Arc<dyn Clock>) -> Result<Vec<Box<dyn Source>>> {
         let config = self.config;
         self.relations
             .into_values()
             .map(|entry| {
-                crate::concurrent::ConcurrentFederatedSource::new(
+                FederatedSource::threaded(
                     entry.key_cols,
                     entry.candidates,
                     config.clone(),

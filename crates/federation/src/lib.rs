@@ -33,14 +33,15 @@
 //! * [`federated::FederatedSource`] — wraps it all behind the ordinary
 //!   [`Source`](tukwila_source::Source) trait with key-based dedup, so
 //!   `SimDriver`, `CorrectiveExec`, and every baseline run over mirrored
-//!   sources unchanged. Its observed arrival schedule is published
-//!   through `Source::observed_schedule`, which corrective
-//!   re-optimization forwards into the optimizer's schedule-aware
-//!   overlap costing.
-//! * [`concurrent::ConcurrentFederatedSource`] — the same scheduling
-//!   logic racing the candidates for real: one producer thread per
-//!   candidate behind a bounded `tukwila_exec::queue_pair` queue,
-//!   consumed and re-ranked from real arrival timestamps.
+//!   sources unchanged. Each candidate sits behind a *lane* whose kind
+//!   is fixed at construction: [`FederatedSource::new`] polls candidates
+//!   inline on the calling thread, [`FederatedSource::threaded`] races
+//!   them for real — one producer thread per candidate behind a bounded
+//!   `tukwila_exec::queue_pair` queue, consumed and re-ranked from real
+//!   arrival timestamps. One sweep loop serves both. Its observed
+//!   arrival schedule is published through `Source::observed_schedule`,
+//!   which corrective re-optimization forwards into the optimizer's
+//!   schedule-aware overlap costing.
 //!
 //! Time comes from a [`tukwila_stats::Clock`] — the dual-clock design.
 //! Under the default [`tukwila_stats::VirtualClock`] federated executions
@@ -52,15 +53,16 @@
 //! virtual run's, whatever the interleaving.
 
 pub mod catalog;
-pub mod concurrent;
 pub mod federated;
+mod lane;
 pub mod learning;
 pub mod profile;
 pub mod scheduler;
 
 pub use catalog::{DeclaredRate, FederatedCatalog, FederationConfig, PartialReplica};
-pub use concurrent::ConcurrentFederatedSource;
-pub use federated::{CandidateReport, FederatedSource, FederationReport, KeyDedup};
+pub use federated::{
+    CandidateReport, ConcurrentFederatedSource, FederatedSource, FederationReport, KeyDedup,
+};
 pub use learning::{LearnedProfile, SharedLearning};
 pub use profile::BehaviorProfile;
 pub use scheduler::PermutationScheduler;

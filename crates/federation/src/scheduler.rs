@@ -35,8 +35,8 @@
 //! Every decision is a pure function of the supplied timeline instants
 //! and observed tuple counts — the scheduler never reads a clock itself.
 //! Under the virtual clock that makes runs deterministic and replayable;
-//! under the wall clock (`crate::concurrent`) the *decisions* follow real
-//! arrival timestamps while the logic stays identical, which is the
+//! under the wall clock (queue lanes, see `crate::lane`) the *decisions*
+//! follow real arrival timestamps while the logic stays identical, which is the
 //! contract the dual-clock equivalence tests pin down.
 
 use tukwila_stats::trace::{CandidateScore, TraceEvent};
@@ -53,7 +53,7 @@ use crate::profile::BehaviorProfile;
 ///
 /// // Three mirrors; only the first registered candidate starts active.
 /// let mut sched = PermutationScheduler::new(3, FederationConfig::default());
-/// assert_eq!(sched.polling_order(0), vec![0]);
+/// assert_eq!(sched.polling_order(), vec![0]);
 ///
 /// // Candidate 0 delivers a batch of 10 (all fresh after dedup) at t=0,
 /// // then goes silent. Its profile-derived stall deadline tells us when
@@ -67,7 +67,7 @@ use crate::profile::BehaviorProfile;
 /// // tie).
 /// assert_eq!(sched.on_pending(0, deadline), Some(1));
 /// assert_eq!(sched.failovers(), 1);
-/// assert!(sched.polling_order(deadline).contains(&1));
+/// assert!(sched.polling_order().contains(&1));
 /// ```
 #[derive(Debug)]
 pub struct PermutationScheduler {
@@ -96,10 +96,10 @@ pub struct PermutationScheduler {
     /// Whether this run's observations were already merged back into
     /// the learning store (publication is exactly-once).
     published: bool,
-    /// Queue-backpressure totals per candidate (threaded mode; stays 0
-    /// in sequential mode, which has no queues).
+    /// Queue-backpressure totals per candidate (queue lanes; stays 0 for
+    /// inline lanes, which have no queues).
     blocked_sends: Vec<u64>,
-    /// Host core budget for the busy-core waste term (threaded mode).
+    /// Host core budget for the busy-core waste term (queue lanes).
     cores: Option<usize>,
     /// Trace identity: the federated relation's display name and the
     /// candidates' names (registration order), used to label decision
@@ -220,14 +220,14 @@ impl PermutationScheduler {
         }
     }
 
-    /// Declare the host core budget (threaded mode), enabling the hedge
-    /// gate's busy-core waste term. Sequential mode leaves it unset.
+    /// Declare the host core budget (queue lanes), enabling the hedge
+    /// gate's busy-core waste term. Inline lanes leave it unset.
     pub fn set_core_budget(&mut self, cores: usize) {
         self.cores = Some(cores.max(1));
     }
 
     /// Record the latest queue-backpressure total for a candidate's
-    /// producer (threaded mode feeds real `blocked_sends` here).
+    /// producer (queue lanes feed real `blocked_sends` here).
     pub fn note_backpressure(&mut self, idx: usize, blocked_sends_total: u64) {
         self.blocked_sends[idx] = blocked_sends_total;
     }
@@ -274,9 +274,8 @@ impl PermutationScheduler {
 
     /// The current permutation prefix: active, non-EOF candidates in the
     /// order they should be polled — best score first, candidate index as
-    /// the deterministic tiebreak. Under `hedge = false`, candidates whose
-    /// current silence is flagged go to the back regardless of score.
-    pub fn polling_order(&self, now_us: u64) -> Vec<usize> {
+    /// the deterministic tiebreak.
+    pub fn polling_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = self
             .active
             .iter()
@@ -285,16 +284,6 @@ impl PermutationScheduler {
             .collect();
         order.sort_by(|&a, &b| {
             let (pa, pb) = (&self.profiles[a], &self.profiles[b]);
-            if !self.config.hedge {
-                // Demote currently-stalled candidates outright.
-                let (sa, sb) = (
-                    self.is_past_deadline(a, now_us),
-                    self.is_past_deadline(b, now_us),
-                );
-                if sa != sb {
-                    return sa.cmp(&sb);
-                }
-            }
             pb.score(&self.config)
                 .partial_cmp(&pa.score(&self.config))
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -614,7 +603,7 @@ mod tests {
     #[test]
     fn starts_on_first_candidate_only() {
         let s = sched(3);
-        assert_eq!(s.polling_order(0), vec![0]);
+        assert_eq!(s.polling_order(), vec![0]);
         assert_eq!(s.failovers(), 0);
     }
 
@@ -630,7 +619,7 @@ mod tests {
         assert_eq!(s.failovers(), 1);
         // Latched: the same silence does not cascade through all standbys.
         assert_eq!(s.on_pending(0, deadline + 1), None);
-        let order = s.polling_order(deadline);
+        let order = s.polling_order();
         assert!(order.contains(&0) && order.contains(&1));
     }
 
@@ -766,7 +755,7 @@ mod tests {
             s.note_arrival(0, i * 10_000, 10, 10);
             s.note_arrival(1, i * 1_000, 10, 10);
         }
-        assert_eq!(s.polling_order(0), vec![1, 0], "fast mirror polled first");
+        assert_eq!(s.polling_order(), vec![1, 0], "fast mirror polled first");
     }
 
     #[test]
@@ -774,11 +763,11 @@ mod tests {
         let mut s = sched(2);
         s.on_pending(0, u64::MAX);
         s.note_eof(0);
-        assert_eq!(s.polling_order(0), vec![1]);
+        assert_eq!(s.polling_order(), vec![1]);
         assert!(!s.all_eof());
         s.note_eof(1);
         assert!(s.all_eof());
-        assert!(s.polling_order(0).is_empty());
+        assert!(s.polling_order().is_empty());
     }
 
     #[test]
@@ -792,20 +781,5 @@ mod tests {
             None,
             "no future deadline at end of time"
         );
-    }
-
-    #[test]
-    fn no_hedge_demotes_stalled_primary() {
-        let cfg = FederationConfig {
-            hedge: false,
-            ..Default::default()
-        };
-        let mut s = PermutationScheduler::new(2, cfg);
-        s.note_arrival(0, 0, 10, 10);
-        s.note_arrival(0, 100, 10, 10);
-        let deadline = s.profiles()[0].stall_deadline_us(s.config()).unwrap();
-        assert_eq!(s.on_pending(0, deadline), Some(1));
-        let order = s.polling_order(deadline);
-        assert_eq!(order[0], 1, "stalled primary demoted behind backup");
     }
 }

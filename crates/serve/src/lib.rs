@@ -108,8 +108,8 @@ pub enum ServeMode {
     /// anchor for golden answers and decision signatures.
     Virtual,
     /// Each query of a wave runs on its own OS thread over
-    /// [`tukwila_federation::ConcurrentFederatedSource`]s racing against
-    /// one shared accelerated [`WallClock`]. The invariant: per-query
+    /// [`tukwila_federation::FederatedSource`]s with queue lanes, racing
+    /// against one shared accelerated [`WallClock`]. The invariant: per-query
     /// answers and per-relation hedge-decision sequences match the
     /// [`ServeMode::Virtual`] run exactly.
     Threaded,

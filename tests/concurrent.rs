@@ -25,7 +25,7 @@ use tukwila::exec::op::IncOp;
 use tukwila::exec::queue::{queue_pair, TryRecv};
 use tukwila::exec::reference::canonicalize_approx;
 use tukwila::exec::CpuCostModel;
-use tukwila::federation::{ConcurrentFederatedSource, FederatedCatalog, FederationConfig};
+use tukwila::federation::{FederatedCatalog, FederatedSource, FederationConfig};
 use tukwila::relation::{DataType, Field, Schema, Tuple, Value};
 use tukwila::source::{DelayModel, DelayedSource, Poll, Source};
 use tukwila::stats::{Clock, WallClock};
@@ -216,7 +216,7 @@ fn threaded_corrective_matches_local_execution() {
     for s in &sources {
         let fed = s
             .as_any()
-            .and_then(|a| a.downcast_ref::<ConcurrentFederatedSource>())
+            .and_then(|a| a.downcast_ref::<FederatedSource>())
             .expect("all sources are threaded federated");
         let r = fed.report();
         let size = match r.rel_id {
@@ -267,8 +267,7 @@ fn threaded_early_completion_reaps_producers() {
         min_stall_us: 1_000,
         ..Default::default()
     };
-    let mut fed =
-        ConcurrentFederatedSource::new(vec![0], vec![fast, slow], cfg, clock.clone()).unwrap();
+    let mut fed = FederatedSource::threaded(vec![0], vec![fast, slow], cfg, clock.clone()).unwrap();
     let mut keys: Vec<i64> = Vec::new();
     loop {
         match fed.poll(clock.now_us(), 128) {
@@ -311,7 +310,7 @@ fn soak_threaded_federation_n_mirrors_m_relations() {
         // must span many real consumer polls, so stalls are genuinely
         // observed and the standbys genuinely race.
         let clock: Arc<dyn Clock> = Arc::new(WallClock::accelerated(100.0));
-        let mut feds: Vec<ConcurrentFederatedSource> = (1..=RELATIONS)
+        let mut feds: Vec<FederatedSource> = (1..=RELATIONS)
             .map(|rel| {
                 let candidates: Vec<Box<dyn Source>> = (0..MIRRORS)
                     .map(|m| {
@@ -337,7 +336,7 @@ fn soak_threaded_federation_n_mirrors_m_relations() {
                     min_stall_us: 2_000,
                     ..Default::default()
                 };
-                ConcurrentFederatedSource::new(vec![0], candidates, cfg, clock.clone()).unwrap()
+                FederatedSource::threaded(vec![0], candidates, cfg, clock.clone()).unwrap()
             })
             .collect();
 
