@@ -159,6 +159,8 @@ pub fn run_plan_partitioning_from(
             idle_us: exec_a.idle_us + run_b.exec.idle_us,
             tuples_out: run_b.exec.tuples_out,
             batches: exec_a.batches + run_b.exec.batches,
+            polls: exec_a.polls + run_b.exec.polls,
+            wakes: exec_a.wakes + run_b.exec.wakes,
             max_queue_depth: exec_a.max_queue_depth.max(run_b.exec.max_queue_depth),
             blocked_by_exchange: merge_blocked(
                 &exec_a.blocked_by_exchange,

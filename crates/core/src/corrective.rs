@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tukwila_exec::agg::SharedGroupTable;
-use tukwila_exec::driver::charged_cost;
+use tukwila_exec::driver::{charged_cost, check_batch_size};
 use tukwila_exec::plan::NodeObservation;
 use tukwila_exec::{
     Batch, CpuCostModel, ExchangePoll, ExecReport, FragmentOptions, FragmentRun, Timeline,
@@ -40,7 +40,7 @@ use tukwila_optimizer::{
     FragmentationConfig, LogicalQuery, Optimizer, OptimizerContext, PhysPlan, PreAggConfig,
 };
 use tukwila_relation::{Error, Expr, Result, Schema, Tuple};
-use tukwila_source::Source;
+use tukwila_source::{DueTimes, Source};
 use tukwila_stats::selectivity::SourceProgress;
 use tukwila_stats::trace::SpanKind;
 use tukwila_stats::{Clock, DeliveryCosts, SelectivityCatalog, TraceEvent, TraceSink};
@@ -248,6 +248,9 @@ struct RunTotals {
     answers: Batch,
     phases: Vec<PhaseInfo>,
     total_batches: u64,
+    /// Controller polls and idle steps (see [`ExecReport::polls`]).
+    polls: u64,
+    wakes: u64,
     /// CPU charged by producer fragment threads — added to the report's
     /// `cpu_us` next to the controller timeline's.
     extra_cpu_us: u64,
@@ -364,6 +367,7 @@ impl CorrectiveExec {
     /// back at every seal.
     pub fn run(&self, sources: &mut [Box<dyn Source>]) -> Result<CorrectiveReport> {
         let cfg = &self.config;
+        check_batch_size(cfg.batch_size)?;
         let threads = self.producer_clock()?;
         let catalog = Arc::new(SelectivityCatalog::new());
         let registry = StateRegistry::new();
@@ -393,6 +397,7 @@ impl CorrectiveExec {
         // separately and join it for the final report.
         let mut total_batches: u64 = 0;
         let mut producer_batches_total: u64 = 0;
+        let (mut polls, mut wakes) = (0u64, 0u64);
         let mut next_poll_at: u64 = cfg.warmup_batches.max(cfg.poll_every_batches);
         let mut phase = 0usize;
         let mut answers: Batch = Vec::new();
@@ -400,6 +405,8 @@ impl CorrectiveExec {
         // clock) lives in exec::Timeline so this loop and SimDriver
         // cannot drift apart on clock semantics.
         let mut timeline = Timeline::new(cfg.clock.clone());
+        // Inputs are only polled once due on a virtual timeline.
+        let mut due = DueTimes::new(sources.len(), timeline.is_virtual());
         let mut extra_cpu_us: u64 = 0;
         let mut exchange_stats = ExchangeTotals::default();
         // Per caller slot: the source returned `Eof`.
@@ -500,11 +507,19 @@ impl CorrectiveExec {
                 target.finish_source(sources[slot].rel_id(), &mut answers)?;
             }
             done.resize(root_slots.len() + exchanges.len(), false);
+            // Due times: one per caller slot, kept across plan switches (a
+            // source's promise does not depend on the plan reading it),
+            // then one per exchange stream of this phase. Slots producer
+            // threads poll this phase are not the controller's to wait on.
+            due.resize(sources.len());
+            for slot in (0..sources.len()).filter(|s| !root_slots.contains(s)) {
+                due.note(slot, None);
+            }
+            due.resize(sources.len() + exchanges.len());
 
             let end: PhaseEnd = loop {
                 timeline.resync();
                 let mut any_ready = false;
-                let mut next_ready: Option<u64> = None;
                 let mut all_done = true;
                 let (target, exchanges) = run.root_split();
                 for (i, input_done) in done.iter_mut().enumerate() {
@@ -514,6 +529,11 @@ impl CorrectiveExec {
                     all_done = false;
                     let now = timeline.now_us();
                     let slot = root_slots.get(i).copied();
+                    let key = slot.unwrap_or(sources.len() + i - root_slots.len());
+                    if !due.is_due(key, now) {
+                        continue;
+                    }
+                    polls += 1;
                     let (rel, polled) = match slot {
                         Some(slot) => {
                             let src = &mut sources[slot];
@@ -526,6 +546,7 @@ impl CorrectiveExec {
                             (ex.rel_id(), ex.poll_data(now, cfg.batch_size))
                         }
                     };
+                    due.note(key, polled.pending_hint());
                     match polled {
                         ExchangePoll::Ready(batch) => {
                             any_ready = true;
@@ -540,12 +561,7 @@ impl CorrectiveExec {
                             })?;
                             timeline.charge(cost);
                         }
-                        ExchangePoll::Pending { next_ready_us } => {
-                            next_ready = Some(match next_ready {
-                                Some(n) => n.min(next_ready_us),
-                                None => next_ready_us,
-                            });
-                        }
+                        ExchangePoll::Pending { .. } => {}
                         ExchangePoll::Eof => {
                             *input_done = true;
                             if let Some(slot) = slot {
@@ -570,7 +586,8 @@ impl CorrectiveExec {
                     break PhaseEnd::Completed;
                 }
                 if !any_ready {
-                    if let Some(n) = next_ready {
+                    if let Some(n) = due.earliest() {
+                        wakes += 1;
                         timeline.idle_toward(n);
                     }
                     continue;
@@ -763,6 +780,8 @@ impl CorrectiveExec {
                 answers,
                 phases,
                 total_batches: total_batches + producer_batches_total,
+                polls,
+                wakes,
                 extra_cpu_us,
                 calibrated_unit_us: calibrated,
                 exchange_stats,
@@ -881,6 +900,8 @@ impl CorrectiveExec {
             mut answers,
             phases,
             total_batches,
+            polls,
+            wakes,
             extra_cpu_us,
             calibrated_unit_us,
             exchange_stats,
@@ -951,6 +972,8 @@ impl CorrectiveExec {
                 idle_us: timeline.idle_us() as u64,
                 tuples_out: rows.len() as u64,
                 batches: total_batches,
+                polls,
+                wakes,
                 max_queue_depth: exchange_stats.max_queue_depth,
                 blocked_by_exchange: exchange_stats.blocked_by_exchange(),
             },
@@ -1190,6 +1213,24 @@ mod tests {
         for s in sources.iter_mut() {
             assert!(matches!(s.poll(u64::MAX / 2, 1), tukwila_source::Poll::Eof));
         }
+    }
+
+    #[test]
+    fn zero_batch_size_is_a_plan_error() {
+        let d = Dataset::generate(DatasetConfig::uniform(0.001));
+        let q = queries::q3a();
+        let mut sources = sources_for(&d, &q);
+        let mut cfg = corrective_config(false);
+        cfg.batch_size = 0;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = CorrectiveExec::new(q, cfg).run(&mut sources);
+            let _ = tx.send(run.map(|_| ()));
+        });
+        let run = rx
+            .recv_timeout(std::time::Duration::from_secs(3))
+            .expect("a zero batch size must not livelock the corrective loop");
+        assert!(matches!(run, Err(Error::Plan(_))), "{run:?}");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use tukwila_relation::{Result, Tuple};
-use tukwila_source::{Poll, Source};
+use tukwila_relation::{Error, Result, Tuple};
+use tukwila_source::{DueTimes, Poll, Source};
 use tukwila_stats::trace::SpanKind;
 use tukwila_stats::{Clock, TraceSink};
 
@@ -159,6 +159,13 @@ impl Timeline {
         }
     }
 
+    /// Whether the timeline is virtual (no shared clock, or one that is
+    /// not a wall clock): the mode in which `Pending` hints are promises
+    /// and poll loops skip inputs that are not due.
+    pub fn is_virtual(&self) -> bool {
+        !self.clock.as_ref().is_some_and(|c| c.is_wall())
+    }
+
     /// Timeline instant as a float (µs).
     pub fn clock_us(&self) -> f64 {
         self.clock_us
@@ -260,15 +267,21 @@ impl SimDriver {
     /// assemble one poll set from differently-owned collections (a
     /// threaded fragment run mixes the caller's base-relation sources
     /// with the exchange sources it owns itself).
+    ///
+    /// On a virtual timeline a source is only polled once its last
+    /// `Pending` hint is due ([`DueTimes`]); a wall clock polls every
+    /// unfinished source on every sweep.
     pub fn run_target_refs(
         &self,
         plan: &mut dyn PushTarget,
         sources: &mut [&mut dyn Source],
     ) -> Result<(Batch, ExecReport)> {
+        check_batch_size(self.batch_size)?;
         let mut out = Batch::new();
         let mut report = ExecReport::default();
         let mut timeline = Timeline::new(self.clock.clone());
         let mut finished = vec![false; sources.len()];
+        let mut due = DueTimes::new(sources.len(), timeline.is_virtual());
         timeline.resync();
         self.trace
             .record_at(timeline.now_us(), SpanKind::Drive.begin("drive"));
@@ -276,14 +289,19 @@ impl SimDriver {
         loop {
             timeline.resync();
             let mut any_ready = false;
-            let mut next_ready: Option<u64> = None;
             let mut all_done = true;
             for (i, src) in sources.iter_mut().enumerate() {
                 if finished[i] {
                     continue;
                 }
                 all_done = false;
-                match src.poll(timeline.now_us(), self.batch_size) {
+                if !due.is_due(i, timeline.now_us()) {
+                    continue;
+                }
+                report.polls += 1;
+                let polled = src.poll(timeline.now_us(), self.batch_size);
+                due.note(i, polled.pending_hint());
+                match polled {
                     Poll::Ready(batch) => {
                         any_ready = true;
                         report.batches += 1;
@@ -293,12 +311,7 @@ impl SimDriver {
                         timeline.charge(cost);
                         timeline.resync();
                     }
-                    Poll::Pending { next_ready_us } => {
-                        next_ready = Some(match next_ready {
-                            Some(n) => n.min(next_ready_us),
-                            None => next_ready_us,
-                        });
-                    }
+                    Poll::Pending { .. } => {}
                     Poll::Eof => {
                         finished[i] = true;
                         let cost = charged_cost(self.cpu, &timeline, 0, || {
@@ -313,7 +326,8 @@ impl SimDriver {
                 break;
             }
             if !any_ready {
-                if let Some(n) = next_ready {
+                if let Some(n) = due.earliest() {
+                    report.wakes += 1;
                     timeline.idle_toward(n);
                 }
             }
@@ -345,6 +359,15 @@ impl SimDriver {
         }
         Ok((out, report))
     }
+}
+
+/// Reject a zero batch size: a source asked for zero tuples answers
+/// `Ready` with nothing and never advances, so a driver would spin forever.
+pub fn check_batch_size(batch_size: usize) -> Result<()> {
+    if batch_size == 0 {
+        return Err(Error::Plan("batch size must be at least 1".into()));
+    }
+    Ok(())
 }
 
 /// Run `f`, returning the timeline cost (µs) to charge for it.
@@ -462,6 +485,59 @@ mod tests {
         assert_eq!(out_w.len(), out_v.len(), "same join result in both modes");
         assert!(report.virtual_us >= 20_000, "timeline covers the latency");
         assert!(report.idle_us > 0, "waiting was accounted as idle");
+    }
+
+    #[test]
+    fn virtual_driver_polls_only_due_sources() {
+        // Every tuple of `l` arrives at 1000 µs and every tuple of `r` at
+        // 3000 µs (an effectively infinite link after the latency).
+        let at = |latency_us| DelayModel::Bandwidth {
+            bytes_per_sec: 1e12,
+            initial_latency_us: latency_us,
+        };
+        let mut sources: Vec<Box<dyn Source>> = vec![
+            Box::new(DelayedSource::new(
+                1,
+                "l",
+                schema("l"),
+                tuples(4),
+                &at(1000),
+            )),
+            Box::new(DelayedSource::new(
+                2,
+                "r",
+                schema("r"),
+                tuples(4),
+                &at(3000),
+            )),
+        ];
+        let (out, report) = SimDriver::new(2, CpuCostModel::Zero)
+            .run(&mut join_plan(), &mut sources)
+            .unwrap();
+        assert_eq!(out.len(), 4);
+        // t=0: both pending (2 polls), wake to 1000. t=1000: `l` ready,
+        // ready, EOF (3 polls) while `r` waits out its promise; wake to
+        // 3000. t=3000: `r` ready, ready, EOF (3 polls). Re-polling `r`
+        // at every t=1000 sweep would cost 3 more.
+        assert_eq!((report.polls, report.wakes, report.batches), (8, 2, 4));
+        assert_eq!(report.virtual_us, 3000);
+    }
+
+    #[test]
+    fn zero_batch_size_is_a_plan_error() {
+        let mut sources: Vec<Box<dyn Source>> = vec![
+            Box::new(MemSource::new(1, "l", schema("l"), tuples(4))),
+            Box::new(MemSource::new(2, "r", schema("r"), tuples(4))),
+        ];
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = SimDriver::new(0, CpuCostModel::Zero).run(&mut join_plan(), &mut sources);
+            let _ = tx.send(run.map(|_| ()));
+        });
+        let run = rx
+            .recv_timeout(std::time::Duration::from_secs(3))
+            .expect("a zero batch size must not livelock the driver");
+        assert!(matches!(run, Err(Error::Plan(_))), "{run:?}");
     }
 
     #[test]

@@ -404,6 +404,16 @@ pub enum ExchangePoll {
     Eof,
 }
 
+impl ExchangePoll {
+    /// The `Pending` hint, if this is one (see [`Poll::pending_hint`]).
+    pub fn pending_hint(&self) -> Option<u64> {
+        match self {
+            ExchangePoll::Pending { next_ready_us } => Some(*next_ready_us),
+            ExchangePoll::Ready(_) | ExchangePoll::Eof => None,
+        }
+    }
+}
+
 impl From<Poll> for ExchangePoll {
     /// A base-relation poll, seen through the same lens: rows are one
     /// representation an input can arrive in.
@@ -421,6 +431,11 @@ impl From<Poll> for ExchangePoll {
 /// `Ready` while batches are queued (respecting `max_tuples` via a carry
 /// buffer), `Pending` one poll tick ahead while the producer is alive but
 /// quiet, `Eof` once the producer finished and the queue drained.
+///
+/// That `Pending` hint is a wall-clock polling tick, not a promise: the
+/// producer thread may ship a batch at any moment. Exchange streams only
+/// exist in threaded runs, which need a wall clock, and on a wall clock
+/// drivers poll every input on every sweep.
 pub struct ExchangeSource {
     ex_id: u32,
     name: String,
@@ -1728,6 +1743,7 @@ impl SimDriver {
         mut sources: Vec<Box<dyn Source>>,
         threaded: Option<&FragmentOptions>,
     ) -> Result<(Batch, ExecReport)> {
+        crate::driver::check_batch_size(self.batch_size)?;
         let mut run = match threaded {
             Some(opts) => {
                 let clock = self

@@ -26,6 +26,13 @@ pub struct ExecReport {
     pub tuples_out: u64,
     /// Source batches processed (count).
     pub batches: u64,
+    /// Source polls the driver loop issued (count). On a virtual
+    /// timeline an input whose `Pending` promise still stands is not
+    /// polled. Producer threads' own polls are not included.
+    pub polls: u64,
+    /// Idle steps of the driver loop: sweeps that found nothing ready
+    /// and waited toward the earliest `Pending` hint (count).
+    pub wakes: u64,
     /// High-water mark of exchange-queue depth (batches buffered in any
     /// one exchange queue at once). 0 for unfragmented runs, which have
     /// no queues.
@@ -54,9 +61,10 @@ impl ExecReport {
 
     /// Float-safe comparison for tests and golden checks: exact on the
     /// count fields (tuples, batches, queue stats), within `tol_us`
-    /// timeline µs on every duration field. Use this instead of `==`
-    /// whenever wall-clock measurement noise is in play; `==` remains
-    /// exact and is only meaningful for virtual-clock runs.
+    /// timeline µs on every duration field; `polls` and `wakes` follow
+    /// the timing of the sweeps, so they are not compared. Use this
+    /// instead of `==` whenever wall-clock measurement noise is in play;
+    /// `==` remains exact and is only meaningful for virtual-clock runs.
     pub fn approx_eq(&self, other: &ExecReport, tol_us: u64) -> bool {
         self.tuples_out == other.tuples_out
             && self.batches == other.batches
@@ -91,6 +99,8 @@ mod tests {
             idle_us: 500,
             tuples_out: 10,
             batches: 2,
+            polls: 5,
+            wakes: 1,
             max_queue_depth: 3,
             blocked_by_exchange: vec![(0xF000_0000, 4)],
         };

@@ -19,6 +19,15 @@
 //! feed backpressure and the busy-core term to the hedge gate, and only
 //! they restart stall windows on [`Source::resume_delivery`].
 //!
+//! An inline lane's hint is a promise on the adapter's virtual timeline,
+//! so the sweep skips the lane poll until the hint is due (the scheduler's
+//! stall bookkeeping still runs for every active lane). A queue lane's
+//! hint is a wall-clock polling tick — its producer may deliver at any
+//! moment — and queue lanes only run on a wall clock, where every active
+//! lane is polled on every sweep. The adapter's own `Pending` answer is
+//! the earliest lane hint or stall deadline, so an inline adapter keeps
+//! the same promise towards its driver.
+//!
 //! ## Completion rule
 //!
 //! The federated stream is exhausted when either
@@ -36,7 +45,7 @@ use std::sync::Arc;
 use tukwila_relation::column::{hash_keys_into, key_elem_eq, tuple_key_hash, value_key_eq};
 use tukwila_relation::value::{group_key, GroupKey};
 use tukwila_relation::{ColumnarBatch, Error, Key, Result, Schema, Tuple};
-use tukwila_source::{Poll, Source, SourceDescriptor, SourceProgressView};
+use tukwila_source::{DueTimes, Poll, Source, SourceDescriptor, SourceProgressView};
 use tukwila_stats::clock::{Clock, VirtualClock};
 use tukwila_stats::{ArrivalSchedule, RateEstimator, TraceEvent};
 
@@ -67,21 +76,30 @@ impl Hasher for KeyHashId {
 /// provenance (a candidate re-delivering its *own* key proves the
 /// declared key columns are not unique).
 ///
-/// The seen-set is bucketed by a stable composite-key hash computed once
-/// per tuple with no allocation ([`tuple_key_hash`]); the `GroupKey` is
-/// only materialized when a key is inserted, and the columnar entry point
+/// The seen-set is keyed by a stable composite-key hash computed once
+/// per tuple with no allocation ([`tuple_key_hash`]). Entries sharing a
+/// hash are chained: the map holds the newest entry's index, and `next`
+/// links each entry to the previous one, so an insert allocates nothing
+/// beyond the entry itself. The `GroupKey` is only materialized when a
+/// key is inserted, and the columnar entry point
 /// ([`KeyDedup::filter_columnar`]) hashes whole batches with one pass per
 /// key column.
 pub struct KeyDedup {
     rel_id: u32,
     key_cols: Vec<usize>,
-    /// Key-hash → indices into `entries` (hash collisions resolved by the
-    /// exact key comparison below).
-    buckets: HashMap<u64, Vec<u32>, BuildHasherDefault<KeyHashId>>,
+    /// Key-hash → index of the newest entry with that hash (hash
+    /// collisions resolved by the exact key comparison below).
+    heads: HashMap<u64, u32, BuildHasherDefault<KeyHashId>>,
     /// Keys delivered to the engine, with the candidate that delivered
     /// each first.
     entries: Vec<(GroupKey, usize)>,
+    /// Per entry: the next-older entry with the same key hash, or
+    /// [`NO_ENTRY`].
+    next: Vec<u32>,
 }
+
+/// End of a [`KeyDedup`] hash chain.
+const NO_ENTRY: u32 = u32::MAX;
 
 impl KeyDedup {
     /// A dedupe for `rel_id` keyed on `key_cols`.
@@ -89,8 +107,9 @@ impl KeyDedup {
         KeyDedup {
             rel_id,
             key_cols,
-            buckets: HashMap::default(),
+            heads: HashMap::default(),
             entries: Vec::new(),
+            next: Vec::new(),
         }
     }
 
@@ -99,19 +118,31 @@ impl KeyDedup {
         self.entries.len()
     }
 
-    /// Find the first-delivering candidate of the key in `bucket` equal
-    /// to the key of `t` (by per-column comparison, no allocation).
-    fn probe_row(&self, bucket: &[u32], t: &Tuple) -> Option<usize> {
-        for &ei in bucket {
-            let (k, who) = &self.entries[ei as usize];
-            if k.iter()
-                .zip(&self.key_cols)
-                .all(|(ke, &c)| value_key_eq(t.get(c), ke))
-            {
+    /// Walk the chain starting at entry `head` for the key whose every
+    /// element `eq(element, key column)` accepts; return the candidate
+    /// that delivered it first.
+    fn seen_by(&self, head: u32, eq: impl Fn(&Key, usize) -> bool) -> Option<usize> {
+        let mut at = head;
+        while at != NO_ENTRY {
+            let (k, who) = &self.entries[at as usize];
+            if k.iter().zip(&self.key_cols).all(|(ke, &c)| eq(ke, c)) {
                 return Some(*who);
             }
+            at = self.next[at as usize];
         }
         None
+    }
+
+    /// [`KeyDedup::seen_by`] over every entry with key hash `h`.
+    fn probe(&self, h: u64, eq: impl Fn(&Key, usize) -> bool) -> Option<usize> {
+        self.seen_by(self.heads.get(&h).copied().unwrap_or(NO_ENTRY), eq)
+    }
+
+    /// Add `key` (hash `h`), first delivered by `candidate`.
+    fn insert(&mut self, h: u64, key: GroupKey, candidate: usize) {
+        let ei = self.entries.len() as u32;
+        self.entries.push((key, candidate));
+        self.next.push(self.heads.insert(h, ei).unwrap_or(NO_ENTRY));
     }
 
     #[track_caller]
@@ -135,17 +166,10 @@ impl KeyDedup {
         let mut fresh = Vec::with_capacity(batch.len());
         for t in batch {
             let h = tuple_key_hash(&t, &self.key_cols);
-            match self
-                .buckets
-                .get(&h)
-                .and_then(|bucket| self.probe_row(bucket, &t))
-            {
+            match self.probe(h, |ke, c| value_key_eq(t.get(c), ke)) {
                 Some(first) => self.assert_fresh_provenance(first, candidate, name),
                 None => {
-                    let ei = self.entries.len() as u32;
-                    self.entries
-                        .push((group_key(t.values(), &self.key_cols), candidate));
-                    self.buckets.entry(h).or_default().push(ei);
+                    self.insert(h, group_key(t.values(), &self.key_cols), candidate);
                     fresh.push(t);
                 }
             }
@@ -155,8 +179,8 @@ impl KeyDedup {
 
     /// [`KeyDedup::filter`] over a columnar batch: key hashes for the
     /// whole batch are computed with one pass per key column, and the
-    /// seen-set is probed in *stages* — a tight read-only bucket-lookup
-    /// sweep, then exact key verification, then an ordered insert pass
+    /// seen-set is probed in *stages* — a tight read-only chain-head
+    /// lookup sweep, then exact key verification, then an ordered insert pass
     /// over the rows that survived. The read-only sweeps have no
     /// mutation or branching in their bodies, so the out-of-order core
     /// overlaps the (cache-missing) hash-table reads of many rows at
@@ -171,8 +195,6 @@ impl KeyDedup {
         batch: &ColumnarBatch,
         hash_buf: &mut Vec<u64>,
     ) -> Vec<Tuple> {
-        /// Bucket-hit marker for "more than one entry, re-fetch the list".
-        const MULTI: u32 = u32::MAX;
         if batch.num_rows() == 0 {
             // A rowless batch has no columns to hash (or deliver).
             return Vec::new();
@@ -180,35 +202,23 @@ impl KeyDedup {
         hash_keys_into(batch, &self.key_cols, hash_buf);
         let rows = batch.selected_indices();
 
-        // Stage 1: bucket lookups only. `hits` records (slot, sole entry
-        // index) — or MULTI for the rare collision bucket.
+        let eq_row = |r: usize| move |ke: &Key, c: usize| key_elem_eq(batch.column(c), r, ke);
+
+        // Stage 1: chain-head lookups only. `hits` records (slot, newest
+        // entry with the row's key hash).
         let mut hits: Vec<(u32, u32)> = Vec::new();
         for (s, &r) in rows.iter().enumerate() {
-            if let Some(bucket) = self.buckets.get(&hash_buf[r]) {
-                let ei = if bucket.len() == 1 { bucket[0] } else { MULTI };
-                hits.push((s as u32, ei));
+            if let Some(&head) = self.heads.get(&hash_buf[r]) {
+                hits.push((s as u32, head));
             }
         }
 
-        // Stage 2: exact key verification for hash hits (still read-only;
-        // a non-equal key is just a 64-bit hash collision and stays a
-        // fresh candidate).
+        // Stage 2: exact key verification along the chain for hash hits
+        // (still read-only; a non-equal key is just a 64-bit hash
+        // collision and stays a fresh candidate).
         let mut dup = vec![false; rows.len()];
-        for &(s, ei) in &hits {
-            let r = rows[s as usize];
-            let verify = |ei: u32| {
-                let (k, who) = &self.entries[ei as usize];
-                k.iter()
-                    .zip(&self.key_cols)
-                    .all(|(ke, &c)| key_elem_eq(batch.column(c), r, ke))
-                    .then_some(*who)
-            };
-            let seen_by = if ei != MULTI {
-                verify(ei)
-            } else {
-                self.buckets[&hash_buf[r]].iter().copied().find_map(verify)
-            };
-            if let Some(first) = seen_by {
+        for &(s, head) in &hits {
+            if let Some(first) = self.seen_by(head, eq_row(rows[s as usize])) {
                 self.assert_fresh_provenance(first, candidate, name);
                 dup[s as usize] = true;
             }
@@ -240,7 +250,8 @@ impl KeyDedup {
             key
         });
         self.entries.reserve(fresh_rows.len());
-        self.buckets.reserve(fresh_rows.len());
+        self.next.reserve(fresh_rows.len());
+        self.heads.reserve(fresh_rows.len());
 
         // Stage 3: ordered probe-and-insert over the fresh candidates.
         // The re-probe is not redundant: an earlier row of *this* batch
@@ -252,22 +263,11 @@ impl KeyDedup {
                 continue;
             }
             let h = hash_buf[r];
-            let seen_by = self.buckets.get(&h).and_then(|bucket| {
-                bucket.iter().find_map(|&ei| {
-                    let (k, who) = &self.entries[ei as usize];
-                    k.iter()
-                        .zip(&self.key_cols)
-                        .all(|(ke, &c)| key_elem_eq(batch.column(c), r, ke))
-                        .then_some(*who)
-                })
-            });
             let key = arena.next().expect("arena covers every non-dup row");
-            match seen_by {
+            match self.probe(h, eq_row(r)) {
                 Some(first) => self.assert_fresh_provenance(first, candidate, name),
                 None => {
-                    let ei = self.entries.len() as u32;
-                    self.entries.push((key, candidate));
-                    self.buckets.entry(h).or_default().push(ei);
+                    self.insert(h, key, candidate);
                     fresh.push(batch.tuple_at(r));
                 }
             }
@@ -334,6 +334,12 @@ pub struct FederatedSource {
     schema: Schema,
     lanes: Vec<Lane>,
     scheduler: PermutationScheduler,
+    /// Per-lane `Pending` promises: inline lanes are only polled once
+    /// due; queue lanes answer with polling ticks, so their promises are
+    /// never kept (skipping is off for them).
+    due: DueTimes,
+    /// The sweep's polling order, reused across polls.
+    order: Vec<usize>,
     dedup: KeyDedup,
     /// The scheduling timeline: a private [`VirtualClock`] advanced by
     /// the `poll` argument (inline lanes), or the run's shared wall clock
@@ -397,6 +403,7 @@ impl FederatedSource {
         fed.scheduler
             .set_core_budget(config.core_budget.unwrap_or_else(host));
         fed.lanes = lane::spawn_all(fed.rel_id, candidates, &fed.schema, &clock, &config)?;
+        fed.due = DueTimes::new(fed.lanes.len(), false);
         fed.clock = clock;
         Ok(fed)
     }
@@ -463,6 +470,9 @@ impl FederatedSource {
             schema,
             lanes: Vec::new(),
             scheduler,
+            // Inline lanes keep promises; `threaded` turns skipping off.
+            due: DueTimes::new(candidates.len(), true),
+            order: Vec::new(),
             dedup: KeyDedup::new(rel_id, key_cols),
             clock: Arc::new(VirtualClock::new()),
             carry: Vec::new(),
@@ -557,6 +567,18 @@ impl FederatedSource {
         }
     }
 
+    /// Poll lane `idx` at `now_us` — unless its last `Pending` promise
+    /// still stands, in which case that answer is repeated without
+    /// touching the lane.
+    fn poll_lane(&mut self, idx: usize, now_us: u64, max_tuples: usize) -> Poll {
+        if let Some(next_ready_us) = self.due.promise(idx, now_us) {
+            return Poll::Pending { next_ready_us };
+        }
+        let polled = self.lanes[idx].poll(now_us, max_tuples);
+        self.due.note(idx, polled.pending_hint());
+        polled
+    }
+
     /// Hand out up to `max_tuples` of an already-deduped batch, parking
     /// the tail in `carry`.
     fn emit(&mut self, mut fresh: Vec<Tuple>, max_tuples: usize) -> Poll {
@@ -596,8 +618,8 @@ impl Source for FederatedSource {
         // should be retried immediately). Each restart strictly consumes
         // candidate data or candidate count, so the loop terminates.
         'sweep: loop {
-            let order = self.scheduler.polling_order();
-            if order.is_empty() {
+            self.scheduler.polling_order(&mut self.order);
+            if self.order.is_empty() {
                 // Every activated candidate is EOF. Uncovered standbys
                 // may still hold tuples of a partially-replicated
                 // relation; otherwise the union is complete.
@@ -608,8 +630,9 @@ impl Source for FederatedSource {
                 self.complete(now_us);
                 return Poll::Eof;
             }
-            for idx in order {
-                let hint = match self.lanes[idx].poll(now_us, max_tuples) {
+            for k in 0..self.order.len() {
+                let idx = self.order[k];
+                let hint = match self.poll_lane(idx, now_us, max_tuples) {
                     Poll::Ready(batch) if !batch.is_empty() => {
                         let raw = batch.len() as u64;
                         let name = &self.lanes[idx].descriptor.name;

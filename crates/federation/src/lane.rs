@@ -17,6 +17,12 @@
 //! batch. Completion drops the readers and cancels the gates — blocked
 //! producers error out of their send, sleeping ones wake within one
 //! bounded clock chunk — and joins every thread before the final `Eof`.
+//!
+//! An empty queue answers `Pending` one [`POLL_TICK_US`] ahead: a
+//! wall-clock polling tick, not a promise, since the producer may ship at
+//! any moment. Queue lanes only run on a wall clock, where the sweep polls
+//! every active lane each time; an inline lane's hint is its candidate's
+//! own promise.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -161,7 +167,7 @@ impl Lane {
     /// Look at the lane at `now_us`. An inline lane polls its candidate
     /// for up to `max_tuples`; a queue lane takes whatever its producer
     /// buffered, and when that is nothing suggests looking again one
-    /// poll tick later.
+    /// poll tick later — a wall-clock polling tick, not a promise.
     pub(crate) fn poll(&mut self, now_us: u64, max_tuples: usize) -> Poll {
         match &mut self.kind {
             Kind::Inline(source) => source.poll(now_us, max_tuples),

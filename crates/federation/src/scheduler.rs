@@ -53,7 +53,9 @@ use crate::profile::BehaviorProfile;
 ///
 /// // Three mirrors; only the first registered candidate starts active.
 /// let mut sched = PermutationScheduler::new(3, FederationConfig::default());
-/// assert_eq!(sched.polling_order(), vec![0]);
+/// let mut order = Vec::new();
+/// sched.polling_order(&mut order);
+/// assert_eq!(order, vec![0]);
 ///
 /// // Candidate 0 delivers a batch of 10 (all fresh after dedup) at t=0,
 /// // then goes silent. Its profile-derived stall deadline tells us when
@@ -67,7 +69,8 @@ use crate::profile::BehaviorProfile;
 /// // tie).
 /// assert_eq!(sched.on_pending(0, deadline), Some(1));
 /// assert_eq!(sched.failovers(), 1);
-/// assert!(sched.polling_order().contains(&1));
+/// sched.polling_order(&mut order);
+/// assert!(order.contains(&1));
 /// ```
 #[derive(Debug)]
 pub struct PermutationScheduler {
@@ -272,16 +275,13 @@ impl PermutationScheduler {
         self.config.hedge_costs = costs;
     }
 
-    /// The current permutation prefix: active, non-EOF candidates in the
-    /// order they should be polled — best score first, candidate index as
-    /// the deterministic tiebreak.
-    pub fn polling_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = self
-            .active
-            .iter()
-            .copied()
-            .filter(|&i| !self.profiles[i].eof)
-            .collect();
+    /// The current permutation prefix, written into `order` (a buffer the
+    /// caller reuses — the federation sweep asks on every poll): active,
+    /// non-EOF candidates in the order they should be polled — best score
+    /// first, candidate index as the deterministic tiebreak.
+    pub fn polling_order(&self, order: &mut Vec<usize>) {
+        order.clear();
+        order.extend(self.active.iter().filter(|&&i| !self.profiles[i].eof));
         order.sort_by(|&a, &b| {
             let (pa, pb) = (&self.profiles[a], &self.profiles[b]);
             pb.score(&self.config)
@@ -289,7 +289,6 @@ impl PermutationScheduler {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        order
     }
 
     fn is_past_deadline(&self, idx: usize, now_us: u64) -> bool {
@@ -600,10 +599,16 @@ mod tests {
         PermutationScheduler::new(n, FederationConfig::default())
     }
 
+    fn order(s: &PermutationScheduler) -> Vec<usize> {
+        let mut order = Vec::new();
+        s.polling_order(&mut order);
+        order
+    }
+
     #[test]
     fn starts_on_first_candidate_only() {
         let s = sched(3);
-        assert_eq!(s.polling_order(), vec![0]);
+        assert_eq!(order(&s), vec![0]);
         assert_eq!(s.failovers(), 0);
     }
 
@@ -619,7 +624,7 @@ mod tests {
         assert_eq!(s.failovers(), 1);
         // Latched: the same silence does not cascade through all standbys.
         assert_eq!(s.on_pending(0, deadline + 1), None);
-        let order = s.polling_order();
+        let order = order(&s);
         assert!(order.contains(&0) && order.contains(&1));
     }
 
@@ -755,7 +760,7 @@ mod tests {
             s.note_arrival(0, i * 10_000, 10, 10);
             s.note_arrival(1, i * 1_000, 10, 10);
         }
-        assert_eq!(s.polling_order(), vec![1, 0], "fast mirror polled first");
+        assert_eq!(order(&s), vec![1, 0], "fast mirror polled first");
     }
 
     #[test]
@@ -763,11 +768,11 @@ mod tests {
         let mut s = sched(2);
         s.on_pending(0, u64::MAX);
         s.note_eof(0);
-        assert_eq!(s.polling_order(), vec![1]);
+        assert_eq!(order(&s), vec![1]);
         assert!(!s.all_eof());
         s.note_eof(1);
         assert!(s.all_eof());
-        assert!(s.polling_order().is_empty());
+        assert!(order(&s).is_empty());
     }
 
     #[test]

@@ -46,6 +46,7 @@
 use std::sync::Arc;
 
 use tukwila_core::baselines::{run_static_with_driver, StaticRun};
+use tukwila_exec::driver::check_batch_size;
 use tukwila_exec::reference::canonicalize_approx;
 use tukwila_exec::{CpuCostModel, SimDriver};
 use tukwila_federation::{FederatedCatalog, FederationConfig, SharedLearning};
@@ -351,6 +352,7 @@ impl Server {
     /// which snapshots the learning store and fixes its fair core
     /// share — before any query of the wave starts executing.
     pub fn serve(&self, waves: &[Vec<QuerySpec>], mode: ServeMode) -> Result<FleetReport> {
+        check_batch_size(self.config.batch_size)?;
         let mut outcomes: Vec<QueryOutcome> = Vec::new();
         let mut makespan_us: u64 = 0;
         let wall: Arc<WallClock> = Arc::new(WallClock::accelerated(self.config.accel));

@@ -36,4 +36,4 @@ pub mod source;
 
 pub use delay::{DelayModel, DelayedSource};
 pub use mem::MemSource;
-pub use source::{Poll, Source, SourceDescriptor, SourceProgressView};
+pub use source::{DueTimes, Poll, Source, SourceDescriptor, SourceProgressView};

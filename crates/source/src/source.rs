@@ -10,9 +10,100 @@ pub enum Poll {
     /// requested).
     Ready(Vec<Tuple>),
     /// Nothing available yet; more data arrives at `next_ready_us`.
+    ///
+    /// On a virtual timeline the hint is a **promise**: nothing the
+    /// source returns, and none of its state, changes before
+    /// `next_ready_us`, so a driver may skip every poll of it until then
+    /// (see [`DueTimes`]). Sources fed by other threads (exchange
+    /// streams, queue-lane federation) answer with a wall-clock polling
+    /// tick instead, and are only ever polled on a wall clock, where
+    /// drivers poll every sweep.
     Pending { next_ready_us: u64 },
     /// Source exhausted.
     Eof,
+}
+
+impl Poll {
+    /// The `Pending` hint, if this is one.
+    pub fn pending_hint(&self) -> Option<u64> {
+        match self {
+            Poll::Pending { next_ready_us } => Some(*next_ready_us),
+            Poll::Ready(_) | Poll::Eof => None,
+        }
+    }
+}
+
+/// Per-input due times of a poll loop: the promise-keeping bookkeeping
+/// shared by every driver that polls several inputs on one timeline.
+///
+/// A `Pending` answer records its hint (see [`Poll::pending_hint`]), any
+/// other answer clears it, and [`DueTimes::is_due`] tells the loop
+/// whether to poll an input at all.
+/// With skipping on (a virtual timeline), an input whose promise lies in
+/// the future is skipped — polling it could only repeat the same
+/// `Pending`. With skipping off (a wall clock), every input is due on
+/// every sweep. Either way [`DueTimes::earliest`] is the instant to idle
+/// toward once a sweep found nothing ready: skipped inputs contribute the
+/// hint they would have returned again.
+///
+/// ```
+/// use tukwila_source::{DueTimes, Poll};
+///
+/// let mut due = DueTimes::new(2, true);
+/// due.note(0, Poll::Pending { next_ready_us: 500 }.pending_hint());
+/// due.note(1, Poll::Pending { next_ready_us: 200 }.pending_hint());
+/// assert!(!due.is_due(0, 100), "promised nothing before 500");
+/// assert_eq!(due.earliest(), Some(200));
+/// assert!(due.is_due(1, 200));
+/// due.note(1, Poll::Eof.pending_hint());
+/// assert_eq!(due.earliest(), Some(500));
+/// ```
+#[derive(Debug, Clone)]
+pub struct DueTimes {
+    /// The outstanding `Pending` hint per input.
+    hints: Vec<Option<u64>>,
+    skip: bool,
+}
+
+impl DueTimes {
+    /// Due times for `inputs` inputs, none outstanding. `skip` turns
+    /// promise keeping on; pass it only on a virtual timeline.
+    pub fn new(inputs: usize, skip: bool) -> DueTimes {
+        DueTimes {
+            hints: vec![None; inputs],
+            skip,
+        }
+    }
+
+    /// Grow or shrink to `inputs` inputs. Kept inputs keep their
+    /// promises; new ones have none outstanding.
+    pub fn resize(&mut self, inputs: usize) {
+        self.hints.resize(inputs, None);
+    }
+
+    /// Input `i`'s promise still standing at `now_us`: its last `Pending`
+    /// hint, when skipping is on and the hint lies in the future. A loop
+    /// may answer for the input with `Pending` at this hint.
+    pub fn promise(&self, i: usize, now_us: u64) -> Option<u64> {
+        self.hints[i].filter(|&h| self.skip && h > now_us)
+    }
+
+    /// Whether input `i` must be polled at `now_us`: no promise of it
+    /// stands (see [`DueTimes::promise`]).
+    pub fn is_due(&self, i: usize, now_us: u64) -> bool {
+        self.promise(i, now_us).is_none()
+    }
+
+    /// Record what polling input `i` returned: its `Pending` hint, or
+    /// `None` for any other answer.
+    pub fn note(&mut self, i: usize, pending_hint: Option<u64>) {
+        self.hints[i] = pending_hint;
+    }
+
+    /// The earliest outstanding hint: when the next input comes due.
+    pub fn earliest(&self) -> Option<u64> {
+        self.hints.iter().flatten().copied().min()
+    }
 }
 
 /// Progress a source can report about itself. Cardinality is generally
@@ -64,6 +155,13 @@ pub trait Source: Send {
 
     /// Pull up to `max_tuples` tuples that have arrived by virtual time
     /// `now_us`.
+    ///
+    /// A `Pending { next_ready_us }` answer promises, on a virtual
+    /// timeline, that polling again before `next_ready_us` would return
+    /// the same answer and change nothing, so drivers may skip those
+    /// polls ([`DueTimes`]). A source whose readiness depends on other
+    /// threads cannot promise that; it answers with a polling tick and
+    /// must only be driven on a wall clock.
     fn poll(&mut self, now_us: u64, max_tuples: usize) -> Poll;
 
     /// Progress so far.
@@ -137,6 +235,24 @@ pub trait Source: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn due_times_skip_only_on_a_virtual_timeline() {
+        let mut due = DueTimes::new(2, true);
+        assert!(due.is_due(0, 0), "nothing outstanding: poll");
+        due.note(0, Some(10));
+        assert!(!due.is_due(0, 9));
+        assert_eq!(due.promise(0, 9), Some(10));
+        assert!(due.is_due(0, 10));
+        due.note(0, Poll::Ready(Vec::new()).pending_hint());
+        assert_eq!((due.promise(0, 0), due.earliest()), (None, None));
+
+        let mut wall = DueTimes::new(1, false);
+        wall.note(0, Some(10));
+        assert!(wall.is_due(0, 0), "no skipping on a wall clock");
+        assert_eq!(wall.promise(0, 0), None);
+        assert_eq!(wall.earliest(), Some(10));
+    }
 
     #[test]
     fn poll_variants_compare() {

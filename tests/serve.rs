@@ -293,6 +293,30 @@ proptest! {
     }
 }
 
+/// A zero driver batch size is refused up front: a source asked for
+/// zero tuples answers `Ready` with nothing forever, so serving it would
+/// never finish.
+#[test]
+fn zero_batch_size_is_a_plan_error() {
+    let d = Arc::new(flights::generate(20, 40, 1, 3));
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let server = Server::new(ServerConfig {
+            batch_size: 0,
+            ..server_config()
+        });
+        let fleet = server.serve(&waves(&d, &["q1"]), ServeMode::Virtual);
+        let _ = tx.send(fleet.map(|_| ()));
+    });
+    let served = rx
+        .recv_timeout(std::time::Duration::from_secs(3))
+        .expect("a zero batch size must not livelock the server");
+    assert!(
+        matches!(served, Err(tukwila::relation::Error::Plan(_))),
+        "{served:?}"
+    );
+}
+
 /// Serving soak: 8 queries over one shared 3-mirror catalog with
 /// 10k-tuple base relations, virtual anchor plus a threaded leg. Run
 /// with `cargo test -- --ignored serving_soak`.
