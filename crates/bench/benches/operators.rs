@@ -167,7 +167,7 @@ fn bench_state_structures(c: &mut Criterion) {
         b.iter(|| {
             let mut hits = 0usize;
             for k in 0..10_000i64 {
-                hits += table.probe(&Value::Int(k).to_key()).len();
+                hits += table.probe(&Value::Int(k).to_key()).count();
             }
             hits
         })

@@ -2116,12 +2116,16 @@ pub fn ablation_suite(cfg: &ExpConfig) -> String {
 /// charged the columnar path its transpose while crediting none of the
 /// consumer-side win.)
 ///
-/// The returned flag is the CI gate: columnar throughput must be at least
-/// the row throughput on every kernel. The row filter baseline is
-/// measured twice back to back first; if the two measurements disagree by
-/// more than 1.5× the host is too noisy for a throughput assertion and
-/// the gate passes with an explicit skip message instead of a fabricated
-/// verdict.
+/// Every kernel runs `reps` row/columnar *pairs*, interleaved (the side
+/// that goes first alternates), so a noisy stretch of the host lands on
+/// both sides of a pair. Reported throughputs are per-side medians; the
+/// speedup is the median of the per-pair ratios with its quartiles.
+///
+/// The returned flag is the CI gate, judged per kernel on that quartile
+/// interval: it *passes* when the whole interval lies above 1.0 (columnar
+/// faster), *fails* when it lies below 1.0, and is *unresolved* — neither
+/// pass nor fail, reported as such — when it straddles 1.0. The flag is
+/// false only if some kernel fails.
 pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
     use std::hint::black_box;
     use tukwila_exec::agg::{AggSpec, GroupSpec, HashAggOp};
@@ -2135,7 +2139,6 @@ pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0b5);
     // Default scale 0.01 → 400K tuples; clamp so --scale sweeps stay sane.
     let n = ((cfg.scale / 0.01 * 400_000.0).round() as usize).clamp(40_000, 4_000_000);
-    let reps = cfg.runs.max(3);
     // Publisher-style site names: dedup keys in a federation are
     // typically (site, record-id) pairs, and the site component is a
     // low-cardinality, not-short string.
@@ -2156,17 +2159,7 @@ pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
         .map(|b| ColumnarBatch::from_tuples(b))
         .collect();
 
-    /// Best-of-`reps` wall time for one kernel pass.
-    fn best<F: FnMut() -> usize>(reps: usize, mut f: F) -> (f64, usize) {
-        let mut t = f64::INFINITY;
-        let mut processed = 0;
-        for _ in 0..reps {
-            let start = Instant::now();
-            processed = f();
-            t = t.min(start.elapsed().as_secs_f64());
-        }
-        (t, processed)
-    }
+    let reps = cfg.runs.max(9);
     let tps = |t: f64, n: usize| n as f64 / t.max(1e-9);
     let fmt_tps = |v: f64| {
         if v >= 1e6 {
@@ -2178,29 +2171,26 @@ pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
 
     // -- filter: predicate evaluation over every tuple (~30% selective) --
     let pred = Expr::cmp(Expr::Col(1), CmpOp::Lt, Expr::Lit(Value::Int(300)));
-    let row_filter = || {
-        let mut kept = 0usize;
-        for t in &tuples {
-            if pred.matches(t).expect("bench predicate is type-clean") {
-                kept += 1;
+    let filter = paired(
+        reps,
+        || {
+            let mut kept = 0usize;
+            for t in &tuples {
+                if pred.matches(t).expect("bench predicate is type-clean") {
+                    kept += 1;
+                }
             }
-        }
-        black_box(kept);
-        tuples.len()
-    };
-    let (t_row_f1, _) = best(reps, row_filter);
-    let (t_row_f2, _) = best(reps, row_filter);
-    let t_row_f = t_row_f1.min(t_row_f2);
-    let noise = t_row_f1.max(t_row_f2) / t_row_f1.min(t_row_f2).max(1e-9);
-    let (t_col_f, _) = best(reps, || {
-        let mut kept = 0usize;
-        for b in &cbatches {
-            let mask = eval_predicate(&pred, b).expect("bench predicate vectorizes");
-            kept += mask.count_ones();
-        }
-        black_box(kept);
-        n
-    });
+            black_box(kept);
+        },
+        || {
+            let mut kept = 0usize;
+            for b in &cbatches {
+                let mask = eval_predicate(&pred, b).expect("bench predicate vectorizes");
+                kept += mask.count_ones();
+            }
+            black_box(kept);
+        },
+    );
 
     // -- hash join: unique int keys, half the probe side matches --
     let jn = (n / 4).max(1);
@@ -2210,19 +2200,20 @@ pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
         .collect();
     let cleft = ColumnarBatch::from_tuples(left);
     let cright = ColumnarBatch::from_tuples(&right);
-    let (t_row_j, _) = best(reps, || {
-        let mut out = Vec::new();
-        let mut stats = BatchJoinStats::default();
-        hash_join_slices(left, &right, 0, 0, &mut out, &mut stats).expect("row join");
-        black_box(out.len());
-        jn * 2
-    });
-    let (t_col_j, _) = best(reps, || {
-        let mut stats = BatchJoinStats::default();
-        let out = hash_join_columnar(&cleft, &cright, 0, 0, &mut stats).expect("columnar join");
-        black_box(out.selected_rows());
-        jn * 2
-    });
+    let join = paired(
+        reps,
+        || {
+            let mut out = Vec::new();
+            let mut stats = BatchJoinStats::default();
+            hash_join_slices(left, &right, 0, 0, &mut out, &mut stats).expect("row join");
+            black_box(out.len());
+        },
+        || {
+            let mut stats = BatchJoinStats::default();
+            let out = hash_join_columnar(&cleft, &cright, 0, 0, &mut stats).expect("columnar join");
+            black_box(out.selected_rows());
+        },
+    );
 
     // -- dedup: steady-state probing. One mirror seeds the seen-set
     //    (untimed — inserting a fresh key costs the same allocations on
@@ -2257,22 +2248,23 @@ pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
         d_row.filter(0, "mirror-a", b.clone());
         d_col.filter_columnar(0, "mirror-a", &ColumnarBatch::from_tuples(b), &mut hash_buf);
     }
-    let (t_row_d, _) = best(reps, || {
-        let mut fresh = 0usize;
-        for (cand, nm, b) in &feed {
-            fresh += d_row.filter(*cand, nm, b.clone()).len();
-        }
-        black_box(fresh);
-        3 * dn
-    });
-    let (t_col_d, _) = best(reps, || {
-        let mut fresh = 0usize;
-        for (cand, nm, b) in &cfeed {
-            fresh += d_col.filter_columnar(*cand, nm, b, &mut hash_buf).len();
-        }
-        black_box(fresh);
-        3 * dn
-    });
+    let dedup = paired(
+        reps,
+        || {
+            let mut fresh = 0usize;
+            for (cand, nm, b) in &feed {
+                fresh += d_row.filter(*cand, nm, b.clone()).len();
+            }
+            black_box(fresh);
+        },
+        || {
+            let mut fresh = 0usize;
+            for (cand, nm, b) in &cfeed {
+                fresh += d_col.filter_columnar(*cand, nm, b, &mut hash_buf).len();
+            }
+            black_box(fresh);
+        },
+    );
 
     let schema = Schema::new(vec![
         Field::new("t.id", DataType::Int),
@@ -2296,43 +2288,45 @@ pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
             ],
         )
     };
-    let (t_row_a, _) = best(reps, || {
-        let mut op = HashAggOp::new(agg_spec(), &schema);
-        let mut sink = Vec::new();
-        for b in &batches {
-            op.push(0, b, &mut sink).expect("row agg");
-        }
-        op.finish(&mut sink).expect("row agg finish");
-        black_box(sink.len());
-        n
-    });
-    let (t_col_a, _) = best(reps, || {
-        let mut op = HashAggOp::new(agg_spec(), &schema);
-        let mut sink = Vec::new();
-        for b in &cbatches {
-            op.push_columns(0, b, &mut sink).expect("columnar agg");
-        }
-        op.finish(&mut sink).expect("columnar agg finish");
-        black_box(sink.len());
-        n
-    });
+    let agg = paired(
+        reps,
+        || {
+            let mut op = HashAggOp::new(agg_spec(), &schema);
+            let mut sink = Vec::new();
+            for b in &batches {
+                op.push(0, b, &mut sink).expect("row agg");
+            }
+            op.finish(&mut sink).expect("row agg finish");
+            black_box(sink.len());
+        },
+        || {
+            let mut op = HashAggOp::new(agg_spec(), &schema);
+            let mut sink = Vec::new();
+            for b in &cbatches {
+                op.push_columns(0, b, &mut sink).expect("columnar agg");
+            }
+            op.finish(&mut sink).expect("columnar agg finish");
+            black_box(sink.len());
+        },
+    );
 
     // -- sort: order the whole feed by (val asc, id desc); the columnar
     //    path sorts a key permutation and gathers the payload once --
     let sort_keys = [SortKey::asc(1), SortKey::desc(0)];
     let call = ColumnarBatch::from_tuples(&tuples);
-    let (t_row_s, _) = best(reps, || {
-        let mut v = tuples.clone();
-        v.sort_by(|a, b| cmp_tuples(&sort_keys, a, b));
-        black_box(v.len());
-        n
-    });
-    let (t_col_s, _) = best(reps, || {
-        let perm = sort_permutation(&call, &sort_keys);
-        let sorted = call.gather(&perm);
-        black_box(sorted.num_rows());
-        n
-    });
+    let sort = paired(
+        reps,
+        || {
+            let mut v = tuples.clone();
+            v.sort_by(|a, b| cmp_tuples(&sort_keys, a, b));
+            black_box(v.len());
+        },
+        || {
+            let perm = sort_permutation(&call, &sort_keys);
+            let sorted = call.gather(&perm);
+            black_box(sorted.num_rows());
+        },
+    );
 
     // -- exchange: end-to-end shipping — encode at the producer boundary
     //    (the staged encode-once protocol producers actually run), move
@@ -2340,18 +2334,19 @@ pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
     //    side (a hash aggregation, the kind of operator a root fragment
     //    feeds). The transpose only pays for itself through the
     //    consumer-side win, which is exactly the claim being gated. --
-    let run_exchange = |columnar: bool| {
-        best(reps, || {
-            let (mut w, r) = queue_pair(schema.clone(), batches.len() + 1);
+    let (schema_ref, batches_ref) = (&schema, &batches);
+    let run_exchange = move |columnar: bool| {
+        move || {
+            let (mut w, r) = queue_pair(schema_ref.clone(), batches_ref.len() + 1);
             w.set_columnar(columnar);
-            for b in &batches {
+            for b in batches_ref {
                 let enc = w.encode(b.clone());
                 let refused = w.try_send_data(enc).expect("bench queue never closes");
                 assert!(refused.is_none(), "bench queue is sized for the whole feed");
             }
-            let mut op = HashAggOp::new(agg_spec(), &schema);
+            let mut op = HashAggOp::new(agg_spec(), schema_ref);
             let mut sink = Vec::new();
-            for _ in 0..batches.len() {
+            for _ in 0..batches_ref.len() {
                 match r.recv_data().expect("all batches were sent") {
                     DataBatch::Rows(rows) => {
                         op.push(0, &rows, &mut sink).expect("row consume");
@@ -2363,21 +2358,18 @@ pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
             }
             op.finish(&mut sink).expect("consume finish");
             black_box(sink.len());
-            n
-        })
+        }
     };
-    let (t_row_x, _) = run_exchange(false);
-    let (t_col_x, _) = run_exchange(true);
+    let exchange = paired(reps, run_exchange(false), run_exchange(true));
     // Breakdown legs for the columnar exchange: the one-time row→column
     // transpose at the boundary vs the queue move alone. (The consume leg
     // is the filter kernel above.)
-    let (t_x_transpose, _) = best(reps, || {
+    let t_x_transpose = median_secs(reps, || {
         for b in &batches {
             black_box(ColumnarBatch::from_tuples(b).num_rows());
         }
-        n
     });
-    let (t_x_queue, _) = best(reps, || {
+    let t_x_queue = median_secs(reps, || {
         let (mut w, r) = queue_pair(schema.clone(), batches.len() + 1);
         w.set_columnar(true);
         for c in &cbatches {
@@ -2393,32 +2385,42 @@ pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
             }
         }
         black_box(got);
-        n
     });
 
     let kernels = [
-        ("filter", tps(t_row_f, n), tps(t_col_f, n)),
-        ("hash-join", tps(t_row_j, jn * 2), tps(t_col_j, jn * 2)),
-        ("dedup", tps(t_row_d, 3 * dn), tps(t_col_d, 3 * dn)),
-        ("agg", tps(t_row_a, n), tps(t_col_a, n)),
-        ("sort", tps(t_row_s, n), tps(t_col_s, n)),
-        ("exchange", tps(t_row_x, n), tps(t_col_x, n)),
+        ("filter", filter, n),
+        ("hash-join", join, jn * 2),
+        ("dedup", dedup, 3 * dn),
+        ("agg", agg, n),
+        ("sort", sort, n),
+        ("exchange", exchange, n),
     ];
 
     let mut out = String::new();
     out.push_str(&format!(
-        "workload: {} tuples (int id, int val, 16-way str cat), batch {}, best of {} reps\n\n",
+        "workload: {} tuples (int id, int val, 16-way str cat), batch {}, \
+         {} interleaved row/columnar pairs per kernel; throughput is the per-side median, \
+         speedup the median per-pair ratio with its quartiles\n\n",
         count(n),
         cfg.batch_size,
         reps
     ));
-    let mut table = TextTable::new(&["kernel", "row tuples/s", "columnar tuples/s", "speedup"]);
-    for (name, row_tps, col_tps) in kernels {
+    let mut table = TextTable::new(&[
+        "kernel",
+        "row tuples/s",
+        "columnar tuples/s",
+        "speedup",
+        "q1-q3",
+        "verdict",
+    ]);
+    for (name, k, tuples) in &kernels {
         table.row(vec![
             name.to_string(),
-            fmt_tps(row_tps),
-            fmt_tps(col_tps),
-            format!("{:.2}x", col_tps / row_tps.max(1e-9)),
+            fmt_tps(tps(k.row_s, *tuples)),
+            fmt_tps(tps(k.col_s, *tuples)),
+            format!("{:.2}x", k.speedup[1]),
+            format!("{:.2}-{:.2}x", k.speedup[0], k.speedup[2]),
+            k.verdict().to_string(),
         ]);
     }
     out.push_str(&table.render());
@@ -2429,27 +2431,26 @@ pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
         fmt_tps(tps(t_x_queue, n)),
     ));
 
-    let noisy = noise > 1.5;
     let mut ok = true;
-    if noisy {
-        out.push_str(&format!(
-            "\nassertion SKIPPED: the row filter baseline varied {noise:.2}x across \
-             back-to-back runs — this host is too noisy for a throughput verdict, so the \
-             columnar >= row gate was not evaluated (not a pass, not a failure).\n"
-        ));
-    } else {
-        for (name, row_tps, col_tps) in kernels {
-            if col_tps >= row_tps {
-                out.push_str(&format!(
-                    "\nassertion OK: columnar {name} >= row {name} ({:.2}x)\n",
-                    col_tps / row_tps
-                ));
-            } else {
+    let mut unresolved = Vec::new();
+    for (name, k, _) in &kernels {
+        let [q1, med, q3] = k.speedup;
+        match k.verdict() {
+            "pass" => out.push_str(&format!(
+                "\nassertion OK: columnar {name} >= row {name} ({med:.2}x, q1-q3 {q1:.2}-{q3:.2}x)\n"
+            )),
+            "fail" => {
                 ok = false;
                 out.push_str(&format!(
                     "\nassertion FAILED: columnar {name} is slower than the row path \
-                     ({:.2}x) — the vectorized kernel regressed\n",
-                    col_tps / row_tps
+                     ({med:.2}x, q1-q3 {q1:.2}-{q3:.2}x) — the vectorized kernel regressed\n"
+                ));
+            }
+            _ => {
+                unresolved.push(format!("\"{name}\""));
+                out.push_str(&format!(
+                    "\nassertion UNRESOLVED: columnar {name} vs row {name} ({med:.2}x, q1-q3 \
+                     {q1:.2}-{q3:.2}x straddles 1.0) — not a pass, not a failure\n"
                 ));
             }
         }
@@ -2462,11 +2463,17 @@ pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
         cfg.batch_size
     ));
     json.push_str("  \"kernels\": {\n");
-    for (i, (name, row_tps, col_tps)) in kernels.iter().enumerate() {
+    for (i, (name, k, tuples)) in kernels.iter().enumerate() {
         json.push_str(&format!(
-            "    \"{name}\": {{\"row_tps\": {row_tps:.0}, \"columnar_tps\": {col_tps:.0}, \
-             \"speedup\": {:.3}}}{}\n",
-            col_tps / row_tps.max(1e-9),
+            "    \"{name}\": {{\"row_tps\": {:.0}, \"columnar_tps\": {:.0}, \
+             \"speedup\": {:.3}, \"speedup_q1\": {:.3}, \"speedup_q3\": {:.3}, \
+             \"verdict\": \"{}\"}}{}\n",
+            tps(k.row_s, *tuples),
+            tps(k.col_s, *tuples),
+            k.speedup[1],
+            k.speedup[0],
+            k.speedup[2],
+            k.verdict(),
             if i + 1 < kernels.len() { "," } else { "" }
         ));
     }
@@ -2477,8 +2484,76 @@ pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
         tps(t_x_queue, n)
     ));
     json.push_str(&format!(
-        "  \"gate\": {{\"noise_ratio\": {noise:.3}, \"checked\": {}, \"passed\": {}}}\n}}\n",
-        !noisy, ok
+        "  \"gate\": {{\"checked\": {}, \"passed\": {ok}, \"unresolved\": [{}]}}\n}}\n",
+        unresolved.is_empty(),
+        unresolved.join(", ")
     ));
     (out, json, ok)
+}
+
+/// One kernel's interleaved row/columnar timings (see [`ops_bench_suite`]).
+struct PairedTimes {
+    /// Median seconds per pass, row side.
+    row_s: f64,
+    /// Median seconds per pass, columnar side.
+    col_s: f64,
+    /// Quartiles `[q1, median, q3]` of the per-pair `row_s / col_s`.
+    speedup: [f64; 3],
+}
+
+impl PairedTimes {
+    /// The gate's verdict on the speedup's quartile interval.
+    fn verdict(&self) -> &'static str {
+        let [q1, _, q3] = self.speedup;
+        if q1 > 1.0 {
+            "pass"
+        } else if q3 < 1.0 {
+            "fail"
+        } else {
+            "unresolved"
+        }
+    }
+}
+
+/// Time `reps` row/columnar pairs, alternating which side runs first.
+fn paired(reps: usize, mut row: impl FnMut(), mut col: impl FnMut()) -> PairedTimes {
+    let mut row_s = Vec::with_capacity(reps);
+    let mut col_s = Vec::with_capacity(reps);
+    for i in 0..reps {
+        if i % 2 == 0 {
+            row_s.push(time_pass(&mut row));
+            col_s.push(time_pass(&mut col));
+        } else {
+            col_s.push(time_pass(&mut col));
+            row_s.push(time_pass(&mut row));
+        }
+    }
+    let ratios: Vec<f64> = row_s.iter().zip(&col_s).map(|(r, c)| r / c).collect();
+    PairedTimes {
+        row_s: quantile(&row_s, 0.5),
+        col_s: quantile(&col_s, 0.5),
+        speedup: [0.25, 0.5, 0.75].map(|q| quantile(&ratios, q)),
+    }
+}
+
+/// Median wall seconds of `reps` passes.
+fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    let times: Vec<f64> = (0..reps).map(|_| time_pass(&mut f)).collect();
+    quantile(&times, 0.5)
+}
+
+/// Wall seconds of one pass, floored away from zero.
+fn time_pass(f: &mut impl FnMut()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64().max(1e-9)
+}
+
+/// Linear-interpolation quantile, `q` in [0, 1], of a non-empty sample.
+fn quantile(values: &[f64], q: f64) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q * (v.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
 }

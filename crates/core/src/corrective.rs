@@ -934,10 +934,10 @@ impl CorrectiveExec {
                 }
             };
             stitch = stitcher.run(&current_phys.root, &mut sink)?;
-            // A rehash during stitch-up means a state structure's
-            // advertised key didn't match the join key it was reused
-            // under — worth a journal line (zero is elided, so quiet
-            // runs don't grow).
+            // A rehash during stitch-up means a registered partition could
+            // not be probed in place (not a resident hash table keyed on
+            // the join column, or a non-identity layout) — worth a journal
+            // line (zero is elided, so quiet runs don't grow).
             cfg.trace
                 .counter("rehashes", "stitchup", stitch.join.rehashes as u64);
             let cost = match cfg.cpu {

@@ -11,16 +11,29 @@
 //!   exclusion list, with §3.2's tuple adapters fixing attribute-order
 //!   differences between plans); it is recomputed from the children's pure
 //!   sets otherwise.
-//! * `mixed` at a join node is the union of all cross-phase combinations —
-//!   computed once per node, with the smaller side hashed (the §3.4.3
-//!   stitch-up join, including rehash-on-key-mismatch).
+//! * `mixed` at a join node is the union of all cross-phase combinations,
+//!   computed once per node by probing the right side's partitions with
+//!   the left side's rows (the §3.4.3 stitch-up join).
+//! * The right side is probed **in place or rehashed**, one partition at a
+//!   time. A right-side `pure[i]` read from the registry is probed through
+//!   its sealed [`TupleHashTable`] directly — no scan, no rebuild — when
+//!   that table is keyed on the join's right column, its layout adapter is
+//!   the identity, and nothing of it is spilled. (Intermediate entries are
+//!   read from the registry only when `reuse_intermediates` is on; leaves
+//!   always are.) Every other registered partition is rehashed on the join
+//!   column and counted in [`BatchJoinStats::rehashes`]. Partitions that
+//!   stitch-up computed itself, and `mixed`, are hashed without counting.
 //! * Only the root's `mixed` tuples are new answers: the diagonal `pure`
 //!   results were already emitted by the phases themselves.
+
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use tukwila_exec::join::batch::{probe_table_columnar, BatchJoinStats};
 use tukwila_exec::Batch;
 use tukwila_optimizer::{LogicalQuery, PhysKind, PhysNode};
 use tukwila_relation::{ColumnarBatch, Expr, Result, Tuple};
+use tukwila_storage::registry::RegistryEntry;
 use tukwila_storage::{ExprSig, StateRegistry, TupleHashTable};
 
 /// Statistics from one stitch-up execution.
@@ -36,9 +49,73 @@ pub struct StitchUpStats {
     pub join: BatchJoinStats,
 }
 
+/// One phase's `pure` partition at a plan node.
+enum Pure {
+    /// Rows stitch-up computed itself (or none: the phase registered
+    /// nothing for this node).
+    Computed(Batch),
+    /// A registry entry read back as rows in the node's layout.
+    Loaded(Batch),
+    /// A registry entry whose structure is a fully resident hash table in
+    /// the node's layout: its rows are read only on demand, and it is
+    /// probed in place when keyed on the join column.
+    Sealed(Arc<RegistryEntry>),
+}
+
+impl Pure {
+    fn rows(&self) -> Cow<'_, Batch> {
+        match self {
+            Pure::Computed(b) | Pure::Loaded(b) => Cow::Borrowed(b),
+            Pure::Sealed(e) => Cow::Owned(e.structure.scan()),
+        }
+    }
+
+    /// A hash table over this partition keyed on `col`: the sealed table
+    /// itself when it already is one, else a rebuild — counted as a
+    /// rehash when the partition came from the registry.
+    fn table(&self, col: usize, stats: &mut BatchJoinStats) -> Result<Table<'_>> {
+        if let Pure::Sealed(e) = self {
+            if let Some(t) = e.structure.as_hash_table().filter(|t| t.key_col() == col) {
+                return Ok(Table::InPlace(t));
+            }
+        }
+        if !matches!(self, Pure::Computed(_)) {
+            stats.rehashes += 1;
+        }
+        Ok(Table::Rebuilt(hash_on(&self.rows(), col)?))
+    }
+}
+
+/// A right-side partition's hash table: sealed state probed where it lies,
+/// or a table built for this join.
+enum Table<'a> {
+    InPlace(&'a TupleHashTable),
+    Rebuilt(TupleHashTable),
+}
+
+impl std::ops::Deref for Table<'_> {
+    type Target = TupleHashTable;
+
+    fn deref(&self) -> &TupleHashTable {
+        match self {
+            Table::InPlace(t) => t,
+            Table::Rebuilt(t) => t,
+        }
+    }
+}
+
+/// Build a hash table over `tuples` keyed on `col`.
+fn hash_on(tuples: &[Tuple], col: usize) -> Result<TupleHashTable> {
+    let mut t = TupleHashTable::new(col);
+    for tu in tuples {
+        t.insert(tu.clone())?;
+    }
+    Ok(t)
+}
+
 /// Partition-labelled result set at one plan node.
 struct Labeled {
-    pure: Vec<Batch>,
+    pure: Vec<Pure>,
     mixed: Batch,
 }
 
@@ -89,15 +166,16 @@ impl<'a> StitchUp<'a> {
         Ok(stats)
     }
 
-    /// Load a registered structure's tuples in the layout of `node`.
-    fn load_adapted(
+    /// Read a registered structure back in the layout of `node`: kept
+    /// sealed when it is a fully resident hash table needing no adapter,
+    /// scanned (and adapted) otherwise.
+    fn load(
         &self,
-        sig: &ExprSig,
-        phase: usize,
         node: &PhysNode,
+        phase: usize,
         stats: &mut StitchUpStats,
-    ) -> Result<Option<Batch>> {
-        let entry = match self.registry.lookup(sig, phase) {
+    ) -> Result<Option<Pure>> {
+        let entry = match self.registry.lookup(&node.sig, phase) {
             Some(e) => e,
             None => return Ok(None),
         };
@@ -109,11 +187,20 @@ impl<'a> StitchUp<'a> {
         };
         entry.mark_reused();
         stats.entries_reused += 1;
+        let resident_table = entry
+            .structure
+            .as_hash_table()
+            .is_some_and(|t| t.spilled_len() == 0);
+        if adapter.is_identity() && resident_table {
+            return Ok(Some(Pure::Sealed(entry)));
+        }
         let tuples = entry.structure.scan();
         if adapter.is_identity() {
-            return Ok(Some(tuples));
+            return Ok(Some(Pure::Loaded(tuples)));
         }
-        Ok(Some(tuples.iter().map(|t| adapter.adapt(t)).collect()))
+        Ok(Some(Pure::Loaded(
+            tuples.iter().map(|t| adapter.adapt(t)).collect(),
+        )))
     }
 
     fn eval(&self, node: &PhysNode, is_root: bool, stats: &mut StitchUpStats) -> Result<Labeled> {
@@ -121,17 +208,11 @@ impl<'a> StitchUp<'a> {
             // Leaf units: a scan, or pre-aggregation directly over a scan
             // (the registered partition data *is* the pre-aggregated form).
             PhysKind::Scan { .. } | PhysKind::PreAgg { .. } => {
-                let sig = node.sig.clone();
                 let mut pure = Vec::with_capacity(self.nphases);
-                // `i` is the phase id, indexing `l.pure`, `r_pure_tables`,
-                // and the registry lookups in parallel.
-                #[allow(clippy::needless_range_loop)]
                 for i in 0..self.nphases {
-                    match self.load_adapted(&sig, i, node, stats)? {
-                        Some(batch) => pure.push(batch),
-                        // Phase read nothing from this source.
-                        None => pure.push(Vec::new()),
-                    }
+                    // A phase that read nothing from this source has no entry.
+                    let part = self.load(node, i, stats)?;
+                    pure.push(part.unwrap_or(Pure::Computed(Vec::new())));
                 }
                 Ok(Labeled {
                     pure,
@@ -149,16 +230,14 @@ impl<'a> StitchUp<'a> {
                 let l = self.eval(left, false, stats)?;
                 let r = self.eval(right, false, stats)?;
 
-                // Build hash tables over each right-side partition once.
-                let build = |tuples: &Batch| -> Result<TupleHashTable> {
-                    let mut t = TupleHashTable::new(*right_col);
-                    for tu in tuples {
-                        t.insert(tu.clone())?;
-                    }
-                    Ok(t)
-                };
-                let r_pure_tables: Vec<TupleHashTable> = l_to_r(&r.pure, &build)?;
-                let r_mixed_table = build(&r.mixed)?;
+                // One table per right-side partition, probed in place or
+                // rehashed once.
+                let r_pure_tables = r
+                    .pure
+                    .iter()
+                    .map(|p| p.table(*right_col, &mut stats.join))
+                    .collect::<Result<Vec<_>>>()?;
+                let r_mixed_table = hash_on(&r.mixed, *right_col)?;
 
                 // Each left partition converts to columns once; every probe
                 // against the right-side tables then reads keys and residual
@@ -167,27 +246,24 @@ impl<'a> StitchUp<'a> {
                 let l_pure_cols: Vec<ColumnarBatch> = l
                     .pure
                     .iter()
-                    .map(|b| ColumnarBatch::from_tuples(b))
+                    .map(|p| ColumnarBatch::from_tuples(&p.rows()))
                     .collect();
                 let l_mixed_cols = ColumnarBatch::from_tuples(&l.mixed);
 
                 // pure[i]: reuse from the registry or recompute from the
                 // children's pure partitions.
                 let mut pure = Vec::with_capacity(self.nphases);
-                // `i` is the phase id, indexing `l.pure`, `r_pure_tables`,
-                // and the registry lookups in parallel.
-                #[allow(clippy::needless_range_loop)]
                 for i in 0..self.nphases {
                     if !is_root && self.reuse_intermediates {
-                        if let Some(batch) = self.load_adapted(&node.sig, i, node, stats)? {
-                            pure.push(batch);
+                        if let Some(part) = self.load(node, i, stats)? {
+                            pure.push(part);
                             continue;
                         }
                     }
                     if is_root {
                         // Root diagonals were already answered by the
                         // phases; never recompute them.
-                        pure.push(Vec::new());
+                        pure.push(Pure::Computed(Vec::new()));
                         continue;
                     }
                     let mut out = Vec::new();
@@ -200,7 +276,7 @@ impl<'a> StitchUp<'a> {
                         &mut out,
                     )?;
                     stats.recomputed_pure += out.len();
-                    pure.push(out);
+                    pure.push(Pure::Computed(out));
                 }
 
                 // mixed: all cross-phase combinations.
@@ -250,14 +326,6 @@ impl<'a> StitchUp<'a> {
             }
         }
     }
-}
-
-fn l_to_r<T>(items: &[Batch], f: &dyn Fn(&Batch) -> Result<T>) -> Result<Vec<T>> {
-    let mut out = Vec::with_capacity(items.len());
-    for i in items {
-        out.push(f(i)?);
-    }
-    Ok(out)
 }
 
 /// Convenience for residual-aware equality predicates (used by tests).
@@ -339,6 +407,135 @@ mod tests {
         assert_eq!(stats.mixed_tuples, 1);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].get(0).as_int().unwrap(), 1);
+    }
+
+    /// The keyed-or-rehash rule. The same three phases of data are sealed
+    /// with the plan's right-side relation held three ways — as tables
+    /// keyed on the stitch join column, as tables keyed on another column,
+    /// and as `TupleList`s (the left side is always a list, so its scan
+    /// order is fixed). Every way yields the same rows in the same order;
+    /// only the first probes in place, the others rehash each registered
+    /// right-side partition once.
+    #[test]
+    fn sealed_tables_probe_in_place_or_rehash() {
+        let fields = |name: &str| {
+            Schema::new(vec![
+                Field::new(format!("{name}.k"), DataType::Int),
+                Field::new(format!("{name}.v"), DataType::Int),
+            ])
+        };
+        let q = LogicalQuery::new(
+            vec![
+                tukwila_optimizer::QueryRel::new(1, "a", fields("a")),
+                tukwila_optimizer::QueryRel::new(2, "b", fields("b")),
+            ],
+            vec![tukwila_optimizer::JoinPred {
+                id: 1,
+                left_rel: 1,
+                left_col: 0,
+                right_rel: 2,
+                right_col: 0,
+            }],
+        );
+        let plan = Optimizer::new(OptimizerContext::no_statistics())
+            .optimize(&q)
+            .unwrap();
+        let PhysKind::Join {
+            right, right_col, ..
+        } = &plan.root.kind
+        else {
+            panic!("a two-relation plan is one join");
+        };
+        let right_rel = right.rels()[0];
+        let other_col = 1 - *right_col;
+
+        // (k, v) rows per relation and phase. Join keys are unique within a
+        // partition apart from exact duplicate rows, so every way of
+        // sealing the right side yields the same match order per key.
+        let data = |rel: u32, phase: usize| -> Vec<Tuple> {
+            let rows: &[(i64, i64)] = match (rel, phase) {
+                (1, 0) => &[(1, 10), (2, 20), (3, 30)],
+                (1, 1) => &[(2, 21), (4, 41), (1, 11)],
+                (1, _) => &[(3, 32), (4, 42), (4, 42)],
+                (_, 0) => &[(2, 200), (4, 400)],
+                (_, 1) => &[(1, 101), (3, 301), (3, 301)],
+                _ => &[(1, 102), (2, 202), (4, 402)],
+            };
+            rows.iter()
+                .map(|&(k, v)| Tuple::new(vec![Value::Int(k), Value::Int(v)]))
+                .collect()
+        };
+        let nphases = 3;
+
+        let run = |right_as: &dyn Fn(Vec<Tuple>) -> Arc<dyn tukwila_storage::StateStructure>| {
+            let registry = StateRegistry::new();
+            for (rel, name) in [(1u32, "a"), (2, "b")] {
+                for phase in 0..nphases {
+                    let rows = data(rel, phase);
+                    let structure: Arc<dyn tukwila_storage::StateStructure> = if rel == right_rel {
+                        right_as(rows)
+                    } else {
+                        let mut l = TupleList::new();
+                        rows.into_iter().for_each(|t| l.insert(t));
+                        Arc::new(l)
+                    };
+                    registry.register(ExprSig::single(rel), phase, fields(name), structure);
+                }
+            }
+            let mut got = Vec::new();
+            let stats = StitchUp::new(&q, &registry, nphases)
+                .run(&plan.root, &mut |batch| {
+                    got.extend_from_slice(batch);
+                    Ok(())
+                })
+                .unwrap();
+            (got, stats)
+        };
+        let table_on = |col: usize| {
+            move |rows: Vec<Tuple>| -> Arc<dyn tukwila_storage::StateStructure> {
+                let mut t = TupleHashTable::new(col);
+                rows.into_iter().for_each(|r| t.insert(r).unwrap());
+                Arc::new(t)
+            }
+        };
+        let (keyed, keyed_stats) = run(&table_on(*right_col));
+        let (other, other_stats) = run(&table_on(other_col));
+        let (listed, listed_stats) = run(&|rows| {
+            let mut l = TupleList::new();
+            rows.into_iter().for_each(|t| l.insert(t));
+            Arc::new(l)
+        });
+
+        // Cross-phase pairs, brute force, in the plan's orientation.
+        let left_rel = 3 - right_rel;
+        let mut expected = Vec::new();
+        for a in 0..nphases {
+            for b in (0..nphases).filter(|&b| b != a) {
+                for l in data(left_rel, a) {
+                    for r in data(right_rel, b) {
+                        if l.get(0) == r.get(0) {
+                            expected.push(l.concat(&r));
+                        }
+                    }
+                }
+            }
+        }
+        let sorted = |mut v: Vec<Tuple>| {
+            v.sort_by_key(|t| format!("{t:?}"));
+            v
+        };
+        assert!(!keyed.is_empty());
+        assert_eq!(sorted(keyed.clone()), sorted(expected));
+        assert_eq!(other, keyed, "rows and order match the in-place probe");
+        assert_eq!(listed, keyed, "rows and order match the in-place probe");
+
+        assert_eq!(keyed_stats.join.rehashes, 0);
+        assert_eq!(other_stats.join.rehashes, nphases);
+        assert_eq!(listed_stats.join.rehashes, nphases);
+        for stats in [keyed_stats, other_stats, listed_stats] {
+            assert_eq!(stats.entries_reused, 2 * nphases);
+            assert_eq!(stats.mixed_tuples, keyed.len());
+        }
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Batch join primitives used by the stitch-up executor (paper §3.4.3).
 //!
-//! The stitch-up join works at the *structure* level: it picks which
-//! existing state structure to scan and which to probe, rehashing when the
-//! stored key does not match the needed join key.
-
-use std::sync::Arc;
+//! The stitch-up join works at the *structure* level: it probes a sealed
+//! hash table in place when that table is keyed on the join column and
+//! rehashes the partition otherwise (the rule lives in `core::stitchup`);
+//! [`probe_table_columnar`] is the probe both cases share.
 
 use tukwila_relation::column::{hash_keys_into, key_elem_eq};
 use tukwila_relation::{ColumnarBatch, Key, Result, Tuple};
 use tukwila_storage::fx::FxHashMap;
-use tukwila_storage::{StateStructure, TupleHashTable};
+use tukwila_storage::TupleHashTable;
 
 /// Statistics from batch/stitch-up join primitives.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -18,8 +17,9 @@ pub struct BatchJoinStats {
     pub probes: usize,
     /// Output tuples produced.
     pub output: usize,
-    /// Structures that had to be rehashed because their advertised key did
-    /// not match the join key.
+    /// Registered partitions that had to be rehashed because they were not
+    /// a resident hash table keyed on the join column in the needed layout
+    /// (those are probed in place).
     pub rehashes: usize,
 }
 
@@ -176,60 +176,12 @@ pub fn probe_table_columnar(
                 va.eq_total(&vb)
             });
             if keep {
-                out.push(probes.tuple_at(r).concat(m));
-                stats.output += 1;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Join a tuple slice against an existing state structure, reusing the
-/// structure's keyed access when its key matches and rehashing otherwise.
-/// Output orientation is `probe_side.concat(structure)` when
-/// `structure_on_right`, else the reverse.
-pub fn probe_structure(
-    tuples: &[Tuple],
-    tuples_key: usize,
-    structure: &Arc<dyn StateStructure>,
-    structure_key: usize,
-    structure_on_right: bool,
-    out: &mut Vec<Tuple>,
-    stats: &mut BatchJoinStats,
-) -> Result<()> {
-    let keyed_ok = structure.props().keyed_on == Some(structure_key);
-    if keyed_ok {
-        let mut matches = Vec::new();
-        for t in tuples {
-            stats.probes += 1;
-            matches.clear();
-            structure.probe_into(&t.key(tuples_key), &mut matches);
-            for m in &matches {
-                out.push(if structure_on_right {
-                    t.concat(m)
-                } else {
-                    m.concat(t)
-                });
-                stats.output += 1;
-            }
-        }
-    } else {
-        // Rehash the structure on the needed key (§3.4.3: "if necessary for
-        // performance, it will rehash one of the structures according to
-        // the join key").
-        stats.rehashes += 1;
-        let mut table = TupleHashTable::new(structure_key);
-        for t in structure.scan() {
-            table.insert(t)?;
-        }
-        for t in tuples {
-            stats.probes += 1;
-            for m in table.probe(&t.key(tuples_key)) {
-                out.push(if structure_on_right {
-                    t.concat(m)
-                } else {
-                    m.concat(t)
-                });
+                // `probe ++ match` in one allocation.
+                let joined = (0..arity)
+                    .map(|c| probes.value(r, c))
+                    .chain(m.values().iter().cloned())
+                    .collect();
+                out.push(joined);
                 stats.output += 1;
             }
         }
@@ -241,7 +193,6 @@ pub fn probe_structure(
 mod tests {
     use super::*;
     use tukwila_relation::Value;
-    use tukwila_storage::TupleList;
 
     fn t(k: i64, v: i64) -> Tuple {
         Tuple::new(vec![Value::Int(k), Value::Int(v)])
@@ -362,50 +313,5 @@ mod tests {
         let mut stats = BatchJoinStats::default();
         probe_table_columnar(&empty, 0, &table, residual, &mut stats, &mut out).unwrap();
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn probe_keyed_structure_uses_index() {
-        let mut table = TupleHashTable::new(0);
-        for i in 0..10 {
-            table.insert(t(i, i * 10)).unwrap();
-        }
-        let s: Arc<dyn StateStructure> = Arc::new(table);
-        let probes = vec![t(3, 0), t(4, 0), t(99, 0)];
-        let mut out = Vec::new();
-        let mut stats = BatchJoinStats::default();
-        probe_structure(&probes, 0, &s, 0, true, &mut out, &mut stats).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(stats.rehashes, 0);
-    }
-
-    #[test]
-    fn probe_mismatched_key_rehashes() {
-        // Structure keyed on col 0 but we need col 1.
-        let mut table = TupleHashTable::new(0);
-        table.insert(t(1, 100)).unwrap();
-        table.insert(t(2, 100)).unwrap();
-        let s: Arc<dyn StateStructure> = Arc::new(table);
-        let probes = vec![t(0, 100)];
-        let mut out = Vec::new();
-        let mut stats = BatchJoinStats::default();
-        probe_structure(&probes, 1, &s, 1, true, &mut out, &mut stats).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(stats.rehashes, 1);
-    }
-
-    #[test]
-    fn probe_unkeyed_structure_rehashes() {
-        let mut list = TupleList::new();
-        list.insert(t(5, 1));
-        let s: Arc<dyn StateStructure> = Arc::new(list);
-        let probes = vec![t(5, 2)];
-        let mut out = Vec::new();
-        let mut stats = BatchJoinStats::default();
-        probe_structure(&probes, 0, &s, 0, false, &mut out, &mut stats).unwrap();
-        assert_eq!(out.len(), 1);
-        // Orientation: structure attrs first.
-        assert_eq!(out[0].get(1).as_int().unwrap(), 1);
-        assert_eq!(stats.rehashes, 1);
     }
 }

@@ -72,22 +72,22 @@ impl IncOp for PipelinedHashJoin {
         let before = out.len();
         match port {
             0 => {
+                self.counters.add_work(batch.len() as u64);
                 for t in batch {
                     let key = t.key(self.left_key);
                     for m in self.right_table.probe(&key) {
                         out.push(t.concat(m));
                     }
-                    self.counters.add_work(1);
                     self.left_table.insert(t.clone())?;
                 }
             }
             1 => {
+                self.counters.add_work(batch.len() as u64);
                 for t in batch {
                     let key = t.key(self.right_key);
                     for m in self.left_table.probe(&key) {
                         out.push(m.concat(t));
                     }
-                    self.counters.add_work(1);
                     self.right_table.insert(t.clone())?;
                 }
             }

@@ -207,26 +207,33 @@ impl PipelinePlan {
     ) -> Result<()> {
         let mut cur_node = node;
         let mut cur_port = port;
-        let mut input: Batch = batch.to_vec();
+        // `None` on the first hop: the first operator reads the caller's
+        // slice directly; later hops read the previous hop's output.
+        let mut input: Option<Batch> = None;
         loop {
             let mut produced = self.scratch.pop().unwrap_or_default();
             produced.clear();
-            self.nodes[cur_node]
-                .op
-                .push(cur_port, &input, &mut produced)?;
-            self.scratch.push(std::mem::take(&mut input));
+            self.nodes[cur_node].op.push(
+                cur_port,
+                input.as_deref().unwrap_or(batch),
+                &mut produced,
+            )?;
+            if let Some(used) = input.take() {
+                self.scratch.push(used);
+            }
             match self.nodes[cur_node].parent {
                 Some((pn, pp)) => {
                     if produced.is_empty() {
                         self.scratch.push(produced);
                         return Ok(());
                     }
-                    input = produced;
+                    input = Some(produced);
                     cur_node = pn;
                     cur_port = pp;
                 }
                 None => {
-                    out.extend(produced);
+                    out.append(&mut produced);
+                    self.scratch.push(produced);
                     return Ok(());
                 }
             }

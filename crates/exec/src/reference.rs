@@ -6,9 +6,8 @@
 
 use tukwila_relation::agg::AggState;
 use tukwila_relation::value::GroupKey;
-use tukwila_relation::{Error, Expr, Result, Schema, Tuple};
+use tukwila_relation::{Error, Expr, Key, Result, Schema, Tuple};
 use tukwila_storage::fx::FxHashMap;
-use tukwila_storage::TupleHashTable;
 
 use crate::agg::{AggSpec, GroupSpec};
 
@@ -138,13 +137,16 @@ impl RefQuery {
                     first.left_col,
                 )
             };
-            let mut table = TupleHashTable::new(new_col);
+            // The oracle keeps its own join state (one `Vec` per key,
+            // matches in insertion order) so it shares no code with the
+            // engine's hash table.
+            let mut table: FxHashMap<Key, Vec<Tuple>> = FxHashMap::default();
             for t in &filtered[rel] {
-                table.insert(t.clone())?;
+                table.entry(t.key(new_col)).or_default().push(t.clone());
             }
             let mut next = Vec::new();
             for a in &acc {
-                for m in table.probe(&a.key(acc_col)) {
+                for m in table.get(&a.key(acc_col)).into_iter().flatten() {
                     let candidate = a.concat(m);
                     let mut ok = true;
                     for e in &edges[1..] {

@@ -401,7 +401,7 @@ impl ColumnarBatch {
     /// Materialize one *physical* row as a [`Tuple`] (ignores the
     /// selection; string payloads stay shared).
     pub fn tuple_at(&self, row: usize) -> Tuple {
-        Tuple::new(self.cols.iter().map(|c| c.value(row)).collect())
+        self.cols.iter().map(|c| c.value(row)).collect()
     }
 
     /// Column projection (in the given order), dropping the selection by

@@ -34,10 +34,7 @@ impl Tuple {
 
     /// Concatenate two tuples (join output).
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.vals.len() + other.vals.len());
-        v.extend_from_slice(&self.vals);
-        v.extend_from_slice(&other.vals);
-        Tuple::new(v)
+        self.vals.iter().chain(other.vals.iter()).cloned().collect()
     }
 
     /// Project to the given columns (in the given order).
@@ -65,6 +62,17 @@ impl Tuple {
             }
         }
         n
+    }
+}
+
+/// Collects straight into the row's `Arc<[Value]>`: one allocation when
+/// the iterator knows its exact length (slices, ranges, and chains or maps
+/// of them).
+impl FromIterator<Value> for Tuple {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Tuple {
+        Tuple {
+            vals: iter.into_iter().collect(),
+        }
     }
 }
 

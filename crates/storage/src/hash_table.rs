@@ -8,6 +8,8 @@
 //! same key ranges) and swaps chosen partitions to disk; spilled partitions
 //! can be restored for stitch-up.
 
+use std::collections::hash_map::Entry;
+
 use tukwila_relation::{Error, Key, Result, Tuple};
 
 use crate::fx::{hash_one, FxHashMap};
@@ -26,11 +28,24 @@ struct SpilledPartition {
     count: usize,
 }
 
-/// Hash table keyed on one column.
+/// End-of-chain marker in [`TupleHashTable`]'s `next` array.
+const NONE: u32 = u32::MAX;
+
+/// Hash table keyed on one column, stored as one insertion-ordered row
+/// store.
+///
+/// Layout: every resident row lives in one `Vec<Tuple>` in insertion
+/// order; a parallel `next: Vec<u32>` chains each row to the next row with
+/// the same key (or `NONE`); an index `Key → (first, last)` finds a key's
+/// chain and appends to its tail. An insert is one row push, one `next`
+/// push and one index update — no per-key allocation — and dropping the
+/// table frees two vectors and one map. Probes walk a chain, so matches
+/// come back in insertion order.
 pub struct TupleHashTable {
     key_col: usize,
-    map: FxHashMap<Key, Vec<Tuple>>,
-    resident: usize,
+    rows: Vec<Tuple>,
+    next: Vec<u32>,
+    index: FxHashMap<Key, (u32, u32)>,
     bytes: usize,
     /// Set once the table has been partitioned for spilling.
     nparts: usize,
@@ -39,12 +54,34 @@ pub struct TupleHashTable {
     spilled_count: usize,
 }
 
+/// Iterator over one key's chain of rows, in insertion order.
+pub struct Matches<'a> {
+    rows: &'a [Tuple],
+    next: &'a [u32],
+    cur: u32,
+}
+
+impl<'a> Iterator for Matches<'a> {
+    type Item = &'a Tuple;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a Tuple> {
+        if self.cur == NONE {
+            return None;
+        }
+        let i = self.cur as usize;
+        self.cur = self.next[i];
+        Some(&self.rows[i])
+    }
+}
+
 impl TupleHashTable {
     pub fn new(key_col: usize) -> TupleHashTable {
         TupleHashTable {
             key_col,
-            map: FxHashMap::default(),
-            resident: 0,
+            rows: Vec::new(),
+            next: Vec::new(),
+            index: FxHashMap::default(),
             bytes: 0,
             nparts: 0,
             spilled: Vec::new(),
@@ -67,10 +104,29 @@ impl TupleHashTable {
                 return self.append_spilled(p, std::slice::from_ref(&t));
             }
         }
-        self.bytes += t.approx_bytes();
-        self.resident += 1;
-        self.map.entry(key).or_default().push(t);
+        self.push_resident(key, t);
         Ok(())
+    }
+
+    fn push_resident(&mut self, key: Key, t: Tuple) {
+        assert!(
+            self.rows.len() < NONE as usize,
+            "hash table row ids are u32"
+        );
+        let i = self.rows.len() as u32;
+        match self.index.entry(key) {
+            Entry::Occupied(mut e) => {
+                let chain = e.get_mut();
+                self.next[chain.1 as usize] = i;
+                chain.1 = i;
+            }
+            Entry::Vacant(e) => {
+                e.insert((i, i));
+            }
+        }
+        self.bytes += t.approx_bytes();
+        self.rows.push(t);
+        self.next.push(NONE);
     }
 
     fn is_partition_spilled(&self, p: usize) -> bool {
@@ -92,9 +148,17 @@ impl TupleHashTable {
         Ok(())
     }
 
-    /// Probe for all in-memory matches of `key`.
-    pub fn probe(&self, key: &Key) -> &[Tuple] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
+    /// All in-memory matches of `key`, in insertion order.
+    pub fn probe(&self, key: &Key) -> Matches<'_> {
+        self.chain(self.index.get(key).map_or(NONE, |&(first, _)| first))
+    }
+
+    fn chain(&self, first: u32) -> Matches<'_> {
+        Matches {
+            rows: &self.rows,
+            next: &self.next,
+            cur: first,
+        }
     }
 
     /// Whether a probe for this key would need a spilled partition (the
@@ -105,7 +169,7 @@ impl TupleHashTable {
 
     /// Number of in-memory tuples.
     pub fn resident_len(&self) -> usize {
-        self.resident
+        self.rows.len()
     }
 
     /// Number of tuples currently on disk.
@@ -113,15 +177,19 @@ impl TupleHashTable {
         self.spilled_count
     }
 
-    /// Iterate in-memory tuples.
+    /// Iterate in-memory tuples: grouped by key in index order, insertion
+    /// order within a key (the [`StateStructure::scan`] order).
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.map.values().flat_map(|v| v.iter())
+        self.index
+            .values()
+            .flat_map(|&(first, _)| self.chain(first))
     }
 
     /// Lazily partition the key space into `nparts` and spill partition `p`
     /// to disk, freeing its memory (paper §5: "lazily partitions all four
     /// hash tables along the same boundaries and swaps some of these
-    /// regions to disk").
+    /// regions to disk"). The row store is compacted and the surviving
+    /// chains renumbered; survivors keep their relative order.
     pub fn spill_partition(&mut self, p: usize, nparts: usize) -> Result<usize> {
         if self.nparts == 0 {
             self.nparts = nparts;
@@ -135,20 +203,54 @@ impl TupleHashTable {
         if p >= self.nparts {
             return Err(Error::Exec(format!("partition {p} out of range")));
         }
-        let mut victims: Vec<Tuple> = Vec::new();
         let keys: Vec<Key> = self
-            .map
+            .index
             .keys()
             .filter(|k| partition_of(k, nparts) == p)
             .cloned()
             .collect();
+        // Victims leave grouped by key in index order, insertion order
+        // within a key — the order a restore appends them back in.
+        let mut victims: Vec<Tuple> = Vec::new();
+        let mut gone = vec![false; self.rows.len()];
         for k in keys {
-            if let Some(rows) = self.map.remove(&k) {
-                for t in &rows {
-                    self.bytes = self.bytes.saturating_sub(t.approx_bytes());
+            if let Some((first, _)) = self.index.remove(&k) {
+                let mut i = first;
+                while i != NONE {
+                    gone[i as usize] = true;
+                    victims.push(self.rows[i as usize].clone());
+                    i = self.next[i as usize];
                 }
-                self.resident -= rows.len();
-                victims.extend(rows);
+            }
+        }
+        if !victims.is_empty() {
+            let rows = std::mem::take(&mut self.rows);
+            let next = std::mem::take(&mut self.next);
+            let mut renumber = vec![NONE; rows.len()];
+            for (i, (t, link)) in rows.into_iter().zip(next).enumerate() {
+                if !gone[i] {
+                    renumber[i] = self.rows.len() as u32;
+                    self.rows.push(t);
+                    self.next.push(link);
+                }
+            }
+            // A key's chain is spilled whole, so every surviving link
+            // points at a survivor.
+            let map = |i: u32| {
+                if i == NONE {
+                    NONE
+                } else {
+                    renumber[i as usize]
+                }
+            };
+            for link in &mut self.next {
+                *link = map(*link);
+            }
+            for chain in self.index.values_mut() {
+                *chain = (map(chain.0), map(chain.1));
+            }
+            for t in &victims {
+                self.bytes = self.bytes.saturating_sub(t.approx_bytes());
             }
         }
         let n = victims.len();
@@ -164,7 +266,8 @@ impl TupleHashTable {
         Ok(n)
     }
 
-    /// Read a spilled partition back into memory (stitch-up time).
+    /// Read a spilled partition back into memory (stitch-up time); its
+    /// rows are appended to the row store.
     pub fn restore_partition(&mut self, p: usize) -> Result<Vec<Tuple>> {
         if self.nparts == 0 || p >= self.nparts {
             return Ok(Vec::new());
@@ -179,25 +282,20 @@ impl TupleHashTable {
         self.spilled_count -= self.spilled[p].count;
         self.spilled[p].count = 0;
         for t in &out {
-            self.bytes += t.approx_bytes();
-            self.resident += 1;
-            self.map
-                .entry(t.key(self.key_col))
-                .or_default()
-                .push(t.clone());
+            self.push_resident(t.key(self.key_col), t.clone());
         }
         Ok(out)
     }
 
     /// Distinct in-memory key count (used by selectivity estimation).
     pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 }
 
 impl StateStructure for TupleHashTable {
     fn len(&self) -> usize {
-        self.resident + self.spilled_count
+        self.rows.len() + self.spilled_count
     }
 
     fn approx_bytes(&self) -> usize {
@@ -214,11 +312,17 @@ impl StateStructure for TupleHashTable {
     }
 
     fn probe_into(&self, key: &Key, out: &mut Vec<Tuple>) {
-        out.extend_from_slice(self.probe(key));
+        out.extend(self.probe(key).cloned());
     }
 
     fn scan(&self) -> Vec<Tuple> {
-        self.iter().cloned().collect()
+        let mut out = Vec::with_capacity(self.rows.len());
+        out.extend(self.iter().cloned());
+        out
+    }
+
+    fn as_hash_table(&self) -> Option<&TupleHashTable> {
+        Some(self)
     }
 }
 
@@ -242,9 +346,9 @@ mod tests {
             h.insert(t(i % 3, i)).unwrap();
         }
         assert_eq!(h.len(), 10);
-        assert_eq!(h.probe(&key(0)).len(), 4); // 0,3,6,9
-        assert_eq!(h.probe(&key(2)).len(), 3);
-        assert!(h.probe(&key(99)).is_empty());
+        assert_eq!(h.probe(&key(0)).count(), 4); // 0,3,6,9
+        assert_eq!(h.probe(&key(2)).count(), 3);
+        assert!(h.probe(&key(99)).next().is_none());
         assert_eq!(h.distinct_keys(), 3);
     }
 
@@ -274,7 +378,7 @@ mod tests {
         }
         assert_eq!(restored, 101);
         assert_eq!(h.resident_len(), 101);
-        assert_eq!(h.probe(&key(200)).len(), 1);
+        assert_eq!(h.probe(&key(200)).count(), 1);
     }
 
     #[test]
@@ -289,10 +393,10 @@ mod tests {
         for i in 0..50 {
             if h.key_is_spilled(&key(i)) {
                 deferred += 1;
-                assert!(h.probe(&key(i)).is_empty());
+                assert!(h.probe(&key(i)).next().is_none());
             } else {
                 in_mem += 1;
-                assert_eq!(h.probe(&key(i)).len(), 1);
+                assert_eq!(h.probe(&key(i)).count(), 1);
             }
         }
         assert!(deferred > 0 && in_mem > 0);

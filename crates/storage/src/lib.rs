@@ -7,7 +7,8 @@
 //!
 //! * [`list::TupleList`] — append-only list.
 //! * [`sorted_list::SortedList`] — list maintained in sort order.
-//! * [`hash_table::TupleHashTable`] — equi-key hash table with lazy
+//! * [`hash_table::TupleHashTable`] — equi-key hash table (one
+//!   insertion-ordered row store with per-key chains) with lazy
 //!   partition-wise spill to disk (the XJoin-style overflow interface of
 //!   §3.3/§5).
 //!

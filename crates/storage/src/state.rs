@@ -2,6 +2,8 @@
 
 use tukwila_relation::{Key, SortKey, Tuple};
 
+use crate::hash_table::TupleHashTable;
+
 /// Properties a state structure advertises (paper §3.1: structures
 /// "advertise certain properties (e.g., supports key-based access, requires
 /// sorted data)"). The re-optimizer and the stitch-up join consult these to
@@ -59,7 +61,22 @@ pub trait StateStructure: Send + Sync {
     fn probe_into(&self, key: &Key, out: &mut Vec<Tuple>);
 
     /// Clone out every in-memory tuple. (Tuple cloning is an `Arc` bump.)
+    ///
+    /// Order contract: a scan is deterministic for a given sequence of
+    /// inserts, and each structure documents its order — insertion order
+    /// for [`crate::TupleList`], sort order for [`crate::SortedList`], and
+    /// for [`TupleHashTable`] grouped by key in index order with insertion
+    /// order within a key. Consumers (stitch-up's left sides, the
+    /// registry's readers) rely on that determinism for byte-identical
+    /// answers and traces across runs.
     fn scan(&self) -> Vec<Tuple>;
+
+    /// The structure as a hash table, when it is one — the handle
+    /// stitch-up uses to probe a sealed table in place instead of
+    /// rebuilding it (§3.4.3).
+    fn as_hash_table(&self) -> Option<&TupleHashTable> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -12,8 +12,9 @@ use tukwila::exec::op::IncOp;
 use tukwila::exec::reference::{canonicalize, canonicalize_approx};
 use tukwila::exec::CpuCostModel;
 use tukwila::relation::agg::{AggFunc, AggState};
-use tukwila::relation::{DataType, Field, Schema, Tuple, Value};
+use tukwila::relation::{DataType, Field, Key, Schema, Tuple, Value};
 use tukwila::source::{MemSource, Source};
+use tukwila::storage::hash_table::partition_of;
 use tukwila::storage::{SortedList, StateStructure, TupleHashTable};
 
 fn schema2(p: &str) -> Schema {
@@ -129,11 +130,17 @@ proptest! {
         }
     }
 
-    /// Hash table and sorted list answer point probes identically.
+    /// Hash table and sorted list answer point probes identically, and the
+    /// hash table's row store agrees exactly with a naive insertion-ordered
+    /// `Vec<(Key, Tuple)>` under inserts interleaved with partition spills
+    /// and restores: probes return matches in insertion order (compared
+    /// uncanonicalized), the size counters agree, and `scan()` is a
+    /// permutation of the resident rows.
     #[test]
     fn state_structures_agree_on_probes(
         rows in prop::collection::vec((0i64..40, 0i64..1000), 0..150),
         probes in prop::collection::vec(0i64..50, 1..20),
+        ops in prop::collection::vec((0u8..10, 0i64..40, 0i64..1000), 0..120),
     ) {
         let tuples = tuples_from(&rows);
         let mut hash = TupleHashTable::new(0);
@@ -143,7 +150,7 @@ proptest! {
             sorted.insert(t.clone());
         }
         prop_assert_eq!(hash.len(), sorted.len());
-        for p in probes {
+        for &p in &probes {
             let key = Value::Int(p).to_key();
             let mut h = Vec::new();
             let mut s = Vec::new();
@@ -151,6 +158,63 @@ proptest! {
             sorted.probe_into(&key, &mut s);
             prop_assert_eq!(canonicalize(&h), canonicalize(&s));
         }
+
+        // The reference: resident rows in insertion order, plus each
+        // spilled partition's rows in the order they went to disk.
+        const NPARTS: usize = 4;
+        let mut resident: Vec<(Key, Tuple)> =
+            tuples.iter().map(|t| (t.key(0), t.clone())).collect();
+        let mut on_disk: Vec<Vec<Tuple>> = vec![Vec::new(); NPARTS];
+        let mut marked = [false; NPARTS];
+        for (op, k, v) in ops {
+            let t = Tuple::new(vec![Value::Int(k), Value::Int(v)]);
+            let p = partition_of(&t.key(0), NPARTS);
+            match op {
+                0..=6 => {
+                    hash.insert(t.clone()).unwrap();
+                    if marked[p] {
+                        on_disk[p].push(t);
+                    } else {
+                        resident.push((t.key(0), t));
+                    }
+                }
+                7 | 8 => {
+                    let n = hash.spill_partition(p, NPARTS).unwrap();
+                    let (gone, kept): (Vec<_>, Vec<_>) = resident
+                        .drain(..)
+                        .partition(|(key, _)| partition_of(key, NPARTS) == p);
+                    resident = kept;
+                    prop_assert_eq!(n, gone.len());
+                    on_disk[p].extend(gone.into_iter().map(|(_, t)| t));
+                    marked[p] = true;
+                }
+                _ => {
+                    let back = hash.restore_partition(p).unwrap();
+                    let expected = std::mem::take(&mut on_disk[p]);
+                    prop_assert_eq!(canonicalize(&back), canonicalize(&expected));
+                    resident.extend(expected.into_iter().map(|t| (t.key(0), t)));
+                    marked[p] = false;
+                }
+            }
+            let spilled: usize = on_disk.iter().map(Vec::len).sum();
+            prop_assert_eq!(hash.resident_len(), resident.len());
+            prop_assert_eq!(hash.spilled_len(), spilled);
+            prop_assert_eq!(hash.len(), resident.len() + spilled);
+        }
+        let distinct: std::collections::HashSet<&Key> = resident.iter().map(|(k, _)| k).collect();
+        prop_assert_eq!(hash.distinct_keys(), distinct.len());
+        for p in probes.iter().copied().chain(0..40) {
+            let key = Value::Int(p).to_key();
+            let got: Vec<Tuple> = hash.probe(&key).cloned().collect();
+            let want: Vec<Tuple> = resident
+                .iter()
+                .filter(|(k, _)| *k == key)
+                .map(|(_, t)| t.clone())
+                .collect();
+            prop_assert_eq!(got, want, "probe {} in insertion order", p);
+        }
+        let all: Vec<Tuple> = resident.into_iter().map(|(_, t)| t).collect();
+        prop_assert_eq!(canonicalize(&hash.scan()), canonicalize(&all));
     }
 
     /// Spill roundtrip preserves arbitrary tuples exactly.
