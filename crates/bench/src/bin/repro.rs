@@ -24,10 +24,6 @@
 //!            (virtual anchor + cold-per-query baseline + threaded wall run);
 //!            diffs answers-serve-q*.txt and trace-summary-serve.txt goldens
 //!   smoke    virtual-clock answer regression vs results/answers-*.txt (CI gate)
-//!   ops-bench row vs columnar kernel throughput (filter / hash-join / dedup /
-//!            exchange, tuples/sec); writes results/ops-bench.txt and the
-//!            machine-readable BENCH_ops.json, exits 1 if a vectorized kernel's
-//!            paired speedup quartiles lie wholly below 1.0
 //!   all      everything above
 //! ```
 //!
@@ -50,7 +46,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale SF] [--runs N] [--batch N] [--bps B] [--sweep-cuts] [--trace] \
          <fig2|table1|fig3|table2|fig5|table3|fig6|sec45|ablation|mirrors|mirrors-wall|\
-         fragments-wall|corrective-wall|serve|smoke|ops-bench|all>"
+         fragments-wall|corrective-wall|serve|smoke|all>"
     );
     std::process::exit(2);
 }
@@ -70,7 +66,7 @@ fn save_as(file: &str, content: &str) {
 }
 
 fn main() {
-    const KNOWN: [&str; 17] = [
+    const KNOWN: [&str; 16] = [
         "fig2",
         "table1",
         "fig3",
@@ -86,7 +82,6 @@ fn main() {
         "corrective-wall",
         "serve",
         "smoke",
-        "ops-bench",
         "all",
     ];
     let mut cfg = ExpConfig::default();
@@ -276,19 +271,6 @@ fn main() {
         }
         if !trace_ok {
             eprintln!("smoke --trace: adaptivity decisions diverged from the committed rollup");
-            std::process::exit(1);
-        }
-    }
-    if want("ops-bench") {
-        println!("== Ops bench: row vs columnar kernel throughput ==\n");
-        let (out, json, ok) = experiments::ops_bench_suite(&cfg);
-        println!("{out}");
-        save("ops-bench", &out);
-        if std::fs::write("BENCH_ops.json", &json).is_ok() {
-            println!("machine-readable: BENCH_ops.json\n");
-        }
-        if !ok {
-            eprintln!("ops-bench: a vectorized kernel is slower than the row path");
             std::process::exit(1);
         }
     }

@@ -2101,459 +2101,3 @@ pub fn ablation_suite(cfg: &ExpConfig) -> String {
     out.push_str(&table.render());
     out
 }
-
-/// `repro ops-bench`: row vs columnar kernel throughput for the six
-/// vectorized paths (filter, hash join, federation dedup, hash
-/// aggregation, sort, exchange shipping). Every kernel processes identical
-/// data through the row-at-a-time code and the columnar code and reports
-/// tuples/sec, so the numbers are a direct measure of what the columnar
-/// representation buys.
-///
-/// The exchange kernel is measured end to end — encode at the producer
-/// boundary, move through the queue, consume at the head operator on the
-/// other side — with the transpose and queue legs also reported
-/// separately. (An earlier version timed only the send half, which
-/// charged the columnar path its transpose while crediting none of the
-/// consumer-side win.)
-///
-/// Every kernel runs `reps` row/columnar *pairs*, interleaved (the side
-/// that goes first alternates), so a noisy stretch of the host lands on
-/// both sides of a pair. Reported throughputs are per-side medians; the
-/// speedup is the median of the per-pair ratios with its quartiles.
-///
-/// The returned flag is the CI gate, judged per kernel on that quartile
-/// interval: it *passes* when the whole interval lies above 1.0 (columnar
-/// faster), *fails* when it lies below 1.0, and is *unresolved* — neither
-/// pass nor fail, reported as such — when it straddles 1.0. The flag is
-/// false only if some kernel fails.
-pub fn ops_bench_suite(cfg: &ExpConfig) -> (String, String, bool) {
-    use std::hint::black_box;
-    use tukwila_exec::agg::{AggSpec, GroupSpec, HashAggOp};
-    use tukwila_exec::join::batch::{hash_join_columnar, hash_join_slices, BatchJoinStats};
-    use tukwila_exec::{queue_pair, DataBatch, IncOp};
-    use tukwila_federation::KeyDedup;
-    use tukwila_relation::agg::AggFunc;
-    use tukwila_relation::column::{eval_predicate, sort_permutation, ColumnarBatch};
-    use tukwila_relation::{cmp_tuples, CmpOp, DataType, Expr, Field, Schema, SortKey};
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0b5);
-    // Default scale 0.01 → 400K tuples; clamp so --scale sweeps stay sane.
-    let n = ((cfg.scale / 0.01 * 400_000.0).round() as usize).clamp(40_000, 4_000_000);
-    // Publisher-style site names: dedup keys in a federation are
-    // typically (site, record-id) pairs, and the site component is a
-    // low-cardinality, not-short string.
-    let cats: Vec<String> = (0..16)
-        .map(|i| format!("content-mirror-{i:02}.integration.example.org"))
-        .collect();
-    let mk = |i: usize, rng: &mut StdRng| {
-        Tuple::new(vec![
-            Value::Int(i as i64),
-            Value::Int(rng.gen_range(0..1000)),
-            Value::str(&cats[rng.gen_range(0..cats.len())]),
-        ])
-    };
-    let tuples: Vec<Tuple> = (0..n).map(|i| mk(i, &mut rng)).collect();
-    let batches: Vec<Vec<Tuple>> = tuples.chunks(cfg.batch_size).map(|c| c.to_vec()).collect();
-    let cbatches: Vec<ColumnarBatch> = batches
-        .iter()
-        .map(|b| ColumnarBatch::from_tuples(b))
-        .collect();
-
-    let reps = cfg.runs.max(9);
-    let tps = |t: f64, n: usize| n as f64 / t.max(1e-9);
-    let fmt_tps = |v: f64| {
-        if v >= 1e6 {
-            format!("{:.1}M", v / 1e6)
-        } else {
-            format!("{:.0}K", v / 1e3)
-        }
-    };
-
-    // -- filter: predicate evaluation over every tuple (~30% selective) --
-    let pred = Expr::cmp(Expr::Col(1), CmpOp::Lt, Expr::Lit(Value::Int(300)));
-    let filter = paired(
-        reps,
-        || {
-            let mut kept = 0usize;
-            for t in &tuples {
-                if pred.matches(t).expect("bench predicate is type-clean") {
-                    kept += 1;
-                }
-            }
-            black_box(kept);
-        },
-        || {
-            let mut kept = 0usize;
-            for b in &cbatches {
-                let mask = eval_predicate(&pred, b).expect("bench predicate vectorizes");
-                kept += mask.count_ones();
-            }
-            black_box(kept);
-        },
-    );
-
-    // -- hash join: unique int keys, half the probe side matches --
-    let jn = (n / 4).max(1);
-    let left = &tuples[..jn];
-    let right: Vec<Tuple> = (0..jn)
-        .map(|i| Tuple::new(vec![Value::Int((i * 2) as i64), Value::Int(i as i64)]))
-        .collect();
-    let cleft = ColumnarBatch::from_tuples(left);
-    let cright = ColumnarBatch::from_tuples(&right);
-    let join = paired(
-        reps,
-        || {
-            let mut out = Vec::new();
-            let mut stats = BatchJoinStats::default();
-            hash_join_slices(left, &right, 0, 0, &mut out, &mut stats).expect("row join");
-            black_box(out.len());
-        },
-        || {
-            let mut stats = BatchJoinStats::default();
-            let out = hash_join_columnar(&cleft, &cright, 0, 0, &mut stats).expect("columnar join");
-            black_box(out.selected_rows());
-        },
-    );
-
-    // -- dedup: steady-state probing. One mirror seeds the seen-set
-    //    (untimed — inserting a fresh key costs the same allocations on
-    //    both paths), then three fully redundant mirrors deliver the same
-    //    relation and every row is a probe: hash the composite
-    //    (site, id) key, find the bucket, verify equality. That is the
-    //    kernel the federated seen-set runs for the rest of the query.
-    let dn = n / 4;
-    let key_cols = vec![2usize, 0];
-    let seed_feed: Vec<Vec<Tuple>> = tuples[..dn]
-        .chunks(cfg.batch_size)
-        .map(|c| c.to_vec())
-        .collect();
-    let names = ["mirror-b", "mirror-c", "mirror-d"];
-    let feed: Vec<(usize, &str, Vec<Tuple>)> = names
-        .iter()
-        .enumerate()
-        .flat_map(|(i, nm)| {
-            tuples[..dn]
-                .chunks(cfg.batch_size)
-                .map(move |c| (i + 1, *nm, c.to_vec()))
-        })
-        .collect();
-    let cfeed: Vec<(usize, &str, ColumnarBatch)> = feed
-        .iter()
-        .map(|(c, nm, b)| (*c, *nm, ColumnarBatch::from_tuples(b)))
-        .collect();
-    let mut d_row = KeyDedup::new(1, key_cols.clone());
-    let mut d_col = KeyDedup::new(1, key_cols.clone());
-    let mut hash_buf = Vec::new();
-    for b in &seed_feed {
-        d_row.filter(0, "mirror-a", b.clone());
-        d_col.filter_columnar(0, "mirror-a", &ColumnarBatch::from_tuples(b), &mut hash_buf);
-    }
-    let dedup = paired(
-        reps,
-        || {
-            let mut fresh = 0usize;
-            for (cand, nm, b) in &feed {
-                fresh += d_row.filter(*cand, nm, b.clone()).len();
-            }
-            black_box(fresh);
-        },
-        || {
-            let mut fresh = 0usize;
-            for (cand, nm, b) in &cfeed {
-                fresh += d_col.filter_columnar(*cand, nm, b, &mut hash_buf).len();
-            }
-            black_box(fresh);
-        },
-    );
-
-    let schema = Schema::new(vec![
-        Field::new("t.id", DataType::Int),
-        Field::new("t.val", DataType::Int),
-        Field::new("t.cat", DataType::Str),
-    ]);
-
-    // -- agg: hash aggregation grouped on (site, val) — ~16K groups --
-    let agg_spec = || {
-        GroupSpec::new(
-            vec![2, 1],
-            vec![
-                AggSpec {
-                    func: AggFunc::Sum,
-                    col: 1,
-                },
-                AggSpec {
-                    func: AggFunc::Min,
-                    col: 0,
-                },
-            ],
-        )
-    };
-    let agg = paired(
-        reps,
-        || {
-            let mut op = HashAggOp::new(agg_spec(), &schema);
-            let mut sink = Vec::new();
-            for b in &batches {
-                op.push(0, b, &mut sink).expect("row agg");
-            }
-            op.finish(&mut sink).expect("row agg finish");
-            black_box(sink.len());
-        },
-        || {
-            let mut op = HashAggOp::new(agg_spec(), &schema);
-            let mut sink = Vec::new();
-            for b in &cbatches {
-                op.push_columns(0, b, &mut sink).expect("columnar agg");
-            }
-            op.finish(&mut sink).expect("columnar agg finish");
-            black_box(sink.len());
-        },
-    );
-
-    // -- sort: order the whole feed by (val asc, id desc); the columnar
-    //    path sorts a key permutation and gathers the payload once --
-    let sort_keys = [SortKey::asc(1), SortKey::desc(0)];
-    let call = ColumnarBatch::from_tuples(&tuples);
-    let sort = paired(
-        reps,
-        || {
-            let mut v = tuples.clone();
-            v.sort_by(|a, b| cmp_tuples(&sort_keys, a, b));
-            black_box(v.len());
-        },
-        || {
-            let perm = sort_permutation(&call, &sort_keys);
-            let sorted = call.gather(&perm);
-            black_box(sorted.num_rows());
-        },
-    );
-
-    // -- exchange: end-to-end shipping — encode at the producer boundary
-    //    (the staged encode-once protocol producers actually run), move
-    //    through the queue, and consume at the head operator on the far
-    //    side (a hash aggregation, the kind of operator a root fragment
-    //    feeds). The transpose only pays for itself through the
-    //    consumer-side win, which is exactly the claim being gated. --
-    let (schema_ref, batches_ref) = (&schema, &batches);
-    let run_exchange = move |columnar: bool| {
-        move || {
-            let (mut w, r) = queue_pair(schema_ref.clone(), batches_ref.len() + 1);
-            w.set_columnar(columnar);
-            for b in batches_ref {
-                let enc = w.encode(b.clone());
-                let refused = w.try_send_data(enc).expect("bench queue never closes");
-                assert!(refused.is_none(), "bench queue is sized for the whole feed");
-            }
-            let mut op = HashAggOp::new(agg_spec(), schema_ref);
-            let mut sink = Vec::new();
-            for _ in 0..batches_ref.len() {
-                match r.recv_data().expect("all batches were sent") {
-                    DataBatch::Rows(rows) => {
-                        op.push(0, &rows, &mut sink).expect("row consume");
-                    }
-                    DataBatch::Columns(c) => {
-                        op.push_columns(0, &c, &mut sink).expect("columnar consume");
-                    }
-                }
-            }
-            op.finish(&mut sink).expect("consume finish");
-            black_box(sink.len());
-        }
-    };
-    let exchange = paired(reps, run_exchange(false), run_exchange(true));
-    // Breakdown legs for the columnar exchange: the one-time row→column
-    // transpose at the boundary vs the queue move alone. (The consume leg
-    // is the filter kernel above.)
-    let t_x_transpose = median_secs(reps, || {
-        for b in &batches {
-            black_box(ColumnarBatch::from_tuples(b).num_rows());
-        }
-    });
-    let t_x_queue = median_secs(reps, || {
-        let (mut w, r) = queue_pair(schema.clone(), batches.len() + 1);
-        w.set_columnar(true);
-        for c in &cbatches {
-            let refused = w
-                .try_send_data(DataBatch::Columns(c.clone()))
-                .expect("bench queue never closes");
-            assert!(refused.is_none(), "bench queue is sized for the whole feed");
-        }
-        let mut got = 0usize;
-        for _ in 0..cbatches.len() {
-            if let DataBatch::Columns(c) = r.recv_data().expect("all batches were sent") {
-                got += c.selected_rows();
-            }
-        }
-        black_box(got);
-    });
-
-    let kernels = [
-        ("filter", filter, n),
-        ("hash-join", join, jn * 2),
-        ("dedup", dedup, 3 * dn),
-        ("agg", agg, n),
-        ("sort", sort, n),
-        ("exchange", exchange, n),
-    ];
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "workload: {} tuples (int id, int val, 16-way str cat), batch {}, \
-         {} interleaved row/columnar pairs per kernel; throughput is the per-side median, \
-         speedup the median per-pair ratio with its quartiles\n\n",
-        count(n),
-        cfg.batch_size,
-        reps
-    ));
-    let mut table = TextTable::new(&[
-        "kernel",
-        "row tuples/s",
-        "columnar tuples/s",
-        "speedup",
-        "q1-q3",
-        "verdict",
-    ]);
-    for (name, k, tuples) in &kernels {
-        table.row(vec![
-            name.to_string(),
-            fmt_tps(tps(k.row_s, *tuples)),
-            fmt_tps(tps(k.col_s, *tuples)),
-            format!("{:.2}x", k.speedup[1]),
-            format!("{:.2}-{:.2}x", k.speedup[0], k.speedup[2]),
-            k.verdict().to_string(),
-        ]);
-    }
-    out.push_str(&table.render());
-    out.push_str(&format!(
-        "\nexchange legs (columnar): transpose {} tuples/s, queue move {} tuples/s; \
-         the consume leg is the agg kernel above\n",
-        fmt_tps(tps(t_x_transpose, n)),
-        fmt_tps(tps(t_x_queue, n)),
-    ));
-
-    let mut ok = true;
-    let mut unresolved = Vec::new();
-    for (name, k, _) in &kernels {
-        let [q1, med, q3] = k.speedup;
-        match k.verdict() {
-            "pass" => out.push_str(&format!(
-                "\nassertion OK: columnar {name} >= row {name} ({med:.2}x, q1-q3 {q1:.2}-{q3:.2}x)\n"
-            )),
-            "fail" => {
-                ok = false;
-                out.push_str(&format!(
-                    "\nassertion FAILED: columnar {name} is slower than the row path \
-                     ({med:.2}x, q1-q3 {q1:.2}-{q3:.2}x) — the vectorized kernel regressed\n"
-                ));
-            }
-            _ => {
-                unresolved.push(format!("\"{name}\""));
-                out.push_str(&format!(
-                    "\nassertion UNRESOLVED: columnar {name} vs row {name} ({med:.2}x, q1-q3 \
-                     {q1:.2}-{q3:.2}x straddles 1.0) — not a pass, not a failure\n"
-                ));
-            }
-        }
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"ops\",\n");
-    json.push_str(&format!(
-        "  \"tuples\": {n},\n  \"batch\": {},\n  \"reps\": {reps},\n",
-        cfg.batch_size
-    ));
-    json.push_str("  \"kernels\": {\n");
-    for (i, (name, k, tuples)) in kernels.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{name}\": {{\"row_tps\": {:.0}, \"columnar_tps\": {:.0}, \
-             \"speedup\": {:.3}, \"speedup_q1\": {:.3}, \"speedup_q3\": {:.3}, \
-             \"verdict\": \"{}\"}}{}\n",
-            tps(k.row_s, *tuples),
-            tps(k.col_s, *tuples),
-            k.speedup[1],
-            k.speedup[0],
-            k.speedup[2],
-            k.verdict(),
-            if i + 1 < kernels.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"exchange_legs\": {{\"transpose_tps\": {:.0}, \"queue_tps\": {:.0}}},\n",
-        tps(t_x_transpose, n),
-        tps(t_x_queue, n)
-    ));
-    json.push_str(&format!(
-        "  \"gate\": {{\"checked\": {}, \"passed\": {ok}, \"unresolved\": [{}]}}\n}}\n",
-        unresolved.is_empty(),
-        unresolved.join(", ")
-    ));
-    (out, json, ok)
-}
-
-/// One kernel's interleaved row/columnar timings (see [`ops_bench_suite`]).
-struct PairedTimes {
-    /// Median seconds per pass, row side.
-    row_s: f64,
-    /// Median seconds per pass, columnar side.
-    col_s: f64,
-    /// Quartiles `[q1, median, q3]` of the per-pair `row_s / col_s`.
-    speedup: [f64; 3],
-}
-
-impl PairedTimes {
-    /// The gate's verdict on the speedup's quartile interval.
-    fn verdict(&self) -> &'static str {
-        let [q1, _, q3] = self.speedup;
-        if q1 > 1.0 {
-            "pass"
-        } else if q3 < 1.0 {
-            "fail"
-        } else {
-            "unresolved"
-        }
-    }
-}
-
-/// Time `reps` row/columnar pairs, alternating which side runs first.
-fn paired(reps: usize, mut row: impl FnMut(), mut col: impl FnMut()) -> PairedTimes {
-    let mut row_s = Vec::with_capacity(reps);
-    let mut col_s = Vec::with_capacity(reps);
-    for i in 0..reps {
-        if i % 2 == 0 {
-            row_s.push(time_pass(&mut row));
-            col_s.push(time_pass(&mut col));
-        } else {
-            col_s.push(time_pass(&mut col));
-            row_s.push(time_pass(&mut row));
-        }
-    }
-    let ratios: Vec<f64> = row_s.iter().zip(&col_s).map(|(r, c)| r / c).collect();
-    PairedTimes {
-        row_s: quantile(&row_s, 0.5),
-        col_s: quantile(&col_s, 0.5),
-        speedup: [0.25, 0.5, 0.75].map(|q| quantile(&ratios, q)),
-    }
-}
-
-/// Median wall seconds of `reps` passes.
-fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let times: Vec<f64> = (0..reps).map(|_| time_pass(&mut f)).collect();
-    quantile(&times, 0.5)
-}
-
-/// Wall seconds of one pass, floored away from zero.
-fn time_pass(f: &mut impl FnMut()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64().max(1e-9)
-}
-
-/// Linear-interpolation quantile, `q` in [0, 1], of a non-empty sample.
-fn quantile(values: &[f64], q: f64) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let pos = q * (v.len() - 1) as f64;
-    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
-}

@@ -33,14 +33,12 @@ use std::time::Instant;
 use tukwila_exec::agg::SharedGroupTable;
 use tukwila_exec::driver::{charged_cost, check_batch_size};
 use tukwila_exec::plan::NodeObservation;
-use tukwila_exec::{
-    Batch, CpuCostModel, ExchangePoll, ExecReport, FragmentOptions, FragmentRun, Timeline,
-};
+use tukwila_exec::{Batch, CpuCostModel, ExecReport, FragmentOptions, FragmentRun, Timeline};
 use tukwila_optimizer::{
     FragmentationConfig, LogicalQuery, Optimizer, OptimizerContext, PhysPlan, PreAggConfig,
 };
 use tukwila_relation::{Error, Expr, Result, Schema, Tuple};
-use tukwila_source::{DueTimes, Source};
+use tukwila_source::{DueTimes, Poll, Source};
 use tukwila_stats::selectivity::SourceProgress;
 use tukwila_stats::trace::SpanKind;
 use tukwila_stats::{Clock, DeliveryCosts, SelectivityCatalog, TraceEvent, TraceSink};
@@ -537,18 +535,16 @@ impl CorrectiveExec {
                     let (rel, polled) = match slot {
                         Some(slot) => {
                             let src = &mut sources[slot];
-                            (src.rel_id(), src.poll(now, cfg.batch_size).into())
+                            (src.rel_id(), src.poll(now, cfg.batch_size))
                         }
                         None => {
-                            // Columnar producer batches feed the
-                            // vectorized operator entry directly.
                             let ex = &mut exchanges[i - root_slots.len()];
-                            (ex.rel_id(), ex.poll_data(now, cfg.batch_size))
+                            (ex.rel_id(), ex.poll(now, cfg.batch_size))
                         }
                     };
                     due.note(key, polled.pending_hint());
                     match polled {
-                        ExchangePoll::Ready(batch) => {
+                        Poll::Ready(batch) => {
                             any_ready = true;
                             total_batches += 1;
                             phase_batches += 1;
@@ -557,12 +553,12 @@ impl CorrectiveExec {
                                 *consumed_phase.entry(rel).or_insert(0) += batch.len() as u64;
                             }
                             let cost = charged_cost(cfg.cpu, &timeline, batch.len(), || {
-                                target.push_data(rel, &batch, &mut answers)
+                                target.push_source(rel, &batch, &mut answers)
                             })?;
                             timeline.charge(cost);
                         }
-                        ExchangePoll::Pending { .. } => {}
-                        ExchangePoll::Eof => {
+                        Poll::Pending { .. } => {}
+                        Poll::Eof => {
                             *input_done = true;
                             if let Some(slot) = slot {
                                 eof[slot] = true;

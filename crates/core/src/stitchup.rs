@@ -29,10 +29,10 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use tukwila_exec::join::batch::{probe_table_columnar, BatchJoinStats};
+use tukwila_exec::join::batch::{probe_table, BatchJoinStats};
 use tukwila_exec::Batch;
 use tukwila_optimizer::{LogicalQuery, PhysKind, PhysNode};
-use tukwila_relation::{ColumnarBatch, Expr, Result, Tuple};
+use tukwila_relation::{Expr, Result, Tuple};
 use tukwila_storage::registry::RegistryEntry;
 use tukwila_storage::{ExprSig, StateRegistry, TupleHashTable};
 
@@ -239,16 +239,9 @@ impl<'a> StitchUp<'a> {
                     .collect::<Result<Vec<_>>>()?;
                 let r_mixed_table = hash_on(&r.mixed, *right_col)?;
 
-                // Each left partition converts to columns once; every probe
-                // against the right-side tables then reads keys and residual
-                // values straight from those columns (the staged columnar
-                // probe), materializing only the surviving joined tuples.
-                let l_pure_cols: Vec<ColumnarBatch> = l
-                    .pure
-                    .iter()
-                    .map(|p| ColumnarBatch::from_tuples(&p.rows()))
-                    .collect();
-                let l_mixed_cols = ColumnarBatch::from_tuples(&l.mixed);
+                // Each left partition's rows probe the right-side tables
+                // directly; only the surviving joined tuples are built.
+                let l_pure_rows: Vec<Cow<'_, Batch>> = l.pure.iter().map(Pure::rows).collect();
 
                 // pure[i]: reuse from the registry or recompute from the
                 // children's pure partitions.
@@ -267,8 +260,8 @@ impl<'a> StitchUp<'a> {
                         continue;
                     }
                     let mut out = Vec::new();
-                    probe_table_columnar(
-                        &l_pure_cols[i],
+                    probe_table(
+                        &l_pure_rows[i],
                         *left_col,
                         &r_pure_tables[i],
                         residual,
@@ -281,11 +274,11 @@ impl<'a> StitchUp<'a> {
 
                 // mixed: all cross-phase combinations.
                 let mut mixed = Vec::new();
-                for (a, l_cols) in l_pure_cols.iter().enumerate().take(self.nphases) {
+                for (a, l_rows) in l_pure_rows.iter().enumerate().take(self.nphases) {
                     for (b, table) in r_pure_tables.iter().enumerate() {
                         if a != b {
-                            probe_table_columnar(
-                                l_cols,
+                            probe_table(
+                                l_rows,
                                 *left_col,
                                 table,
                                 residual,
@@ -294,8 +287,8 @@ impl<'a> StitchUp<'a> {
                             )?;
                         }
                     }
-                    probe_table_columnar(
-                        l_cols,
+                    probe_table(
+                        l_rows,
                         *left_col,
                         &r_mixed_table,
                         residual,
@@ -304,8 +297,8 @@ impl<'a> StitchUp<'a> {
                     )?;
                 }
                 for table in &r_pure_tables {
-                    probe_table_columnar(
-                        &l_mixed_cols,
+                    probe_table(
+                        &l.mixed,
                         *left_col,
                         table,
                         residual,
@@ -313,8 +306,8 @@ impl<'a> StitchUp<'a> {
                         &mut mixed,
                     )?;
                 }
-                probe_table_columnar(
-                    &l_mixed_cols,
+                probe_table(
+                    &l.mixed,
                     *left_col,
                     &r_mixed_table,
                     residual,

@@ -6,9 +6,8 @@ use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use tukwila_relation::agg::AggState;
-use tukwila_relation::column::{accumulate_column, group_keys};
 use tukwila_relation::value::GroupKey;
-use tukwila_relation::{ColumnarBatch, Key, Result, Schema, Tuple, Value};
+use tukwila_relation::{Key, Result, Schema, Tuple, Value};
 use tukwila_stats::OpCounters;
 use tukwila_storage::fx::FxHashMap;
 
@@ -19,11 +18,8 @@ use crate::op::{Batch, IncOp};
 ///
 /// Group state is *dense*: a hash lookup maps each group key to a slot,
 /// and accumulators live in one contiguous vector per aggregate
-/// (column-major), so a columnar batch updates them with one
-/// [`accumulate_column`] sweep per aggregate instead of a per-row,
-/// per-aggregate `Vec<AggState>` walk — and a fresh group costs two vector
-/// pushes, not a heap-allocated state box. Groups emit in first-seen
-/// order, identical between the row and columnar push paths.
+/// (column-major), so a fresh group costs one push per aggregate, not a
+/// heap-allocated state box. Groups emit in first-seen order.
 pub struct HashAggOp {
     spec: GroupSpec,
     out_schema: Schema,
@@ -33,8 +29,6 @@ pub struct HashAggOp {
     keys: Vec<GroupKey>,
     /// Accumulators, column-major: `states[agg][slot]`.
     states: Vec<Vec<AggState>>,
-    /// Scratch slot buffer reused across columnar pushes.
-    slots: Vec<u32>,
     counters: Arc<OpCounters>,
 }
 
@@ -49,7 +43,6 @@ impl HashAggOp {
             lookup: FxHashMap::default(),
             keys: Vec::new(),
             states,
-            slots: Vec::new(),
             counters: OpCounters::new(),
         }
     }
@@ -146,41 +139,6 @@ impl IncOp for HashAggOp {
         Ok(())
     }
 
-    fn push_columns(
-        &mut self,
-        _port: usize,
-        batch: &ColumnarBatch,
-        _out: &mut Batch,
-    ) -> Result<()> {
-        let n = batch.selected_rows() as u64;
-        self.counters.add_in(n);
-        self.counters.add_work(n);
-        if n == 0 {
-            // A rowless batch has no columns to accumulate from.
-            return Ok(());
-        }
-        let rows = batch.selected_indices();
-        // One vectorized key pass, then one accumulate sweep per
-        // aggregate. Value-identical to the row path: rows hit each
-        // aggregate in batch order, so even float sums agree bitwise.
-        let keys = group_keys(batch, &self.spec.group_cols);
-        let mut slots = std::mem::take(&mut self.slots);
-        slots.clear();
-        slots.reserve(keys.len());
-        for key in keys {
-            slots.push(self.slot_for(key));
-        }
-        let mut res = Ok(());
-        for (st, a) in self.states.iter_mut().zip(&self.spec.aggs) {
-            res = accumulate_column(batch.column(a.col), &rows, &slots, st);
-            if res.is_err() {
-                break;
-            }
-        }
-        self.slots = slots;
-        res
-    }
-
     fn finish(&mut self, out: &mut Batch) -> Result<()> {
         let keys = std::mem::take(&mut self.keys);
         let states = std::mem::replace(&mut self.states, vec![Vec::new(); self.spec.aggs.len()]);
@@ -247,54 +205,6 @@ mod tests {
             .unwrap();
         assert_eq!(g1.get(1).as_int().unwrap(), 9);
         assert_eq!(g1.get(2).as_int().unwrap(), 2);
-    }
-
-    #[test]
-    fn columnar_push_matches_row_push() {
-        use tukwila_relation::ColumnarBatch;
-        let spec = || {
-            GroupSpec::new(
-                vec![0],
-                vec![
-                    AggSpec {
-                        func: AggFunc::Sum,
-                        col: 1,
-                    },
-                    AggSpec {
-                        func: AggFunc::Count,
-                        col: 1,
-                    },
-                    AggSpec {
-                        func: AggFunc::Min,
-                        col: 1,
-                    },
-                ],
-            )
-        };
-        let data: Vec<Tuple> = (0..200)
-            .map(|i| {
-                let v = if i % 7 == 0 {
-                    Value::Null
-                } else {
-                    Value::Int((i * 3) % 50)
-                };
-                Tuple::new(vec![Value::Int(i % 9), v])
-            })
-            .collect();
-        let mut row = HashAggOp::new(spec(), &schema());
-        let mut col = HashAggOp::new(spec(), &schema());
-        let mut sink = Vec::new();
-        for chunk in data.chunks(33) {
-            row.push(0, chunk, &mut sink).unwrap();
-            col.push_columns(0, &ColumnarBatch::from_tuples(chunk), &mut sink)
-                .unwrap();
-        }
-        let (mut rout, mut cout) = (Vec::new(), Vec::new());
-        row.finish(&mut rout).unwrap();
-        col.finish(&mut cout).unwrap();
-        // First-seen emission order is shared by both paths.
-        assert_eq!(rout, cout);
-        assert_eq!(rout.len(), 9);
     }
 
     #[test]

@@ -15,9 +15,8 @@ use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use tukwila_relation::agg::AggState;
-use tukwila_relation::column::{accumulate_column, group_keys_at, group_keys_rows};
-use tukwila_relation::value::GroupKey;
-use tukwila_relation::{ColumnarBatch, Result, Schema, Tuple, Value};
+use tukwila_relation::value::{group_keys_rows, GroupKey};
+use tukwila_relation::{Result, Schema, Tuple, Value};
 use tukwila_stats::OpCounters;
 use tukwila_storage::fx::FxHashMap;
 
@@ -154,38 +153,6 @@ impl PreAggOp {
         Ok(())
     }
 
-    /// [`PreAggOp::emit_window`] straight from columnar storage: keys via
-    /// [`group_keys_at`], accumulators via one [`accumulate_column`]
-    /// sweep per aggregate. `rows` are physical indices into `batch`.
-    fn emit_window_columnar(
-        &mut self,
-        batch: &ColumnarBatch,
-        rows: &[usize],
-        out: &mut Batch,
-    ) -> Result<()> {
-        self.stats.windows += 1;
-        self.stats.consumed += rows.len() as u64;
-        if rows.len() == 1 || self.w == 1 {
-            for &r in rows {
-                out.push(self.convert_singleton(&batch.tuple_at(r))?);
-            }
-            self.stats.emitted += rows.len() as u64;
-            self.adjust(rows.len(), rows.len());
-            return Ok(());
-        }
-        let keys = group_keys_at(batch, &self.spec.group_cols, rows);
-        let mut wg = WindowGroups::new(self.spec.aggs.len());
-        let slots = wg.assign(keys, &self.spec.aggs);
-        for (st, a) in wg.states.iter_mut().zip(&self.spec.aggs) {
-            accumulate_column(batch.column(a.col), rows, &slots, st)?;
-        }
-        let emitted = wg.keys.len();
-        wg.emit(out);
-        self.stats.emitted += emitted as u64;
-        self.adjust(rows.len(), emitted);
-        Ok(())
-    }
-
     /// Convert one tuple to the pre-aggregated schema (pseudogroup).
     fn convert_singleton(&self, t: &Tuple) -> Result<Tuple> {
         let mut vals = Vec::with_capacity(self.spec.group_cols.len() + self.spec.aggs.len());
@@ -224,8 +191,7 @@ impl PreAggOp {
 }
 
 /// Dense per-window group state: a slot per first-seen key, accumulators
-/// column-major (`states[agg][slot]`). Emission is in first-seen order —
-/// the same for the row and columnar window paths.
+/// column-major (`states[agg][slot]`). Emission is in first-seen order.
 struct WindowGroups {
     lookup: FxHashMap<GroupKey, u32>,
     keys: Vec<GroupKey>,
@@ -312,56 +278,6 @@ impl IncOp for PreAggOp {
             let rest = self.window.split_off(take);
             let full = std::mem::replace(&mut self.window, rest);
             self.emit_window(&full, out)?;
-        }
-        self.counters.add_out((out.len() - before) as u64);
-        Ok(())
-    }
-
-    /// Columnar push: complete windows aggregate straight from the
-    /// columns (`emit_window_columnar`); only the rows that top up a
-    /// carried partial window, or remain as one, materialize as tuples.
-    /// Window boundaries, sizing decisions, and output are identical to
-    /// pushing the same rows through [`PreAggOp::push`].
-    fn push_columns(&mut self, _port: usize, batch: &ColumnarBatch, out: &mut Batch) -> Result<()> {
-        let n = batch.selected_rows() as u64;
-        self.counters.add_in(n);
-        self.counters.add_work(n);
-        let before = out.len();
-        if self.stream_pseudogroup() {
-            for r in batch.selected_indices() {
-                out.push(self.convert_singleton(&batch.tuple_at(r))?);
-            }
-            self.stats.windows += n;
-            self.stats.consumed += n;
-            self.stats.emitted += n;
-            self.counters.add_out((out.len() - before) as u64);
-            return Ok(());
-        }
-        let idx = batch.selected_indices();
-        let mut pos = 0;
-        // Top up a carried partial window first.
-        if !self.window.is_empty() {
-            while pos < idx.len() && self.window.len() < self.w {
-                self.window.push(batch.tuple_at(idx[pos]));
-                pos += 1;
-            }
-            while self.window.len() >= self.w {
-                let rest = self.window.split_off(self.w);
-                let full = std::mem::replace(&mut self.window, rest);
-                self.emit_window(&full, out)?;
-            }
-        }
-        // Whole windows straight from the columns. Re-read `self.w` each
-        // round: emitting a window may resize it (adaptive policy), just
-        // like the row path's drain loop.
-        while idx.len() - pos >= self.w {
-            let w = self.w;
-            self.emit_window_columnar(batch, &idx[pos..pos + w], out)?;
-            pos += w;
-        }
-        // The remainder carries over as the next partial window.
-        for &r in &idx[pos..] {
-            self.window.push(batch.tuple_at(r));
         }
         self.counters.add_out((out.len() - before) as u64);
         Ok(())
@@ -475,37 +391,6 @@ mod tests {
             p.current_window()
         );
         assert_eq!(out.len(), 512, "unique data passes through entirely");
-    }
-
-    #[test]
-    fn columnar_push_matches_row_push() {
-        use tukwila_relation::ColumnarBatch;
-        let data: Vec<Tuple> = (0..300).map(|i| t(i % 11, (i * 13) % 97)).collect();
-        for policy in [
-            WindowPolicy::Fixed(1),
-            WindowPolicy::Fixed(7),
-            WindowPolicy::Adaptive {
-                initial: 8,
-                min: 1,
-                max: 256,
-                grow_below: 0.75,
-                shrink_above: 0.95,
-            },
-        ] {
-            let mut row = PreAggOp::new(spec(), &schema(), policy);
-            let mut col = PreAggOp::new(spec(), &schema(), policy);
-            let (mut rout, mut cout) = (Vec::new(), Vec::new());
-            for chunk in data.chunks(23) {
-                row.push(0, chunk, &mut rout).unwrap();
-                col.push_columns(0, &ColumnarBatch::from_tuples(chunk), &mut cout)
-                    .unwrap();
-            }
-            row.finish(&mut rout).unwrap();
-            col.finish(&mut cout).unwrap();
-            assert_eq!(rout, cout, "policy {policy:?}");
-            assert_eq!(row.current_window(), col.current_window());
-            assert_eq!(row.stats(), col.stats());
-        }
     }
 
     #[test]

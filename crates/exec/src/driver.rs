@@ -23,7 +23,7 @@ use tukwila_stats::trace::SpanKind;
 use tukwila_stats::{Clock, TraceSink};
 
 use crate::metrics::ExecReport;
-use crate::op::{Batch, DataBatch};
+use crate::op::Batch;
 use crate::plan::PipelinePlan;
 
 /// Anything the round-robin driver can feed source batches into: a single
@@ -34,10 +34,6 @@ pub trait PushTarget {
     /// Push a source batch for `rel_id`; root output lands in `out`.
     fn push_source(&mut self, rel_id: u32, batch: &[Tuple], out: &mut Batch) -> Result<()>;
 
-    /// Push a batch in whichever representation it arrived in: columns
-    /// enter the vectorized operator entry as they are.
-    fn push_data(&mut self, rel_id: u32, batch: &DataBatch, out: &mut Batch) -> Result<()>;
-
     /// Signal EOF of source `rel_id`, flushing whatever that closes.
     fn finish_source(&mut self, rel_id: u32, out: &mut Batch) -> Result<()>;
 }
@@ -45,13 +41,6 @@ pub trait PushTarget {
 impl PushTarget for PipelinePlan {
     fn push_source(&mut self, rel_id: u32, batch: &[Tuple], out: &mut Batch) -> Result<()> {
         PipelinePlan::push_source(self, rel_id, batch, out)
-    }
-
-    fn push_data(&mut self, rel_id: u32, batch: &DataBatch, out: &mut Batch) -> Result<()> {
-        match batch {
-            DataBatch::Rows(b) => PipelinePlan::push_source(self, rel_id, b, out),
-            DataBatch::Columns(c) => self.push_source_columns(rel_id, c, out),
-        }
     }
 
     fn finish_source(&mut self, rel_id: u32, out: &mut Batch) -> Result<()> {
@@ -470,8 +459,10 @@ mod tests {
             .run(&mut plan_v, &mut mk())
             .unwrap();
 
-        // 100× acceleration: the 20ms initial latency costs ~200µs real.
-        let clock = std::sync::Arc::new(WallClock::accelerated(100.0));
+        // 10× acceleration: the 20ms initial latency costs ~2ms real, a
+        // window no scheduler hiccup before the first poll can cover, so
+        // the driver always finds the sources not yet ready and idles.
+        let clock = std::sync::Arc::new(WallClock::accelerated(10.0));
         let start = Instant::now();
         let mut plan_w = join_plan();
         let (out_w, report) = SimDriver::new(16, CpuCostModel::Measured)
@@ -479,7 +470,7 @@ mod tests {
             .run(&mut plan_w, &mut mk())
             .unwrap();
         assert!(
-            start.elapsed().as_micros() >= 150,
+            start.elapsed().as_micros() >= 1500,
             "the initial latency must cost real time"
         );
         assert_eq!(out_w.len(), out_v.len(), "same join result in both modes");

@@ -2,8 +2,7 @@
 
 use std::sync::Arc;
 
-use tukwila_relation::column::eval_predicate;
-use tukwila_relation::{ColumnarBatch, Expr, Result, Schema, Tuple};
+use tukwila_relation::{Expr, Result, Schema, Tuple};
 use tukwila_stats::OpCounters;
 
 use crate::op::{Batch, IncOp};
@@ -49,34 +48,6 @@ impl IncOp for FilterOp {
         }
         self.counters.add_out((out.len() - before) as u64);
         self.counters.add_work(batch.len() as u64);
-        Ok(())
-    }
-
-    fn push_columns(&mut self, _port: usize, batch: &ColumnarBatch, out: &mut Batch) -> Result<()> {
-        let n = batch.selected_rows();
-        self.counters.add_in(n as u64);
-        let before = out.len();
-        match eval_predicate(&self.predicate, batch) {
-            Ok(mut mask) => {
-                if let Some(sel) = batch.selection() {
-                    mask.and(sel);
-                }
-                for r in mask.iter_ones() {
-                    out.push(batch.tuple_at(r));
-                }
-            }
-            // Predicate outside the vectorizable subset: the row path
-            // reproduces exact error and short-circuit semantics.
-            Err(_) => {
-                for t in batch.to_tuples() {
-                    if self.predicate.matches(&t)? {
-                        out.push(t);
-                    }
-                }
-            }
-        }
-        self.counters.add_out((out.len() - before) as u64);
-        self.counters.add_work(n as u64);
         Ok(())
     }
 

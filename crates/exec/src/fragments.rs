@@ -21,7 +21,7 @@
 //!   is a root source and a quiesce succeeds at once.
 //! * **Threaded** ([`FragmentRun::spawn`],
 //!   [`SimDriver::run_fragments_threaded`]): every producer fragment runs
-//!   on its own thread, shipping root output as columns through a bounded
+//!   on its own thread, shipping root output as rows through a bounded
 //!   [`queue_pair`](crate::queue::queue_pair()) queue that the consumer
 //!   reads as an ordinary [`Source`] ([`ExchangeSource`]). A CPU-heavy
 //!   join subtree then genuinely overlaps a slow federated scan — the
@@ -63,9 +63,9 @@ use tukwila_stats::{Clock, TraceSink};
 
 use crate::driver::{charged_cost, CpuCostModel, PushTarget, SimDriver, Timeline};
 use crate::metrics::ExecReport;
-use crate::op::{Batch, DataBatch, IncOp};
+use crate::op::{Batch, IncOp};
 use crate::plan::{NodeObservation, PipelinePlan, SealedState};
-use crate::queue::{queue_pair, QueueReader, QueueWriter, TryRecv, TryRecvData};
+use crate::queue::{queue_pair, QueueReader, QueueWriter, TryRecv};
 
 /// First synthetic relation id used for exchange streams. Real base
 /// relations live far below this; the two id spaces never collide.
@@ -377,52 +377,9 @@ impl PushTarget for LocalFragments {
         self.push_into(f, out, |p, o| p.push_source(rel_id, batch, o))
     }
 
-    fn push_data(&mut self, rel_id: u32, batch: &DataBatch, out: &mut Batch) -> Result<()> {
-        let f = self.fragment_for(rel_id)?;
-        self.push_into(f, out, |p, o| p.push_data(rel_id, batch, o))
-    }
-
     fn finish_source(&mut self, rel_id: u32, out: &mut Batch) -> Result<()> {
         let f = self.fragment_for(rel_id)?;
         self.finish_in(f, rel_id, out)
-    }
-}
-
-/// Outcome of a representation-preserving exchange poll
-/// ([`ExchangeSource::poll_data`]): like [`Poll`], but `Ready` carries
-/// whichever representation the producer shipped, so a columnar-aware
-/// consumer can route columns straight into vectorized kernels.
-pub enum ExchangePoll {
-    /// A batch was queued, in the representation it was shipped.
-    Ready(DataBatch),
-    /// Producer alive but quiet; look again at `next_ready_us`.
-    Pending {
-        /// Timeline µs of the next scheduled look.
-        next_ready_us: u64,
-    },
-    /// Producer finished and the queue drained.
-    Eof,
-}
-
-impl ExchangePoll {
-    /// The `Pending` hint, if this is one (see [`Poll::pending_hint`]).
-    pub fn pending_hint(&self) -> Option<u64> {
-        match self {
-            ExchangePoll::Pending { next_ready_us } => Some(*next_ready_us),
-            ExchangePoll::Ready(_) | ExchangePoll::Eof => None,
-        }
-    }
-}
-
-impl From<Poll> for ExchangePoll {
-    /// A base-relation poll, seen through the same lens: rows are one
-    /// representation an input can arrive in.
-    fn from(poll: Poll) -> ExchangePoll {
-        match poll {
-            Poll::Ready(b) => ExchangePoll::Ready(DataBatch::Rows(b)),
-            Poll::Pending { next_ready_us } => ExchangePoll::Pending { next_ready_us },
-            Poll::Eof => ExchangePoll::Eof,
-        }
     }
 }
 
@@ -467,55 +424,6 @@ impl ExchangeSource {
         self.ex_id
     }
 
-    /// Representation-preserving poll: columnar batches shipped by the
-    /// producer come back intact (one queue batch at a time — the
-    /// producer already bounded it to its batch size), row batches honor
-    /// `max_tuples` through the carry buffer exactly like
-    /// [`Source::poll`]. The row-level `poll` remains the fallback for
-    /// drivers that treat this source like any other relation.
-    pub fn poll_data(&mut self, now_us: u64, max_tuples: usize) -> ExchangePoll {
-        self.next(now_us, max_tuples, true)
-    }
-
-    /// The next batch: the carry tail first, then the queue. Columns stay
-    /// columns when `keep_columns`; rows go out at most `max_tuples` at a
-    /// time, the rest waiting in the carry buffer.
-    fn next(&mut self, now_us: u64, max_tuples: usize, keep_columns: bool) -> ExchangePoll {
-        let mut rows = if !self.carry.is_empty() {
-            std::mem::take(&mut self.carry)
-        } else if self.done {
-            return ExchangePoll::Eof;
-        } else {
-            let status = match &self.reader {
-                Some(r) => r.try_recv_data(),
-                None => TryRecvData::Closed,
-            };
-            match status {
-                TryRecvData::Batch(DataBatch::Columns(c)) if keep_columns => {
-                    self.delivered += c.selected_rows() as u64;
-                    return ExchangePoll::Ready(DataBatch::Columns(c));
-                }
-                TryRecvData::Batch(b) => b.into_rows(),
-                TryRecvData::Empty => {
-                    return ExchangePoll::Pending {
-                        next_ready_us: now_us + self.poll_tick_us,
-                    }
-                }
-                TryRecvData::Closed => {
-                    self.done = true;
-                    self.reader = None;
-                    return ExchangePoll::Eof;
-                }
-            }
-        };
-        let cap = max_tuples.max(1);
-        if rows.len() > cap {
-            self.carry = rows.split_off(cap);
-        }
-        self.delivered += rows.len() as u64;
-        ExchangePoll::Ready(DataBatch::Rows(rows))
-    }
-
     /// Take everything currently buffered on the consumer side of this
     /// exchange: the carry tail plus every batch still queued. Used by
     /// the quiesce protocol's drain step, after the producer stopped
@@ -555,12 +463,38 @@ impl Source for ExchangeSource {
         &self.schema
     }
 
+    /// The carry tail first, then the queue; rows go out at most
+    /// `max_tuples` at a time, the rest waiting in the carry buffer.
     fn poll(&mut self, now_us: u64, max_tuples: usize) -> Poll {
-        match self.next(now_us, max_tuples, false) {
-            ExchangePoll::Ready(batch) => Poll::Ready(batch.into_rows()),
-            ExchangePoll::Pending { next_ready_us } => Poll::Pending { next_ready_us },
-            ExchangePoll::Eof => Poll::Eof,
+        let mut rows = if !self.carry.is_empty() {
+            std::mem::take(&mut self.carry)
+        } else if self.done {
+            return Poll::Eof;
+        } else {
+            let status = match &self.reader {
+                Some(r) => r.try_recv_status(),
+                None => TryRecv::Closed,
+            };
+            match status {
+                TryRecv::Batch(b) => b,
+                TryRecv::Empty => {
+                    return Poll::Pending {
+                        next_ready_us: now_us + self.poll_tick_us,
+                    }
+                }
+                TryRecv::Closed => {
+                    self.done = true;
+                    self.reader = None;
+                    return Poll::Eof;
+                }
+            }
+        };
+        let cap = max_tuples.max(1);
+        if rows.len() > cap {
+            self.carry = rows.split_off(cap);
         }
+        self.delivered += rows.len() as u64;
+        Poll::Ready(rows)
     }
 
     fn progress(&self) -> SourceProgressView {
@@ -910,10 +844,9 @@ fn run_producer(
     let mut report = ExecReport::default();
     let mut finished = vec![false; sources.len()];
     let mut pending: Batch = Batch::new();
-    // Output already encoded for the wire (columns in columnar mode). A
-    // refused send hands the encoded batch back, so retry loops pay the
-    // transpose at most once per batch instead of once per attempt.
-    let mut staged: Option<DataBatch> = None;
+    // Output taken off `pending` for the wire. A refused send hands the
+    // batch back, and it retries ahead of any newer output.
+    let mut staged: Option<Batch> = None;
     let mut error: Option<Error> = None;
     let mut completed = false;
     let mut depth_hw: u64 = 0;
@@ -943,13 +876,11 @@ fn run_producer(
         // Ship parked output, uncharged (backpressure wait is not CPU)
         // and non-blocking (a full queue defers to the next boundary, so
         // a pending quiesce is honored with the batch carried along).
-        // Encoding (the columnar transpose) happens exactly once here;
-        // the refused batch retries already encoded.
         if staged.is_none() && !pending.is_empty() {
-            staged = Some(writer.encode(std::mem::take(&mut pending)));
+            staged = Some(std::mem::take(&mut pending));
         }
         if let Some(batch) = staged.take() {
-            match writer.try_send_data(batch) {
+            match writer.try_send(batch) {
                 Ok(None) => {
                     depth_hw = depth_hw.max(writer.depth() as u64);
                     timeline.resync();
@@ -982,22 +913,17 @@ fn run_producer(
                 continue;
             }
             all_done = false;
-            // Upstream exchanges (multi-level producer chains) poll
-            // representation-preserving, so columnar batches shipped by
-            // the producer below ride into this pipeline's vectorized
-            // push without a row detour.
-            let polled = match &mut sources[i] {
-                ProducerSource::Exchange(ex) => ex.poll_data(timeline.now_us(), batch_size),
-                ProducerSource::Real { src, .. } => src.poll(timeline.now_us(), batch_size).into(),
-            };
+            let polled = sources[i]
+                .as_source_mut()
+                .poll(timeline.now_us(), batch_size);
             match polled {
-                ExchangePoll::Ready(batch) => {
+                Poll::Ready(batch) => {
                     any_ready = true;
                     report.batches += 1;
                     let n = batch.len();
                     let rel = sources[i].as_source_mut().rel_id();
                     let pushed = charged_cost(cpu, &timeline, n, || {
-                        pipeline.push_data(rel, &batch, &mut pending)
+                        pipeline.push_source(rel, &batch, &mut pending)
                     });
                     match pushed {
                         Ok(cost) => timeline.charge(cost),
@@ -1010,13 +936,13 @@ fn run_producer(
                         progress.refresh(n as u64, src.as_ref());
                     }
                 }
-                ExchangePoll::Pending { next_ready_us } => {
+                Poll::Pending { next_ready_us } => {
                     next_ready = Some(match next_ready {
                         Some(n) => n.min(next_ready_us),
                         None => next_ready_us,
                     });
                 }
-                ExchangePoll::Eof => {
+                Poll::Eof => {
                     finished[i] = true;
                     let flushed = charged_cost(cpu, &timeline, 0, || {
                         let rel = sources[i].as_source_mut().rel_id();
@@ -1056,9 +982,9 @@ fn run_producer(
                 if pending.is_empty() {
                     break;
                 }
-                staged = Some(writer.encode(std::mem::take(&mut pending)));
+                staged = Some(std::mem::take(&mut pending));
             }
-            match writer.try_send_data(staged.take().expect("just filled")) {
+            match writer.try_send(staged.take().expect("just filled")) {
                 Ok(None) => depth_hw = depth_hw.max(writer.depth() as u64),
                 Ok(Some(back)) => {
                     staged = Some(back);
@@ -1080,11 +1006,10 @@ fn run_producer(
             let _ = writer.finish(&mut Batch::new());
         }
     }
-    // Whatever is still staged re-materializes as rows *ahead of* any
-    // unencoded output, so the quiesce drain sees exactly the row stream
-    // the consumer would have — loss-free and order-preserving.
-    if let Some(s) = staged.take() {
-        let mut rows = s.into_rows();
+    // Whatever is still staged goes back *ahead of* any newer output, so
+    // the quiesce drain sees exactly the row stream the consumer would
+    // have — loss-free and order-preserving.
+    if let Some(mut rows) = staged.take() {
         rows.append(&mut pending);
         pending = rows;
     }
@@ -1332,9 +1257,8 @@ impl FragmentRun {
         let mut producers: Vec<ProducerSlot> = Vec::with_capacity(nfrag - 1);
         for (idx, frag) in fragments.into_iter().enumerate() {
             let ex = frag.output.expect("non-root fragments output an exchange");
-            let (mut writer, reader) =
+            let (writer, reader) =
                 queue_pair(frag.pipeline.root_schema().clone(), opts.queue_capacity);
-            writer.set_columnar(true);
             let exchange_source = ExchangeSource::new(
                 ex,
                 frag.pipeline.root_schema().clone(),

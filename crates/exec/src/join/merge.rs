@@ -9,8 +9,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use tukwila_relation::column::sort_permutation;
-use tukwila_relation::{ColumnarBatch, Error, Result, Schema, SortKey, Tuple};
+use tukwila_relation::{Error, Result, Schema, SortKey, Tuple};
 use tukwila_stats::OpCounters;
 use tukwila_storage::{SortedList, StateStructure};
 
@@ -154,27 +153,6 @@ impl IncOp for MergeJoin {
         self.try_emit(out)
     }
 
-    /// Columnar push: a vectorized key-column sort orders the batch, a
-    /// column gather permutes the payload, and the pre-sorted rows append
-    /// to the side's [`SortedList`] on its O(1) in-order fast path. The
-    /// stable sort keeps equal keys in arrival order and
-    /// [`SortedList::insert`] places a tuple after its equals, so the
-    /// buffered list — and therefore the join output — is identical to
-    /// the row path's.
-    fn push_columns(&mut self, port: usize, batch: &ColumnarBatch, out: &mut Batch) -> Result<()> {
-        self.counters.add_in(batch.selected_rows() as u64);
-        let (key, list) = match port {
-            0 => (self.left_key, &mut self.left),
-            1 => (self.right_key, &mut self.right),
-            p => return Err(Error::Exec(format!("merge join has no port {p}"))),
-        };
-        let perm = sort_permutation(batch, &[SortKey::asc(key)]);
-        for t in batch.gather(&perm).to_tuples() {
-            list.insert(t);
-        }
-        self.try_emit(out)
-    }
-
     fn finish_input(&mut self, port: usize, out: &mut Batch) -> Result<()> {
         match port {
             0 => self.left_eof = true,
@@ -309,32 +287,6 @@ mod tests {
         };
         assert_eq!(canon(&mout), canon(&hout));
         assert!(!mout.is_empty());
-    }
-
-    #[test]
-    fn columnar_push_matches_row_push() {
-        use tukwila_relation::ColumnarBatch;
-        let (ls, rs) = schemas();
-        let mut row = MergeJoin::new(ls.clone(), rs.clone(), 0, 0);
-        let mut col = MergeJoin::new(ls, rs, 0, 0);
-        // Sorted arrival with duplicate keys (the router's guarantee).
-        let left: Vec<Tuple> = (0..80).map(|i| t(i / 3, i)).collect();
-        let right: Vec<Tuple> = (0..60).map(|i| t(i / 2, 1000 + i)).collect();
-        let (mut rout, mut cout) = (Vec::new(), Vec::new());
-        for chunk in left.chunks(13) {
-            row.push(0, chunk, &mut rout).unwrap();
-            col.push_columns(0, &ColumnarBatch::from_tuples(chunk), &mut cout)
-                .unwrap();
-        }
-        for chunk in right.chunks(9) {
-            row.push(1, chunk, &mut rout).unwrap();
-            col.push_columns(1, &ColumnarBatch::from_tuples(chunk), &mut cout)
-                .unwrap();
-        }
-        finish_both(&mut row, &mut rout);
-        finish_both(&mut col, &mut cout);
-        assert_eq!(rout, cout);
-        assert!(!rout.is_empty());
     }
 
     #[test]

@@ -46,10 +46,10 @@ pub mod split;
 
 pub use driver::{CpuCostModel, PushTarget, SimDriver, Timeline};
 pub use fragments::{
-    is_exchange, ExchangePoll, ExchangeSource, Fragment, FragmentOptions, FragmentPlan,
-    FragmentRun, FragmentSourceProgress, QuiesceHandle, SealedOutcome, EXCHANGE_REL_BASE,
+    is_exchange, ExchangeSource, Fragment, FragmentOptions, FragmentPlan, FragmentRun,
+    FragmentSourceProgress, QuiesceHandle, SealedOutcome, EXCHANGE_REL_BASE,
 };
 pub use metrics::ExecReport;
-pub use op::{Batch, DataBatch, ExtractedState, IncOp};
+pub use op::{Batch, ExtractedState, IncOp};
 pub use plan::{PipelinePlan, PlanBuilder};
-pub use queue::{queue_pair, QueueReader, QueueWriter, TryRecv, TryRecvData};
+pub use queue::{queue_pair, QueueReader, QueueWriter, TryRecv};

@@ -2,68 +2,12 @@
 
 use std::sync::Arc;
 
-use tukwila_relation::{ColumnarBatch, Result, Schema, Tuple};
+use tukwila_relation::{Result, Schema, Tuple};
 use tukwila_stats::OpCounters;
 use tukwila_storage::StateStructure;
 
 /// A batch of tuples flowing through the pipeline.
 pub type Batch = Vec<Tuple>;
-
-/// A batch in either representation. Exchanges and other transport edges
-/// carry this so producers can ship typed columns instead of boxed rows;
-/// consumers that only understand rows call [`DataBatch::into_rows`] and
-/// stay correct unmodified.
-#[derive(Debug, Clone)]
-pub enum DataBatch {
-    /// Row layout (`Vec<Tuple>`), the operator protocol's native form.
-    Rows(Batch),
-    /// Columnar layout; logically equivalent to
-    /// [`ColumnarBatch::to_tuples`].
-    Columns(ColumnarBatch),
-}
-
-impl DataBatch {
-    /// Logical row count (columnar batches count selected rows).
-    pub fn len(&self) -> usize {
-        match self {
-            DataBatch::Rows(b) => b.len(),
-            DataBatch::Columns(c) => c.selected_rows(),
-        }
-    }
-
-    /// Whether the batch holds zero logical rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Convert to the row representation (no-op for row batches).
-    pub fn into_rows(self) -> Batch {
-        match self {
-            DataBatch::Rows(b) => b,
-            DataBatch::Columns(c) => c.to_tuples(),
-        }
-    }
-
-    /// Rough in-memory footprint in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            DataBatch::Rows(b) => b.iter().map(Tuple::approx_bytes).sum(),
-            DataBatch::Columns(c) => c.approx_bytes(),
-        }
-    }
-}
-
-impl From<Batch> for DataBatch {
-    fn from(b: Batch) -> DataBatch {
-        DataBatch::Rows(b)
-    }
-}
-
-impl From<ColumnarBatch> for DataBatch {
-    fn from(c: ColumnarBatch) -> DataBatch {
-        DataBatch::Columns(c)
-    }
-}
 
 /// A state structure extracted from an operator when its plan is sealed
 /// (end of a phase). `port` identifies which input the structure buffered
@@ -98,14 +42,6 @@ pub trait IncOp: Send {
 
     /// Push a batch into `port`, appending produced tuples to `out`.
     fn push(&mut self, port: usize, batch: &[Tuple], out: &mut Batch) -> Result<()>;
-
-    /// Push a columnar batch into `port`. The default materializes rows
-    /// and delegates to [`IncOp::push`], so operators migrate to
-    /// vectorized kernels one at a time while the rest stay correct.
-    fn push_columns(&mut self, port: usize, batch: &ColumnarBatch, out: &mut Batch) -> Result<()> {
-        let rows = batch.to_tuples();
-        self.push(port, &rows, out)
-    }
 
     /// Signal that input `port` is exhausted. May emit buffered output
     /// (e.g. a hybrid hash join starts streaming probes once the build

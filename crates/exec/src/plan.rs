@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use tukwila_relation::{ColumnarBatch, Error, Result, Schema, Tuple};
+use tukwila_relation::{Error, Result, Schema, Tuple};
 use tukwila_stats::OpCounters;
 use tukwila_storage::ExprSig;
 
@@ -120,37 +120,6 @@ impl PipelinePlan {
             .leaf_for(rel_id)
             .ok_or_else(|| Error::Plan(format!("no leaf for relation {rel_id}")))?;
         self.cascade(leaf.node, leaf.port, batch, out)
-    }
-
-    /// Push a *columnar* batch of source tuples for `rel_id`: the leaf
-    /// operator consumes the columns via [`IncOp::push_columns`] (its
-    /// vectorized kernel, or the row-materializing default), and whatever
-    /// it produces cascades upward as rows. This is how columns arriving
-    /// over an exchange enter a consumer plan without an eager transpose.
-    pub fn push_source_columns(
-        &mut self,
-        rel_id: u32,
-        batch: &ColumnarBatch,
-        out: &mut Batch,
-    ) -> Result<()> {
-        let leaf = self
-            .leaf_for(rel_id)
-            .ok_or_else(|| Error::Plan(format!("no leaf for relation {rel_id}")))?;
-        let mut produced = self.scratch.pop().unwrap_or_default();
-        produced.clear();
-        self.nodes[leaf.node]
-            .op
-            .push_columns(leaf.port, batch, &mut produced)?;
-        let res = match self.nodes[leaf.node].parent {
-            Some((pn, pp)) if !produced.is_empty() => self.cascade(pn, pp, &produced, out),
-            Some(_) => Ok(()),
-            None => {
-                out.append(&mut produced);
-                Ok(())
-            }
-        };
-        self.scratch.push(produced);
-        res
     }
 
     /// Signal EOF of a source. When this closes the last open input of an

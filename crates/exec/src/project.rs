@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use tukwila_relation::{ColumnarBatch, Expr, Result, Schema, Tuple};
+use tukwila_relation::{Expr, Result, Schema, Tuple};
 use tukwila_stats::OpCounters;
 
 use crate::op::{Batch, IncOp};
@@ -11,9 +11,6 @@ use crate::op::{Batch, IncOp};
 /// the input tuple.
 pub struct ProjectOp {
     exprs: Vec<Expr>,
-    /// When every expression is a bare column reference, their indices —
-    /// the columnar path can gather without evaluating expressions.
-    pure_cols: Option<Vec<usize>>,
     schema: Schema,
     counters: Arc<OpCounters>,
 }
@@ -21,16 +18,8 @@ pub struct ProjectOp {
 impl ProjectOp {
     /// A projection evaluating `exprs` into tuples of `schema`.
     pub fn new(exprs: Vec<Expr>, schema: Schema) -> ProjectOp {
-        let pure_cols = exprs
-            .iter()
-            .map(|e| match e {
-                Expr::Col(c) => Some(*c),
-                _ => None,
-            })
-            .collect::<Option<Vec<usize>>>();
         ProjectOp {
             exprs,
-            pure_cols,
             schema,
             counters: OpCounters::new(),
         }
@@ -67,28 +56,6 @@ impl IncOp for ProjectOp {
         }
         self.counters.add_out(batch.len() as u64);
         self.counters.add_work(batch.len() as u64);
-        Ok(())
-    }
-
-    fn push_columns(&mut self, port: usize, batch: &ColumnarBatch, out: &mut Batch) -> Result<()> {
-        let cols = match &self.pure_cols {
-            Some(cols) if cols.iter().all(|&c| c < batch.arity()) => cols,
-            // Computed expressions (or out-of-range columns, which must
-            // surface the row path's error): materialize rows.
-            _ => {
-                let rows = batch.to_tuples();
-                return self.push(port, &rows, out);
-            }
-        };
-        let n = batch.selected_rows();
-        self.counters.add_in(n as u64);
-        for r in batch.selected_indices() {
-            out.push(Tuple::new(
-                cols.iter().map(|&c| batch.column(c).value(r)).collect(),
-            ));
-        }
-        self.counters.add_out(n as u64);
-        self.counters.add_work(n as u64);
         Ok(())
     }
 

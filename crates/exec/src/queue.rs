@@ -13,30 +13,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, SendError, Sender, TryRecvError, TrySendError};
-use tukwila_relation::{ColumnarBatch, Error, Result, Schema, Tuple};
+use tukwila_relation::{Error, Result, Schema, Tuple};
 use tukwila_stats::OpCounters;
 
-use crate::op::{Batch, DataBatch, IncOp};
+use crate::op::{Batch, IncOp};
 
 /// Producer half: a pipeline sink that forwards batches to the channel.
-///
-/// The channel carries [`DataBatch`], so a producer can ship typed columns
-/// instead of boxed rows (see [`QueueWriter::set_columnar`]); every
-/// row-level API below is representation-agnostic and unchanged.
 pub struct QueueWriter {
     schema: Schema,
-    tx: Option<Sender<DataBatch>>,
+    tx: Option<Sender<Batch>>,
     counters: Arc<OpCounters>,
     /// Sends that found the queue full and had to block (backpressure).
     blocked: Arc<AtomicU64>,
-    /// Transpose row batches to columns before shipping.
-    columnar: bool,
 }
 
 /// Consumer half: iterate received batches on another thread.
 pub struct QueueReader {
     schema: Schema,
-    rx: Receiver<DataBatch>,
+    rx: Receiver<Batch>,
 }
 
 /// Outcome of a non-blocking receive. `Empty` and `Closed` are distinct on
@@ -52,19 +46,6 @@ pub enum TryRecv {
     Empty,
     /// The producer finished (or dropped its writer) and every buffered
     /// batch has been drained. Nothing more will ever arrive.
-    Closed,
-}
-
-/// [`TryRecv`] preserving the shipped representation: consumers that
-/// understand columns route a [`DataBatch::Columns`] straight into
-/// vectorized operator kernels instead of paying the row conversion.
-#[derive(Debug, Clone)]
-pub enum TryRecvData {
-    /// A batch was waiting, in whatever representation the producer sent.
-    Batch(DataBatch),
-    /// Nothing buffered, but the producer is still alive.
-    Empty,
-    /// The producer finished and the buffer is drained.
     Closed,
 }
 
@@ -108,7 +89,6 @@ pub fn queue_pair(schema: Schema, capacity: usize) -> (QueueWriter, QueueReader)
             tx: Some(tx),
             counters: OpCounters::new(),
             blocked: Arc::new(AtomicU64::new(0)),
-            columnar: false,
         },
         QueueReader { schema, rx },
     )
@@ -126,64 +106,11 @@ pub(crate) fn is_hangup(e: &Error) -> bool {
 }
 
 impl QueueWriter {
-    /// Ship row batches as typed columns. Logically invisible to the
-    /// reader (row APIs convert back); columnar-aware consumers receive
-    /// the columns intact via [`QueueReader::try_recv_data`].
-    pub fn set_columnar(&mut self, on: bool) {
-        self.columnar = on;
-    }
-
-    /// Whether this writer ships columns (see
-    /// [`QueueWriter::set_columnar`]).
-    pub fn is_columnar(&self) -> bool {
-        self.columnar
-    }
-
-    /// Encode an owned row batch into the representation this writer
-    /// ships ([`DataBatch::Columns`] when columnar mode is on). Producers
-    /// that retry refused sends encode once and carry the encoded batch
-    /// through [`QueueWriter::try_send_data`] instead of paying the
-    /// transpose on every attempt.
-    pub fn encode(&self, batch: Batch) -> DataBatch {
-        if self.columnar {
-            DataBatch::Columns(ColumnarBatch::from_tuples(&batch))
-        } else {
-            DataBatch::Rows(batch)
-        }
-    }
-
-    /// Ship an already-encoded batch without re-encoding: columnar
-    /// producer pipelines pass their [`DataBatch::Columns`] output
-    /// straight through (columns-on-the-wire), and a refused batch comes
-    /// back *encoded*, so retry loops transpose at most once. Non-blocking
-    /// like [`QueueWriter::try_send`]; a full queue counts as
-    /// backpressure.
-    pub fn try_send_data(&mut self, batch: DataBatch) -> Result<Option<DataBatch>> {
-        let n = batch.len() as u64;
-        let tx = self
-            .tx
-            .as_ref()
-            .ok_or_else(|| Error::Exec("queue already closed".into()))?;
-        match tx.try_send(batch) {
-            Ok(()) => {
-                self.counters.add_in(n);
-                self.counters.add_out(n);
-                Ok(None)
-            }
-            Err(TrySendError::Full(b)) => {
-                self.blocked.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(b))
-            }
-            Err(TrySendError::Disconnected(_)) => Err(Error::Exec(CONSUMER_HANGUP.into())),
-        }
-    }
-
     /// Send an owned batch without the slice copy [`IncOp::push`] incurs.
     /// Blocks while the queue is at capacity (counting the event as
     /// backpressure); errors once the consumer hung up.
     pub fn send(&mut self, batch: Batch) -> Result<()> {
         let n = batch.len() as u64;
-        let batch = self.encode(batch);
         let tx = self
             .tx
             .as_ref()
@@ -227,24 +154,7 @@ impl QueueWriter {
             .tx
             .as_ref()
             .ok_or_else(|| Error::Exec("queue already closed".into()))?;
-        if self.columnar {
-            // Transpose from the borrowed rows so a refused send hands
-            // the caller's batch back untouched (the quiesce carry path).
-            let payload = DataBatch::Columns(ColumnarBatch::from_tuples(&batch));
-            return match tx.try_send(payload) {
-                Ok(()) => {
-                    self.counters.add_in(n);
-                    self.counters.add_out(n);
-                    Ok(None)
-                }
-                Err(TrySendError::Full(_)) => {
-                    self.blocked.fetch_add(1, Ordering::Relaxed);
-                    Ok(Some(batch))
-                }
-                Err(TrySendError::Disconnected(_)) => Err(Error::Exec(CONSUMER_HANGUP.into())),
-            };
-        }
-        match tx.try_send(DataBatch::Rows(batch)) {
+        match tx.try_send(batch) {
             Ok(()) => {
                 self.counters.add_in(n);
                 self.counters.add_out(n);
@@ -252,7 +162,7 @@ impl QueueWriter {
             }
             Err(TrySendError::Full(b)) => {
                 self.blocked.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(b.into_rows()))
+                Ok(Some(b))
             }
             Err(TrySendError::Disconnected(_)) => Err(Error::Exec(CONSUMER_HANGUP.into())),
         }
@@ -292,9 +202,8 @@ impl IncOp for QueueWriter {
     fn push(&mut self, _port: usize, batch: &[Tuple], _out: &mut Batch) -> Result<()> {
         self.counters.add_in(batch.len() as u64);
         self.counters.add_out(batch.len() as u64);
-        let payload = self.encode(batch.to_vec());
         match &self.tx {
-            Some(tx) => match tx.send(payload) {
+            Some(tx) => match tx.send(batch.to_vec()) {
                 Ok(()) => Ok(()),
                 Err(SendError(_)) => Err(Error::Exec(CONSUMER_HANGUP.into())),
             },
@@ -324,12 +233,6 @@ impl QueueReader {
     /// writer dropped are still delivered — a writer drop never loses
     /// in-flight data.
     pub fn recv(&self) -> Option<Batch> {
-        self.rx.recv().ok().map(DataBatch::into_rows)
-    }
-
-    /// Like [`QueueReader::recv`], but preserving the representation the
-    /// producer shipped.
-    pub fn recv_data(&self) -> Option<DataBatch> {
         self.rx.recv().ok()
     }
 
@@ -342,19 +245,9 @@ impl QueueReader {
     /// them).
     pub fn try_recv_status(&self) -> TryRecv {
         match self.rx.try_recv() {
-            Ok(b) => TryRecv::Batch(b.into_rows()),
+            Ok(b) => TryRecv::Batch(b),
             Err(TryRecvError::Empty) => TryRecv::Empty,
             Err(TryRecvError::Disconnected) => TryRecv::Closed,
-        }
-    }
-
-    /// [`QueueReader::try_recv_status`] preserving the shipped
-    /// representation (see [`TryRecvData`]).
-    pub fn try_recv_data(&self) -> TryRecvData {
-        match self.rx.try_recv() {
-            Ok(b) => TryRecvData::Batch(b),
-            Err(TryRecvError::Empty) => TryRecvData::Empty,
-            Err(TryRecvError::Disconnected) => TryRecvData::Closed,
         }
     }
 
@@ -362,7 +255,7 @@ impl QueueReader {
     /// when the caller never uses `None` as an EOF signal; prefer
     /// [`QueueReader::try_recv_status`].
     pub fn try_recv(&self) -> Option<Batch> {
-        self.rx.try_recv().ok().map(DataBatch::into_rows)
+        self.rx.try_recv().ok()
     }
 
     /// Drain everything remaining (blocks until producer EOF). Built on
@@ -496,52 +389,6 @@ mod tests {
         assert!(writer.try_send(back).unwrap().is_none());
         drop(reader);
         assert!(writer.try_send(vec![t(3)]).is_err());
-    }
-
-    #[test]
-    fn columnar_shipping_is_logically_invisible() {
-        let (mut writer, reader) = queue_pair(schema(), 4);
-        writer.set_columnar(true);
-        writer.send(vec![t(1), t(2)]).unwrap();
-        // Row API converts back transparently.
-        assert_eq!(reader.recv().unwrap(), vec![t(1), t(2)]);
-        // Columnar-aware API sees the columns intact.
-        writer.send(vec![t(3)]).unwrap();
-        match reader.try_recv_data() {
-            TryRecvData::Batch(DataBatch::Columns(c)) => {
-                assert_eq!(c.to_tuples(), vec![t(3)]);
-            }
-            other => panic!("expected columnar batch, got {other:?}"),
-        }
-        // Full queue hands the original rows back on try_send.
-        let (mut w2, r2) = queue_pair(schema(), 1);
-        w2.set_columnar(true);
-        assert!(w2.try_send(vec![t(1)]).unwrap().is_none());
-        let back = w2.try_send(vec![t(2)]).unwrap().unwrap();
-        assert_eq!(back, vec![t(2)]);
-        assert_eq!(r2.recv().unwrap(), vec![t(1)]);
-    }
-
-    #[test]
-    fn try_send_data_carries_encoding_across_retries() {
-        let (mut writer, reader) = queue_pair(schema(), 1);
-        writer.set_columnar(true);
-        assert!(writer.is_columnar());
-        let first = writer.encode(vec![t(1)]);
-        assert!(matches!(first, DataBatch::Columns(_)));
-        assert!(writer.try_send_data(first).unwrap().is_none());
-        // Queue full: the *encoded* batch comes back, no re-transpose
-        // needed on the retry.
-        let staged = writer.encode(vec![t(2), t(3)]);
-        let back = writer.try_send_data(staged).unwrap().unwrap();
-        assert!(matches!(back, DataBatch::Columns(_)));
-        assert_eq!(writer.blocked_sends(), 1);
-        assert_eq!(reader.recv().unwrap(), vec![t(1)]);
-        assert!(writer.try_send_data(back).unwrap().is_none());
-        assert_eq!(reader.recv().unwrap(), vec![t(2), t(3)]);
-        assert_eq!(writer.counters().tuples_out(), 3);
-        drop(reader);
-        assert!(writer.try_send_data(DataBatch::Rows(vec![t(4)])).is_err());
     }
 
     #[test]

@@ -42,9 +42,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use tukwila_relation::column::{hash_keys_into, key_elem_eq, tuple_key_hash, value_key_eq};
-use tukwila_relation::value::{group_key, GroupKey};
-use tukwila_relation::{ColumnarBatch, Error, Key, Result, Schema, Tuple};
+use tukwila_relation::value::{group_key, tuple_key_hash, value_key_eq, GroupKey};
+use tukwila_relation::{Error, Result, Schema, Tuple};
 use tukwila_source::{DueTimes, Poll, Source, SourceDescriptor, SourceProgressView};
 use tukwila_stats::clock::{Clock, VirtualClock};
 use tukwila_stats::{ArrivalSchedule, RateEstimator, TraceEvent};
@@ -81,9 +80,7 @@ impl Hasher for KeyHashId {
 /// hash are chained: the map holds the newest entry's index, and `next`
 /// links each entry to the previous one, so an insert allocates nothing
 /// beyond the entry itself. The `GroupKey` is only materialized when a
-/// key is inserted, and the columnar entry point
-/// ([`KeyDedup::filter_columnar`]) hashes whole batches with one pass per
-/// key column.
+/// key is inserted.
 pub struct KeyDedup {
     rel_id: u32,
     key_cols: Vec<usize>,
@@ -118,24 +115,21 @@ impl KeyDedup {
         self.entries.len()
     }
 
-    /// Walk the chain starting at entry `head` for the key whose every
-    /// element `eq(element, key column)` accepts; return the candidate
-    /// that delivered it first.
-    fn seen_by(&self, head: u32, eq: impl Fn(&Key, usize) -> bool) -> Option<usize> {
-        let mut at = head;
+    /// Walk the chain of entries with key hash `h` for the key of `t`;
+    /// return the candidate that delivered it first.
+    fn seen_by(&self, h: u64, t: &Tuple) -> Option<usize> {
+        let mut at = self.heads.get(&h).copied().unwrap_or(NO_ENTRY);
         while at != NO_ENTRY {
             let (k, who) = &self.entries[at as usize];
-            if k.iter().zip(&self.key_cols).all(|(ke, &c)| eq(ke, c)) {
+            if k.iter()
+                .zip(&self.key_cols)
+                .all(|(ke, &c)| value_key_eq(t.get(c), ke))
+            {
                 return Some(*who);
             }
             at = self.next[at as usize];
         }
         None
-    }
-
-    /// [`KeyDedup::seen_by`] over every entry with key hash `h`.
-    fn probe(&self, h: u64, eq: impl Fn(&Key, usize) -> bool) -> Option<usize> {
-        self.seen_by(self.heads.get(&h).copied().unwrap_or(NO_ENTRY), eq)
     }
 
     /// Add `key` (hash `h`), first delivered by `candidate`.
@@ -166,109 +160,11 @@ impl KeyDedup {
         let mut fresh = Vec::with_capacity(batch.len());
         for t in batch {
             let h = tuple_key_hash(&t, &self.key_cols);
-            match self.probe(h, |ke, c| value_key_eq(t.get(c), ke)) {
+            match self.seen_by(h, &t) {
                 Some(first) => self.assert_fresh_provenance(first, candidate, name),
                 None => {
                     self.insert(h, group_key(t.values(), &self.key_cols), candidate);
                     fresh.push(t);
-                }
-            }
-        }
-        fresh
-    }
-
-    /// [`KeyDedup::filter`] over a columnar batch: key hashes for the
-    /// whole batch are computed with one pass per key column, and the
-    /// seen-set is probed in *stages* — a tight read-only chain-head
-    /// lookup sweep, then exact key verification, then an ordered insert pass
-    /// over the rows that survived. The read-only sweeps have no
-    /// mutation or branching in their bodies, so the out-of-order core
-    /// overlaps the (cache-missing) hash-table reads of many rows at
-    /// once; on duplicate-heavy feeds — the normal case for mirrored
-    /// candidates — this is where the columnar path wins. Fresh rows
-    /// still re-probe in row order, which is what catches an intra-batch
-    /// key redelivery exactly like the row path does.
-    pub fn filter_columnar(
-        &mut self,
-        candidate: usize,
-        name: &str,
-        batch: &ColumnarBatch,
-        hash_buf: &mut Vec<u64>,
-    ) -> Vec<Tuple> {
-        if batch.num_rows() == 0 {
-            // A rowless batch has no columns to hash (or deliver).
-            return Vec::new();
-        }
-        hash_keys_into(batch, &self.key_cols, hash_buf);
-        let rows = batch.selected_indices();
-
-        let eq_row = |r: usize| move |ke: &Key, c: usize| key_elem_eq(batch.column(c), r, ke);
-
-        // Stage 1: chain-head lookups only. `hits` records (slot, newest
-        // entry with the row's key hash).
-        let mut hits: Vec<(u32, u32)> = Vec::new();
-        for (s, &r) in rows.iter().enumerate() {
-            if let Some(&head) = self.heads.get(&hash_buf[r]) {
-                hits.push((s as u32, head));
-            }
-        }
-
-        // Stage 2: exact key verification along the chain for hash hits
-        // (still read-only; a non-equal key is just a 64-bit hash
-        // collision and stays a fresh candidate).
-        let mut dup = vec![false; rows.len()];
-        for &(s, head) in &hits {
-            if let Some(first) = self.seen_by(head, eq_row(rows[s as usize])) {
-                self.assert_fresh_provenance(first, candidate, name);
-                dup[s as usize] = true;
-            }
-        }
-
-        // Stage 3 prelude: arena-build the fresh rows' `GroupKey`s
-        // column-major (one column dispatch per key column instead of one
-        // per row × column) and reserve the seen-set growth once for the
-        // whole batch. Every non-duplicate row either inserts its key or
-        // panics on provenance — stage-3 bucket hits can only be entries
-        // this batch just inserted (`who == candidate`) or hash collisions
-        // — so the arena is consumed exactly in row order.
-        let fresh_rows: Vec<usize> = rows
-            .iter()
-            .enumerate()
-            .filter(|&(s, _)| !dup[s])
-            .map(|(_, &r)| r)
-            .collect();
-        let k = self.key_cols.len();
-        let mut flat: Vec<Key> = vec![Key::Null; fresh_rows.len() * k];
-        for (ci, &c) in self.key_cols.iter().enumerate() {
-            let col = batch.column(c);
-            for (j, &r) in fresh_rows.iter().enumerate() {
-                flat[j * k + ci] = col.key(r);
-            }
-        }
-        let mut arena = (0..fresh_rows.len()).map(|j| {
-            let key: GroupKey = flat[j * k..(j + 1) * k].to_vec().into_boxed_slice();
-            key
-        });
-        self.entries.reserve(fresh_rows.len());
-        self.next.reserve(fresh_rows.len());
-        self.heads.reserve(fresh_rows.len());
-
-        // Stage 3: ordered probe-and-insert over the fresh candidates.
-        // The re-probe is not redundant: an earlier row of *this* batch
-        // may have inserted the key (same-candidate redelivery → panic),
-        // and stage-1 misses may collide with stage-3 inserts.
-        let mut fresh = Vec::with_capacity(fresh_rows.len());
-        for (s, &r) in rows.iter().enumerate() {
-            if dup[s] {
-                continue;
-            }
-            let h = hash_buf[r];
-            let key = arena.next().expect("arena covers every non-dup row");
-            match self.probe(h, eq_row(r)) {
-                Some(first) => self.assert_fresh_provenance(first, candidate, name),
-                None => {
-                    self.insert(h, key, candidate);
-                    fresh.push(batch.tuple_at(r));
                 }
             }
         }
@@ -782,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn dedup_row_and_columnar_paths_agree() {
+    fn dedup_unions_composite_nullable_keys() {
         let mk = |k: Option<i64>, s: &str| {
             Tuple::new(vec![
                 k.map_or(Value::Null, Value::Int),
@@ -800,26 +696,15 @@ mod tests {
             mk(Some(1), "z"),
         ];
 
-        let mut row = KeyDedup::new(9, vec![0, 1]);
-        let r0 = row.filter(0, "c0", b0.clone());
-        let r1 = row.filter(1, "c1", b1.clone());
-
-        let mut col = KeyDedup::new(9, vec![0, 1]);
-        let mut hashes = Vec::new();
-        let c0 = col.filter_columnar(0, "c0", &ColumnarBatch::from_tuples(&b0), &mut hashes);
-        let c1 = col.filter_columnar(1, "c1", &ColumnarBatch::from_tuples(&b1), &mut hashes);
-
-        assert_eq!(r0, c0);
-        assert_eq!(r1, c1);
-        assert_eq!(r1.len(), 2, "overlap (2,b) and (NULL,n) deduped");
-        assert_eq!(row.seen_keys(), col.seen_keys());
-
-        // Mixed representations share one seen-set.
-        let mut mixed = KeyDedup::new(9, vec![0, 1]);
-        let m0 = mixed.filter(0, "c0", b0.clone());
-        let m1 = mixed.filter_columnar(1, "c1", &ColumnarBatch::from_tuples(&b1), &mut hashes);
-        assert_eq!(m0, r0);
-        assert_eq!(m1, r1);
+        let mut dedup = KeyDedup::new(9, vec![0, 1]);
+        assert_eq!(dedup.filter(0, "c0", b0.clone()), b0);
+        let r1 = dedup.filter(1, "c1", b1.clone());
+        assert_eq!(
+            r1,
+            vec![b1[1].clone(), b1[3].clone()],
+            "overlap (2,b) and (NULL,n) deduped"
+        );
+        assert_eq!(dedup.seen_keys(), 5);
     }
 
     #[test]
@@ -828,16 +713,6 @@ mod tests {
         let mut d = KeyDedup::new(1, vec![0]);
         d.filter(0, "c0", vec![tuple(5)]);
         d.filter(0, "c0", vec![tuple(5)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "delivered key columns")]
-    fn dedup_columnar_same_candidate_redelivery_panics() {
-        let mut d = KeyDedup::new(1, vec![0]);
-        let mut hashes = Vec::new();
-        let b = ColumnarBatch::from_tuples(&[tuple(5)]);
-        d.filter_columnar(0, "c0", &b, &mut hashes);
-        d.filter_columnar(0, "c0", &b, &mut hashes);
     }
 
     /// Test source with an explicit per-tuple arrival schedule.

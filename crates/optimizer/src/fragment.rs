@@ -79,7 +79,7 @@ impl FragmentationConfig {
     /// Rescale the per-tuple exchange price for a host whose *measured*
     /// cost-unit→µs conversion is `unit_us` (the corrective warmup
     /// calibration). The configured price was chosen under the documented
-    /// fallback conversion; exchange shipping is engine work (transpose,
+    /// fallback conversion; exchange shipping is engine work (batch copy,
     /// bounded-queue handoff, consumer re-read), so it scales with the
     /// measured per-unit driver time. Scaling in place preserves caller
     /// intent — an aggressive config's free exchanges stay free.

@@ -23,7 +23,6 @@
 //!   over union) that adaptive data partitioning relies on.
 
 pub mod agg;
-pub mod column;
 pub mod error;
 pub mod expr;
 pub mod schema;
@@ -31,7 +30,6 @@ pub mod sort;
 pub mod tuple;
 pub mod value;
 
-pub use column::{Bitmap, Column, ColumnData, ColumnarBatch};
 pub use error::{Error, Result};
 pub use expr::{CmpOp, Expr};
 pub use schema::{Field, Schema};

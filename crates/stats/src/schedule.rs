@@ -271,7 +271,7 @@ impl DeliveryCosts {
 
     /// Unit prices re-derived for a host whose *measured* cost-unit→µs
     /// conversion is `unit_us` (the corrective warmup calibration runs
-    /// the engine's actual kernels — columnar dedup, exchange shipping —
+    /// the engine's actual kernels — key dedup, exchange shipping —
     /// and measures driver µs per cost unit). The dup-dedup and
     /// backpressure terms are engine work and scale with that measured
     /// per-unit time; the busy-core term prices scheduler contention,

@@ -278,6 +278,124 @@ fn dual_clock_threaded_corrective_equivalence() {
     );
 }
 
+/// Dual-clock equivalence over default exchanges: the threaded
+/// wall-clock run, shipping rows across every fragment exchange, must
+/// produce the identical canonicalized answer as the sequential
+/// virtual-clock anchor and plain local execution.
+#[test]
+fn dual_clock_equivalence_with_default_exchanges() {
+    let d = flights::generate(200, 1200, 1, 59);
+    let q = flights::query();
+    let expected = mem_answer(&d, &q);
+
+    let ctx = OptimizerContext::no_statistics();
+    let plan = Optimizer::new(ctx.clone()).optimize(&q).unwrap();
+    let cuts = choose_cuts(&plan, &ctx, &FragmentationConfig::aggressive());
+    assert!(!cuts.is_empty(), "the flights join tree must be cuttable");
+
+    let mk_sources = || -> Vec<Box<dyn Source>> {
+        tables(&d)
+            .into_iter()
+            .map(|(rel, name, schema, rows)| {
+                Box::new(MemSource::new(rel, name, schema, rows.clone())) as Box<dyn Source>
+            })
+            .collect()
+    };
+
+    // Sequential virtual-clock anchor.
+    let frag = lower_fragmented(&plan, &cuts, None, true).unwrap();
+    assert!(frag.plan.fragment_count() >= 2, "no exchange in the plan");
+    let (rows_v, _) = SimDriver::new(256, CpuCostModel::Zero)
+        .run_fragments_sequential(frag.plan, mk_sources())
+        .unwrap();
+    assert_eq!(canonicalize_approx(&rows_v), expected);
+
+    // Threaded wall-clock run over real exchange queues.
+    let clock: Arc<dyn Clock> = Arc::new(WallClock::accelerated(200.0));
+    let frag = lower_fragmented(&plan, &cuts, None, true).unwrap();
+    let (rows_w, _) = SimDriver::new(256, CpuCostModel::Measured)
+        .with_clock(clock)
+        .run_fragments(frag.plan, mk_sources(), &FragmentOptions::default())
+        .unwrap();
+    assert_eq!(
+        canonicalize_approx(&rows_w),
+        expected,
+        "exchanges changed the fragmented answer"
+    );
+}
+
+/// The full corrective executor with fragmentation on and *default*
+/// fragment options must answer identically under the sequential
+/// virtual-clock driver and the threaded wall-clock driver, and both
+/// runs must journal phase spans into the adaptivity trace.
+#[test]
+fn corrective_dual_clock_with_default_exchange() {
+    use tukwila::stats::{TraceEvent, TraceSink, VirtualClock};
+
+    let d = flights::generate(200, 1200, 1, 59);
+    let q = flights::query();
+    let expected = mem_answer(&d, &q);
+
+    let mk_sources = || -> Vec<Box<dyn Source>> {
+        tables(&d)
+            .into_iter()
+            .map(|(rel, name, schema, rows)| {
+                Box::new(MemSource::new(rel, name, schema, rows.clone())) as Box<dyn Source>
+            })
+            .collect()
+    };
+    let run = |clock: Option<Arc<dyn Clock>>, trace: TraceSink| {
+        let exec = CorrectiveExec::new(
+            q.clone(),
+            CorrectiveConfig {
+                batch_size: 256,
+                cpu: CpuCostModel::Measured,
+                poll_every_batches: 3,
+                warmup_batches: 2,
+                min_remaining_fraction: 0.0,
+                clock,
+                fragments: Some(FragmentationConfig::aggressive()),
+                trace,
+                ..Default::default()
+            },
+        );
+        let mut s = mk_sources();
+        exec.run(&mut s).unwrap()
+    };
+
+    // Sequential virtual-clock anchor.
+    let vtrace = TraceSink::unbounded(Arc::new(VirtualClock::new()));
+    let report_v = run(None, vtrace.clone());
+    assert_eq!(canonicalize_approx(&report_v.rows), expected);
+
+    // Threaded wall-clock run: producers ship rows over every exchange,
+    // and quiesce drains hand the in-flight rows back losslessly.
+    let clock: Arc<dyn Clock> = Arc::new(WallClock::accelerated(200.0));
+    let wtrace = TraceSink::unbounded(clock.clone());
+    let report_w = run(Some(clock), wtrace.clone());
+    assert_eq!(
+        canonicalize_approx(&report_w.rows),
+        expected,
+        "threaded corrective with default exchanges diverged"
+    );
+
+    // Both drivers journaled the run under identical span vocabulary.
+    for (name, sink) in [("virtual", &vtrace), ("threaded", &wtrace)] {
+        let spans: Vec<String> = sink
+            .snapshot()
+            .iter()
+            .filter_map(|r| match &r.event {
+                TraceEvent::SpanBegin { kind, .. } => Some(format!("{kind:?}")),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            spans.iter().any(|k| k.contains("Phase")),
+            "{name}: corrective run journaled no phase spans: {spans:?}"
+        );
+    }
+}
+
 /// Wraps a source and counts the polls it receives after it first
 /// returned `Eof`.
 struct PollsAfterEof {

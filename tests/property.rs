@@ -2,17 +2,23 @@
 //! relies on: distributivity of aggregation over union, equivalence of
 //! join algorithms, router completeness, state-structure agreement, and
 //! end-to-end corrective-vs-static equivalence under randomized phase
-//! boundaries.
+//! boundaries. The row operators (filter, hash join, hash aggregation,
+//! sorted buffering, the stitch-up probe, federated key dedup) are pinned
+//! against naive oracles on nullable, string and mixed-type values.
 
 use proptest::prelude::*;
 
 use tukwila::core::{ComplementaryJoinPair, CorrectiveConfig, CorrectiveExec, RouterKind};
+use tukwila::exec::filter::FilterOp;
+use tukwila::exec::join::batch::{hash_join_slices, probe_table, BatchJoinStats};
 use tukwila::exec::join::{MergeJoin, PipelinedHashJoin};
 use tukwila::exec::op::IncOp;
-use tukwila::exec::reference::{canonicalize, canonicalize_approx};
+use tukwila::exec::project::ProjectOp;
+use tukwila::exec::reference::{canonicalize, canonicalize_approx, RefQuery, RefRelation};
 use tukwila::exec::CpuCostModel;
+use tukwila::federation::KeyDedup;
 use tukwila::relation::agg::{AggFunc, AggState};
-use tukwila::relation::{DataType, Field, Key, Schema, Tuple, Value};
+use tukwila::relation::{CmpOp, DataType, Expr, Field, Key, Schema, Tuple, Value};
 use tukwila::source::{MemSource, Source};
 use tukwila::storage::hash_table::partition_of;
 use tukwila::storage::{SortedList, StateStructure, TupleHashTable};
@@ -29,6 +35,41 @@ fn tuples_from(pairs: &[(i64, i64)]) -> Vec<Tuple> {
         .iter()
         .map(|&(k, v)| Tuple::new(vec![Value::Int(k), Value::Int(v)]))
         .collect()
+}
+
+/// Decode one randomized cell: 0 = Null, then ints, floats, and a small
+/// string vocabulary, so keys repeat and types collide within a column.
+fn value(code: u8, x: i64) -> Value {
+    match code {
+        0 => Value::Null,
+        1..=4 => Value::Int(x),
+        5..=6 => Value::Float(x as f64 / 4.0),
+        _ => Value::str(["ada", "grace", "edsger", "barbara"][(x.rem_euclid(4)) as usize]),
+    }
+}
+
+/// `(code, key, payload)` triples as `[value(code, key), Int(payload)]`.
+fn keyed_rows(rows: &[(u8, i64, i64)]) -> Vec<Tuple> {
+    rows.iter()
+        .map(|&(c, k, v)| Tuple::new(vec![value(c, k), Value::Int(v)]))
+        .collect()
+}
+
+fn int_schema(arity: usize) -> Schema {
+    Schema::new(
+        (0..arity)
+            .map(|i| Field::new(format!("t.c{i}"), DataType::Int))
+            .collect(),
+    )
+}
+
+/// Assert two tuple sequences are equal element by element, in order.
+fn same_order(a: &[Tuple], b: &[Tuple]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter().zip(b) {
+        prop_assert_eq!(format!("{x:?}"), format!("{y:?}"));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -217,6 +258,259 @@ proptest! {
         prop_assert_eq!(canonicalize(&hash.scan()), canonicalize(&all));
     }
 
+    /// `FilterOp` equals the reference executor for every column mix,
+    /// null pattern and predicate shape; a type error in one is a type
+    /// error in the other.
+    #[test]
+    fn filter_equals_reference(
+        col_plans in prop::collection::vec(
+            (0u8..=9, prop::collection::vec((0u8..=8, -8i64..8), 0..40)),
+            1..4,
+        ),
+        pred_pick in 0u8..=5,
+        lit in -8i64..8,
+    ) {
+        // Code 9 = a column whose rows each pick their own type.
+        let rows = col_plans.iter().map(|(_, p)| p.len()).min().unwrap_or(0);
+        let cols: Vec<Vec<Value>> = col_plans
+            .iter()
+            .map(|(u, p)| {
+                p[..rows]
+                    .iter()
+                    .map(|&(c, x)| value(if *u <= 8 { *u } else { c }, x))
+                    .collect()
+            })
+            .collect();
+        let tuples: Vec<Tuple> = (0..rows)
+            .map(|r| Tuple::new(cols.iter().map(|c| c[r].clone()).collect()))
+            .collect();
+        let arity = cols.len();
+        let schema = int_schema(arity);
+
+        let pred = match pred_pick {
+            0 => Expr::cmp(Expr::Col(0), CmpOp::Lt, Expr::Lit(Value::Int(lit))),
+            1 => Expr::cmp(Expr::Col(0), CmpOp::Eq, Expr::Lit(Value::str("grace"))),
+            2 => Expr::cmp(Expr::Col(0), CmpOp::Ge, Expr::Col(arity - 1)),
+            3 => Expr::And(vec![
+                Expr::cmp(Expr::Col(0), CmpOp::Ne, Expr::Lit(Value::Int(lit))),
+                Expr::cmp(Expr::Col(arity - 1), CmpOp::Le, Expr::Lit(Value::Float(1.0))),
+            ]),
+            4 => Expr::Not(Box::new(Expr::cmp(
+                Expr::Col(0), CmpOp::Gt, Expr::Lit(Value::Int(lit)),
+            ))),
+            _ => Expr::cmp(
+                Expr::Arith(
+                    Box::new(Expr::Col(0)),
+                    tukwila::relation::expr::ArithOp::Add,
+                    Box::new(Expr::Lit(Value::Int(1))),
+                ),
+                CmpOp::Gt,
+                Expr::Lit(Value::Int(lit)),
+            ),
+        };
+
+        let mut op = FilterOp::new(pred.clone(), schema.clone());
+        let mut out = Vec::new();
+        let pushed = op.push(0, &tuples, &mut out);
+        let mut q = RefQuery::new(vec![RefRelation { schema, tuples: tuples.clone() }]);
+        q.filters.push((0, pred));
+        match (pushed, q.run()) {
+            (Ok(()), Ok(want)) => {
+                prop_assert_eq!(canonicalize(&want), canonicalize(&out));
+                // The filter keeps its input order: the output is a
+                // subsequence of the input.
+                let mut rest = tuples.iter().map(|t| format!("{t:?}"));
+                for t in &out {
+                    let t = format!("{t:?}");
+                    prop_assert!(rest.any(|x| x == t), "out of order: {}", t);
+                }
+            }
+            (Err(_), Err(_)) => {}
+            (got, want) => prop_assert!(
+                false,
+                "filter/reference disagree on error-ness: {:?} vs {:?}",
+                got.map(|_| out.len()),
+                want.map(|v| v.len())
+            ),
+        }
+    }
+
+    /// Row hash join equals the reference executor as a multiset on keys
+    /// with nulls, strings, floats and duplicates, building on either side.
+    #[test]
+    fn hash_join_equals_reference(
+        lrows in prop::collection::vec(((0u8..=8), -4i64..4, -8i64..8), 0..30),
+        rrows in prop::collection::vec(((0u8..=8), -4i64..4, -8i64..8), 0..30),
+    ) {
+        let left = keyed_rows(&lrows);
+        let right = keyed_rows(&rrows);
+        let mut out = Vec::new();
+        let mut stats = BatchJoinStats::default();
+        hash_join_slices(&left, &right, 0, 0, &mut out, &mut stats).unwrap();
+        prop_assert_eq!(stats.output, out.len());
+        prop_assert_eq!(stats.probes, left.len().max(right.len()));
+
+        let mut q = RefQuery::new(vec![
+            RefRelation { schema: int_schema(2), tuples: left },
+            RefRelation { schema: int_schema(2), tuples: right },
+        ]);
+        q.joins.push(tukwila::exec::reference::RefJoin {
+            left_rel: 0,
+            left_col: 0,
+            right_rel: 1,
+            right_col: 0,
+        });
+        prop_assert_eq!(canonicalize(&q.run().unwrap()), canonicalize(&out));
+    }
+
+    /// `HashAggOp` equals the reference executor for every aggregate mix
+    /// over nullable int/float/string group keys, accumulating across
+    /// arbitrary batch boundaries.
+    #[test]
+    fn hash_agg_equals_reference(
+        rows in prop::collection::vec(((0u8..=8), -4i64..4, -8i64..8), 0..50),
+        funcs in prop::collection::vec(0u8..=4, 1..4),
+        chunk in 1usize..20,
+    ) {
+        use tukwila::exec::agg::{AggSpec, GroupSpec, HashAggOp};
+        use tukwila::exec::reference::RefCol;
+
+        let tuples = keyed_rows(&rows);
+        let schema = int_schema(2);
+        let aggs: Vec<AggSpec> = funcs
+            .iter()
+            .map(|&f| AggSpec {
+                func: match f {
+                    0 => AggFunc::Count,
+                    1 => AggFunc::Sum,
+                    2 => AggFunc::Avg,
+                    3 => AggFunc::Min,
+                    _ => AggFunc::Max,
+                },
+                col: 1,
+            })
+            .collect();
+        let mut op = HashAggOp::new(GroupSpec::new(vec![0], aggs.clone()), &schema);
+        let mut out = Vec::new();
+        for c in tuples.chunks(chunk) {
+            op.push(0, c, &mut out).unwrap();
+        }
+        op.finish(&mut out).unwrap();
+
+        let mut q = RefQuery::new(vec![RefRelation { schema, tuples: tuples.clone() }]);
+        q.group_cols.push(RefCol { rel: 0, col: 0 });
+        for a in &aggs {
+            q.aggs.push((a.func, RefCol { rel: 0, col: a.col }));
+        }
+        prop_assert_eq!(canonicalize_approx(&q.run().unwrap()), canonicalize_approx(&out));
+    }
+
+    /// The sorted buffer a merge join keeps equals a stable sort under
+    /// `cmp_tuples`, in order — nulls, strings, mixed-type columns,
+    /// descending keys and tie rows included.
+    #[test]
+    fn sorted_list_equals_stable_row_sort(
+        rows in prop::collection::vec(((0u8..=8), -4i64..4, -3i64..3), 0..50),
+        descending in any::<bool>(),
+        second_key in any::<bool>(),
+    ) {
+        use tukwila::relation::{cmp_tuples, SortKey};
+
+        // Narrow key ranges force ties so stability is actually tested.
+        let tuples: Vec<Tuple> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(c, k, k2))| {
+                Tuple::new(vec![value(c, k), Value::Int(k2), Value::Int(i as i64)])
+            })
+            .collect();
+        let mut keys = vec![SortKey { col: 0, descending }];
+        if second_key {
+            keys.push(SortKey::asc(1));
+        }
+        let mut want = tuples.clone();
+        want.sort_by(|a, b| cmp_tuples(&keys, a, b));
+        let mut list = SortedList::new(keys);
+        for t in &tuples {
+            list.insert(t.clone());
+        }
+        same_order(list.tuples(), &want)?;
+    }
+
+    /// The stitch-up probe equals brute force — every probe row against
+    /// every table row in insertion order, concat first, residual on the
+    /// joined tuple — in output order and in `BatchJoinStats`.
+    #[test]
+    fn stitchup_probe_equals_concat_then_residual(
+        table_rows in prop::collection::vec(((0u8..=8), -4i64..4, -2i64..2), 0..40),
+        probe_rows in prop::collection::vec(((0u8..=8), -4i64..4, -2i64..2), 0..40),
+        with_residual in any::<bool>(),
+    ) {
+        let stored = keyed_rows(&table_rows);
+        let probes = keyed_rows(&probe_rows);
+        let mut table = TupleHashTable::new(0);
+        for t in &stored {
+            table.insert(t.clone()).unwrap();
+        }
+        // Residual over the joined layout: probe col 1 vs table col 1.
+        let residual: &[(usize, usize)] = if with_residual { &[(1, 3)] } else { &[] };
+
+        let mut want = Vec::new();
+        let mut want_stats = BatchJoinStats::default();
+        for p in &probes {
+            want_stats.probes += 1;
+            for m in stored.iter().filter(|m| m.key(0) == p.key(0)) {
+                let joined = p.concat(m);
+                if residual.iter().all(|&(a, b)| joined.get(a).eq_total(joined.get(b))) {
+                    want.push(joined);
+                    want_stats.output += 1;
+                }
+            }
+        }
+        let mut got = Vec::new();
+        let mut stats = BatchJoinStats::default();
+        probe_table(&probes, 0, &table, residual, &mut stats, &mut got).unwrap();
+        same_order(&got, &want)?;
+        prop_assert_eq!(stats, want_stats);
+    }
+
+    /// The federated seen-set passes exactly the first delivery of each
+    /// composite (nullable, string) key, whichever candidate delivers it
+    /// and however the feeds are split into batches.
+    #[test]
+    fn dedup_keeps_first_delivery_of_each_key(
+        pool in prop::collection::vec(((0u8..=8), -6i64..6, -8i64..8), 1..60),
+        splits in prop::collection::vec(1usize..10, 1..6),
+    ) {
+        // Each candidate delivers the key-distinct pool rotated by its
+        // index (a candidate repeating its own key is a declared-key
+        // violation and panics by design), chopped into `splits[i]`
+        // batches — full overlap across candidates.
+        let mut distinct = std::collections::HashSet::new();
+        let pool: Vec<Tuple> = pool
+            .iter()
+            .map(|&(c, k, v)| Tuple::new(vec![value(c, k), Value::Int(v), Value::Int(1)]))
+            .filter(|t| distinct.insert(t.group_key(&[0, 1])))
+            .collect();
+        let mut dedup = KeyDedup::new(7, vec![0, 1]);
+        let mut seen = std::collections::HashSet::new();
+        for (cand, &nb) in splits.iter().enumerate() {
+            let mut feed = pool.clone();
+            feed.rotate_left(cand % pool.len());
+            let chunk = feed.len().div_ceil(nb).max(1);
+            for b in feed.chunks(chunk) {
+                let want: Vec<Tuple> = b
+                    .iter()
+                    .filter(|t| seen.insert(t.group_key(&[0, 1])))
+                    .cloned()
+                    .collect();
+                let got = dedup.filter(cand, &format!("cand-{cand}"), b.to_vec());
+                same_order(&got, &want)?;
+            }
+        }
+        prop_assert_eq!(dedup.seen_keys(), seen.len());
+    }
+
     /// Spill roundtrip preserves arbitrary tuples exactly.
     #[test]
     fn spill_roundtrip_preserves_tuples(
@@ -259,6 +553,47 @@ proptest! {
         let t = Tuple::new((0..8).map(Value::Int).collect());
         prop_assert_eq!(back.adapt(&fwd.adapt(&t)), t);
     }
+}
+
+/// Empty batches and all-pass / none-pass predicates flow through the
+/// row filter and projection: counts, order and empty output.
+#[test]
+fn filter_and_project_empty_and_all_none_edges() {
+    let schema = int_schema(2);
+    let tuples: Vec<Tuple> = (0..10)
+        .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i * 2)]))
+        .collect();
+    let pred_all = Expr::cmp(Expr::Col(0), CmpOp::Ge, Expr::Lit(Value::Int(0)));
+    let pred_none = Expr::cmp(Expr::Col(0), CmpOp::Lt, Expr::Lit(Value::Int(0)));
+
+    let mut out = Vec::new();
+    FilterOp::new(pred_all.clone(), schema.clone())
+        .push(0, &tuples, &mut out)
+        .unwrap();
+    assert_eq!(out, tuples);
+    let mut out = Vec::new();
+    FilterOp::new(pred_none, schema.clone())
+        .push(0, &tuples, &mut out)
+        .unwrap();
+    assert!(out.is_empty());
+
+    // Projection keeps every row, in order.
+    let mut proj = ProjectOp::new(vec![Expr::Col(1), Expr::Col(0)], schema.clone());
+    let mut pout = Vec::new();
+    proj.push(0, &tuples, &mut pout).unwrap();
+    assert_eq!(pout.len(), 10);
+    assert_eq!(pout[0].get(0).as_int().unwrap(), 0);
+    assert_eq!(pout[4].get(1).as_int().unwrap(), 4);
+
+    // Empty batches produce nothing and count nothing.
+    let mut op = FilterOp::new(Expr::Lit(Value::Bool(true)), schema.clone());
+    let mut out = Vec::new();
+    op.push(0, &[], &mut out).unwrap();
+    assert!(out.is_empty());
+    assert_eq!(op.counters().tuples_in(), 0);
+    let mut pout = Vec::new();
+    proj.push(0, &[], &mut pout).unwrap();
+    assert!(pout.is_empty());
 }
 
 proptest! {
