@@ -512,6 +512,7 @@ impl Source for ExchangeSource {
             complete: true,
             key_range: None,
             declared_rate_tuples_per_sec: None,
+            capabilities: Default::default(),
         }
     }
 }

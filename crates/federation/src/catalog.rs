@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tukwila_relation::{Error, Result};
-use tukwila_source::{Poll, Source, SourceDescriptor, SourceProgressView};
+use tukwila_source::{Poll, Source, SourceControl, SourceDescriptor, SourceProgressView};
 use tukwila_stats::{Clock, DeliveryCosts, TraceSink};
 
 use crate::federated::FederatedSource;
@@ -313,6 +313,10 @@ impl Source for DeclaredRate {
 
     fn observed_schedule(&self) -> Option<tukwila_stats::ArrivalSchedule> {
         self.inner.observed_schedule()
+    }
+
+    fn control(&mut self, now_us: u64, request: SourceControl) -> Result<()> {
+        self.inner.control(now_us, request)
     }
 
     fn quiesce_delivery(&mut self) {

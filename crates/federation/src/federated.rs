@@ -28,23 +28,50 @@
 //! the earliest lane hint or stall deadline, so an inline adapter keeps
 //! the same promise towards its driver.
 //!
+//! ## Split delivery
+//!
+//! When at least two full mirrors of the relation declare the `key_scan`
+//! capability ([`tukwila_source::SourceCapabilities`]), the adapter asks
+//! for key order instead of racing for it:
+//! * the first activated candidate, if it is one of them, is asked for an
+//!   ascending scan of the whole relation when it is activated;
+//! * a hedge onto a `key_scan` full mirror is a *split*: the standby is
+//!   asked for the keys above the primary's high-water key, descending,
+//!   so the two scans close the gap from both ends;
+//! * a candidate that refuses its request (a wrapper that does not
+//!   forward [`Source::control`], say) delivers in its own order and
+//!   races, as every candidate did before splits. One split per relation;
+//!   later hedges race.
+//!
+//! Each scan side's key order is checked as its tuples arrive. A side
+//! that delivers a key out of its requested order or range panics, like
+//! the misdeclared-key guard: completing at a false meeting point would
+//! silently truncate the union.
+//!
 //! ## Completion rule
 //!
-//! The federated stream is exhausted when either
+//! The federated stream is exhausted when
 //! * a candidate whose [`SourceDescriptor::complete`] flag is set (a full
-//!   mirror) reaches EOF — everything it held was delivered or deduped, or
+//!   mirror) reaches EOF — everything it held, or everything in its
+//!   requested range, was delivered or deduped. For the ascending primary
+//!   that is the whole relation; for the descending side of a split it is
+//!   everything above the primary's high-water key at the split, and the
+//!   primary had delivered everything up to that key;
+//! * the two sides of a split meet: one delivers a key its partner
+//!   already delivered, so between them they delivered every key; or
 //! * every candidate (including late-activated standbys) reaches EOF.
 //!
 //! Partial replicas must jointly cover the relation for the union to be
-//! complete; the key-dedupe makes any *overlap* harmless.
+//! complete; the key-dedupe makes any *overlap* harmless — including the
+//! crossing batch of a split.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use tukwila_relation::value::{group_key, tuple_key_hash, value_key_eq, GroupKey};
-use tukwila_relation::{Error, Result, Schema, Tuple};
-use tukwila_source::{DueTimes, Poll, Source, SourceDescriptor, SourceProgressView};
+use tukwila_relation::{cmp_tuples, Error, Result, Schema, SortKey, Tuple};
+use tukwila_source::{DueTimes, Poll, Source, SourceControl, SourceDescriptor, SourceProgressView};
 use tukwila_stats::clock::{Clock, VirtualClock};
 use tukwila_stats::{ArrivalSchedule, RateEstimator, TraceEvent};
 
@@ -156,19 +183,23 @@ impl KeyDedup {
     /// data sequentially exactly once, so that can only mean the declared
     /// key columns are not a real key, and silently dropping the tuple
     /// would corrupt the union.
-    pub fn filter(&mut self, candidate: usize, name: &str, batch: Vec<Tuple>) -> Vec<Tuple> {
-        let mut fresh = Vec::with_capacity(batch.len());
-        for t in batch {
-            let h = tuple_key_hash(&t, &self.key_cols);
-            match self.seen_by(h, &t) {
-                Some(first) => self.assert_fresh_provenance(first, candidate, name),
+    /// The batch is filtered in place, so a batch of fresh tuples costs
+    /// no allocation beyond the seen-set entries.
+    pub fn filter(&mut self, candidate: usize, name: &str, mut batch: Vec<Tuple>) -> Vec<Tuple> {
+        batch.retain(|t| {
+            let h = tuple_key_hash(t, &self.key_cols);
+            match self.seen_by(h, t) {
+                Some(first) => {
+                    self.assert_fresh_provenance(first, candidate, name);
+                    false
+                }
                 None => {
                     self.insert(h, group_key(t.values(), &self.key_cols), candidate);
-                    fresh.push(t);
+                    true
                 }
             }
-        }
-        fresh
+        });
+        batch
     }
 }
 
@@ -212,8 +243,28 @@ pub struct FederationReport {
     /// Standbys never activated because their declared key range was
     /// already fully delivered by drained candidates.
     pub skipped_covered: u64,
+    /// Whether a hedge split the relation: a standby scanned it from the
+    /// far key end while the primary kept scanning from the near one.
+    pub split: bool,
     /// Per-candidate statistics, in registration order.
     pub candidates: Vec<CandidateReport>,
+}
+
+/// One side of a split, or the primary before one: a candidate asked
+/// for a key-ordered scan.
+#[derive(Debug, Clone)]
+struct ScanSide {
+    /// The requested direction.
+    descending: bool,
+    /// Whether the candidate took the request. Inline lanes know at
+    /// activation; queue lanes once their producer posts the outcome
+    /// (see `FederatedSource::settle_requests`).
+    confirmed: bool,
+    /// Exclusive lower key bound of a descending side: the primary's
+    /// high-water tuple when the split began (`None`: no bound).
+    floor: Option<Tuple>,
+    /// The last tuple delivered; its key is the side's water mark.
+    last: Option<Tuple>,
 }
 
 /// The adapter under its threaded name, kept for the benchmark harness,
@@ -237,6 +288,13 @@ pub struct FederatedSource {
     /// The sweep's polling order, reused across polls.
     order: Vec<usize>,
     dedup: KeyDedup,
+    /// The relation key, ascending: the order of key scans.
+    key_order: Vec<SortKey>,
+    /// Per lane: its key-scan role, while it has one.
+    scans: Vec<Option<ScanSide>>,
+    /// The two sides of a split met: the union is complete once the
+    /// batch that crossed has been handed out.
+    met: bool,
     /// The scheduling timeline: a private [`VirtualClock`] advanced by
     /// the `poll` argument (inline lanes), or the run's shared wall clock
     /// (queue lanes) — so `clock.is_wall()` tells the lane kind.
@@ -275,6 +333,11 @@ impl FederatedSource {
     ) -> Result<FederatedSource> {
         let mut fed = FederatedSource::build("fed", key_cols, &candidates, config)?;
         fed.lanes = candidates.into_iter().map(Lane::inline).collect();
+        // Candidate 0 is activated at instant 0 of the adapter's timeline.
+        if let Some(request) = fed.primary_request() {
+            let taken = fed.lanes[0].activate(0, Some(request));
+            fed.note_request(0, taken);
+        }
         Ok(fed)
     }
 
@@ -298,7 +361,8 @@ impl FederatedSource {
         let host = || std::thread::available_parallelism().map_or(1, |n| n.get());
         fed.scheduler
             .set_core_budget(config.core_budget.unwrap_or_else(host));
-        fed.lanes = lane::spawn_all(fed.rel_id, candidates, &fed.schema, &clock, &config)?;
+        let first = fed.primary_request();
+        fed.lanes = lane::spawn_all(fed.rel_id, candidates, first, &fed.schema, &clock, &config)?;
         fed.due = DueTimes::new(fed.lanes.len(), false);
         fed.clock = clock;
         Ok(fed)
@@ -353,6 +417,13 @@ impl FederatedSource {
                 .map(|c| c.descriptor().declared_rate_tuples_per_sec)
                 .collect(),
         );
+        scheduler.set_key_scan(
+            candidates
+                .iter()
+                .map(|c| c.descriptor())
+                .map(|d| d.complete && d.capabilities.key_scan)
+                .collect(),
+        );
         // Serving mode: snapshot the cross-query learning store at
         // admission. The seed is immutable for the run; observations
         // flow back exactly once, at union completion.
@@ -369,6 +440,9 @@ impl FederatedSource {
             // Inline lanes keep promises; `threaded` turns skipping off.
             due: DueTimes::new(candidates.len(), true),
             order: Vec::new(),
+            key_order: key_cols.iter().map(|&c| SortKey::asc(c)).collect(),
+            scans: vec![None; candidates.len()],
+            met: false,
             dedup: KeyDedup::new(rel_id, key_cols),
             clock: Arc::new(VirtualClock::new()),
             carry: Vec::new(),
@@ -394,6 +468,7 @@ impl FederatedSource {
             failovers: self.scheduler.failovers(),
             declined_hedges: self.scheduler.declined_hedges(),
             skipped_covered: self.scheduler.skipped_covered(),
+            split: self.scheduler.descending().is_some(),
             candidates: self
                 .lanes
                 .iter()
@@ -463,6 +538,151 @@ impl FederatedSource {
         }
     }
 
+    /// A key-scan request over the relation key for `key > after`'s key
+    /// (every key when `after` is `None`).
+    fn key_scan(&self, after: Option<&Tuple>, descending: bool) -> SourceControl {
+        let key_cols: Vec<usize> = self.key_order.iter().map(|k| k.col).collect();
+        let after = after.map(|t| key_cols.iter().map(|&c| t.get(c).clone()).collect());
+        SourceControl::KeyScan {
+            key_cols,
+            after,
+            descending,
+        }
+    }
+
+    /// The primary's ascending full-range request, when the relation can
+    /// split and candidate 0 takes key scans; records its scan role.
+    fn primary_request(&mut self) -> Option<SourceControl> {
+        if !self.scheduler.primary_may_split() {
+            return None;
+        }
+        self.scans[0] = Some(ScanSide {
+            descending: false,
+            confirmed: false,
+            floor: None,
+            last: None,
+        });
+        Some(self.key_scan(None, false))
+    }
+
+    /// Activate lane `idx` at `now_us`. A standby the scheduler split
+    /// onto is asked for the keys above the primary's high-water key,
+    /// descending; any other activation carries no request.
+    fn activate_lane(&mut self, idx: usize, now_us: u64) {
+        let mut request = None;
+        if self.scheduler.descending() == Some(idx) {
+            let primary = self.scheduler.ascending().expect("a split has a primary");
+            let floor = self.scans[primary].as_ref().and_then(|s| s.last.clone());
+            request = Some(self.key_scan(floor.as_ref(), true));
+            self.scans[idx] = Some(ScanSide {
+                descending: true,
+                confirmed: false,
+                floor,
+                last: None,
+            });
+        }
+        let taken = self.lanes[idx].activate(now_us, request);
+        self.note_request(idx, taken);
+    }
+
+    /// Record whether lane `idx` took its key-scan request: `Some(true)`
+    /// confirms its scan role, `Some(false)` drops it — the candidate then
+    /// races in its own order — and `None` (a queue lane whose producer
+    /// has not applied it yet) leaves it pending.
+    fn note_request(&mut self, idx: usize, taken: Option<bool>) {
+        let Some(side) = &mut self.scans[idx] else {
+            return;
+        };
+        match taken {
+            Some(true) => {
+                side.confirmed = true;
+                if !side.descending {
+                    self.scheduler.set_ascending(idx);
+                }
+            }
+            Some(false) => {
+                self.scans[idx] = None;
+                self.scheduler.split_refused(idx);
+            }
+            None => {}
+        }
+    }
+
+    /// Settle key-scan requests still pending on queue lanes, waiting
+    /// for their producers to post the outcome, so the hedge gate knows
+    /// whether the primary is an ascending scan before it prices a split.
+    fn settle_requests(&mut self) {
+        for idx in 0..self.scans.len() {
+            if self.scans[idx].as_ref().is_some_and(|s| !s.confirmed) {
+                let taken = self.lanes[idx].request_accepted();
+                self.note_request(idx, Some(taken == Some(true)));
+            }
+        }
+    }
+
+    /// Check a batch of lane `idx` against its requested key order and
+    /// advance its water mark; report whether it met its split partner,
+    /// i.e. delivered a key the partner already delivered. A lane that
+    /// is not a confirmed key scan is not checked.
+    ///
+    /// Panics when a scan side delivers a key out of its requested
+    /// order or range: completing at a "meeting" of unordered scans would
+    /// silently truncate the union.
+    fn check_scan(&mut self, idx: usize, batch: &[Tuple]) -> bool {
+        self.settle_requests();
+        let Some(mut side) = self.scans[idx].take() else {
+            return false;
+        };
+        let partner = match side.descending {
+            true => self.scheduler.ascending(),
+            false => self.scheduler.descending(),
+        };
+        let partner_mark = partner.and_then(|p| self.scans[p].as_ref()?.last.as_ref());
+        let keys = &self.key_order;
+        // The key order of `a` against `b` in the side's scan direction.
+        let ahead = |a: &Tuple, b: &Tuple| {
+            let ord = cmp_tuples(keys, a, b);
+            if side.descending {
+                ord.reverse()
+            } else {
+                ord
+            }
+        };
+        let mut met = false;
+        let mut last = side.last.as_ref();
+        for t in batch {
+            if last.is_some_and(|prev| ahead(t, prev).is_eq()) {
+                // A scan repeating its own key: the key is not unique.
+                let name = &self.lanes[idx].descriptor.name;
+                self.dedup.assert_fresh_provenance(idx, idx, name);
+            }
+            let in_order = last.is_none_or(|prev| ahead(t, prev).is_gt())
+                && side
+                    .floor
+                    .as_ref()
+                    .is_none_or(|f| cmp_tuples(keys, t, f).is_gt());
+            assert!(
+                in_order,
+                "relation {}: candidate '{}' delivered a key out of its requested {} key \
+                 scan, so a split over it could complete before the union is whole",
+                self.rel_id,
+                self.lanes[idx].descriptor.name,
+                if side.descending {
+                    "descending"
+                } else {
+                    "ascending"
+                },
+            );
+            // Reaching the partner's water mark: the partner already
+            // delivered this key.
+            met |= partner_mark.is_some_and(|p| ahead(t, p).is_ge());
+            last = Some(t);
+        }
+        side.last = last.cloned();
+        self.scans[idx] = Some(side);
+        met
+    }
+
     /// Poll lane `idx` at `now_us` — unless its last `Pending` promise
     /// still stands, in which case that answer is repeated without
     /// touching the lane.
@@ -508,6 +728,11 @@ impl Source for FederatedSource {
             return self.emit(carry, max_tuples);
         }
         let now_us = self.clock.observe(now_us);
+        if self.met {
+            // The split's two scans met and the crossing batch is out.
+            self.complete(now_us);
+            return Poll::Eof;
+        }
         let mut wake: Option<u64> = None;
         // A sweep restarts whenever the candidate set changes mid-poll
         // (failover activation, EOF, or an all-duplicates batch that
@@ -520,7 +745,7 @@ impl Source for FederatedSource {
                 // may still hold tuples of a partially-replicated
                 // relation; otherwise the union is complete.
                 if let Some(idx) = self.scheduler.activate_standby(now_us) {
-                    self.lanes[idx].activate();
+                    self.activate_lane(idx, now_us);
                     continue 'sweep;
                 }
                 self.complete(now_us);
@@ -530,11 +755,16 @@ impl Source for FederatedSource {
                 let idx = self.order[k];
                 let hint = match self.poll_lane(idx, now_us, max_tuples) {
                     Poll::Ready(batch) if !batch.is_empty() => {
+                        self.met |= self.check_scan(idx, &batch);
                         let raw = batch.len() as u64;
                         let name = &self.lanes[idx].descriptor.name;
                         let fresh = self.dedup.filter(idx, name, batch);
                         self.scheduler
                             .note_arrival(idx, now_us, raw, fresh.len() as u64);
+                        if fresh.is_empty() && self.met {
+                            self.complete(now_us);
+                            return Poll::Eof;
+                        }
                         if fresh.is_empty() {
                             // Entire batch was already delivered by a
                             // faster replica; pull more within this call.
@@ -565,10 +795,11 @@ impl Source for FederatedSource {
                 // accrued during quiesces.
                 let blocked = self.lanes[idx].blocked_sends() - self.blocked_forgiven[idx];
                 self.scheduler.note_backpressure(idx, blocked);
+                self.settle_requests();
                 if let Some(woken) = self.scheduler.on_pending(idx, now_us) {
                     // Fresh stall: a standby was activated; poll it in
                     // this same call.
-                    self.lanes[woken].activate();
+                    self.activate_lane(woken, now_us);
                     continue 'sweep;
                 }
                 wake = wake.into_iter().chain(hint).min();
@@ -600,6 +831,7 @@ impl Source for FederatedSource {
             complete: true,
             key_range: None,
             declared_rate_tuples_per_sec: None,
+            capabilities: Default::default(),
         }
     }
 
@@ -791,6 +1023,7 @@ mod tests {
                 complete: self.complete,
                 key_range: None,
                 declared_rate_tuples_per_sec: None,
+                capabilities: Default::default(),
             }
         }
     }
@@ -1228,6 +1461,150 @@ mod tests {
         assert_eq!(plain.1, with_both.1, "failovers");
         assert_eq!(plain.2, with_both.2, "completion time");
         assert_eq!(plain.3, with_both.3, "hedge decisions, waste included");
+    }
+
+    /// Delivers like the wrapped mirror, requests included, then goes
+    /// silent forever after `left` tuples.
+    struct Dying {
+        inner: DelayedSource,
+        left: usize,
+    }
+
+    impl Source for Dying {
+        fn rel_id(&self) -> u32 {
+            self.inner.rel_id()
+        }
+
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+
+        fn poll(&mut self, now_us: u64, max_tuples: usize) -> Poll {
+            if self.left == 0 {
+                return Poll::Pending {
+                    next_ready_us: u64::MAX,
+                };
+            }
+            let polled = self.inner.poll(now_us, max_tuples.min(self.left));
+            if let Poll::Ready(b) = &polled {
+                self.left -= b.len();
+            }
+            polled
+        }
+
+        fn progress(&self) -> SourceProgressView {
+            self.inner.progress()
+        }
+
+        fn descriptor(&self) -> SourceDescriptor {
+            self.inner.descriptor()
+        }
+
+        fn control(&mut self, now_us: u64, request: SourceControl) -> Result<()> {
+            self.inner.control(now_us, request)
+        }
+    }
+
+    #[test]
+    fn a_hedge_onto_a_key_scan_mirror_splits_on_either_lane_kind() {
+        let candidates = || -> Vec<Box<dyn Source>> {
+            let mirror = |name: &str, bps: f64| {
+                let model = DelayModel::Bandwidth {
+                    bytes_per_sec: bps,
+                    initial_latency_us: 1_000,
+                };
+                DelayedSource::new(1, name, schema(), rows(0..200), &model)
+            };
+            vec![
+                Box::new(Dying {
+                    inner: mirror("primary", 2e5),
+                    left: 50,
+                }),
+                Box::new(mirror("standby", 1e5)),
+            ]
+        };
+        for (mut fed, clock) in per_lane_kind(candidates) {
+            let mut keys = drain_any(&mut fed, clock.as_ref());
+            let report = fed.report();
+            assert!(report.split, "{}: the hedge split", fed.name());
+            if clock.is_none() {
+                // Inline: the primary's 50 ascending keys, then the
+                // standby's descending scan of the rest, nothing re-sent.
+                assert_eq!(keys[..50], (0..50).collect::<Vec<_>>());
+                assert_eq!(keys[50..], (50..200).rev().collect::<Vec<_>>());
+                assert_eq!(report.candidates[1].duplicates, 0);
+            }
+            keys.sort_unstable();
+            assert_eq!(keys, (0..200).collect::<Vec<_>>(), "every key once");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of its requested ascending key scan")]
+    fn an_out_of_order_primary_fails_loudly() {
+        // Keys 0..10 stored out of order: a request would sort them, but
+        // this wrapper takes the request without forwarding it.
+        struct Liar(DelayedSource);
+        impl Source for Liar {
+            fn rel_id(&self) -> u32 {
+                1
+            }
+            fn name(&self) -> &str {
+                "liar"
+            }
+            fn schema(&self) -> &Schema {
+                self.0.schema()
+            }
+            fn poll(&mut self, now_us: u64, max_tuples: usize) -> Poll {
+                self.0.poll(now_us, max_tuples)
+            }
+            fn progress(&self) -> SourceProgressView {
+                self.0.progress()
+            }
+            fn descriptor(&self) -> SourceDescriptor {
+                self.0.descriptor()
+            }
+            fn control(&mut self, _: u64, _: SourceControl) -> Result<()> {
+                Ok(())
+            }
+        }
+        let model = DelayModel::Bandwidth {
+            bytes_per_sec: 1e5,
+            initial_latency_us: 0,
+        };
+        let shuffled: Vec<Tuple> = [3, 1, 2, 0, 4].into_iter().map(tuple).collect();
+        let liar = Liar(DelayedSource::new(1, "liar", schema(), shuffled, &model));
+        let mut fed = FederatedSource::new(
+            vec![0],
+            vec![Box::new(liar), steady("standby", 0..5, 1e5)],
+            FederationConfig::default(),
+        )
+        .unwrap();
+        let _ = drain(&mut fed);
+    }
+
+    #[test]
+    #[should_panic(expected = "the declared key is not unique")]
+    fn a_key_scan_repeating_a_key_is_a_misdeclared_key() {
+        let model = DelayModel::Bandwidth {
+            bytes_per_sec: 1e5,
+            initial_latency_us: 0,
+        };
+        let twice: Vec<Tuple> = [0, 1, 1, 2].into_iter().map(tuple).collect();
+        let mirror = |name: &str| -> Box<dyn Source> {
+            Box::new(DelayedSource::new(1, name, schema(), twice.clone(), &model))
+        };
+        let mut fed = FederatedSource::new(
+            vec![0],
+            vec![mirror("a"), mirror("b")],
+            FederationConfig::default(),
+        )
+        .unwrap();
+        let _ = drain(&mut fed);
     }
 
     #[test]

@@ -18,20 +18,26 @@
 //! producers error out of their send, sleeping ones wake within one
 //! bounded clock chunk — and joins every thread before the final `Eof`.
 //!
+//! A key-scan request (see `FederatedSource`'s split) rides activation.
+//! An inline lane applies it directly; a queue lane carries it on the
+//! gate, and the producer applies it before its first poll and posts
+//! whether the candidate took it, which the consumer waits for when it
+//! needs to know.
+//!
 //! An empty queue answers `Pending` one [`POLL_TICK_US`] ahead: a
 //! wall-clock polling tick, not a promise, since the producer may ship at
 //! any moment. Queue lanes only run on a wall clock, where the sweep polls
 //! every active lane each time; an inline lane's hint is its candidate's
 //! own promise.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use tukwila_exec::op::IncOp;
 use tukwila_exec::queue::{queue_pair, QueueReader, QueueWriter, TryRecv};
 use tukwila_relation::{Error, Result, Schema};
-use tukwila_source::{Poll, Source, SourceDescriptor};
+use tukwila_source::{Poll, Source, SourceControl, SourceDescriptor};
 use tukwila_stats::Clock;
 
 use crate::catalog::FederationConfig;
@@ -51,18 +57,52 @@ enum GateState {
     Cancelled,
 }
 
-/// A park/activate/cancel latch for one producer thread.
+/// [`Gate::outcome`] before the producer applied a request (or when
+/// there was none).
+const NO_OUTCOME: u8 = 0;
+const ACCEPTED: u8 = 1;
+const REFUSED: u8 = 2;
+
+/// A park/activate/cancel latch for one producer thread, carrying the
+/// request to apply on activation.
 #[derive(Debug)]
 struct Gate {
     state: Mutex<GateState>,
     cv: Condvar,
+    /// The request the producer applies before its first poll.
+    request: Mutex<Option<SourceControl>>,
+    /// Whether the candidate took the request: [`NO_OUTCOME`] until the
+    /// producer applied it, then [`ACCEPTED`] or [`REFUSED`].
+    outcome: AtomicU8,
 }
 
 impl Gate {
-    fn new(initial: GateState) -> Gate {
+    fn new(initial: GateState, request: Option<SourceControl>) -> Gate {
         Gate {
             state: Mutex::new(initial),
             cv: Condvar::new(),
+            request: Mutex::new(request),
+            outcome: AtomicU8::new(NO_OUTCOME),
+        }
+    }
+
+    /// Apply the carried request, if any, and post the outcome.
+    fn apply_request(&self, source: &mut dyn Source, now_us: u64) {
+        let request = self
+            .request
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .take();
+        if let Some(request) = request {
+            let outcome = match source.control(now_us, request) {
+                Ok(()) => ACCEPTED,
+                Err(_) => REFUSED,
+            };
+            self.outcome.store(outcome, Ordering::Release);
+            // Under the state lock, so a consumer about to wait cannot
+            // miss the wake-up.
+            let _state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+            self.cv.notify_all();
         }
     }
 
@@ -116,6 +156,7 @@ fn run_lane(
     if !gate.wait_active() {
         return;
     }
+    gate.apply_request(source.as_mut(), clock.now_us());
     loop {
         if gate.cancelled() {
             return;
@@ -181,10 +222,51 @@ impl Lane {
         }
     }
 
-    /// The scheduler activated this candidate: open a queue lane's gate.
-    pub(crate) fn activate(&self) {
-        if let Kind::Queue(q) = &self.kind {
-            q.gate.set(GateState::Active);
+    /// The scheduler activated this candidate at `now_us`, with an
+    /// optional request. An inline lane applies the request now and
+    /// answers whether the candidate took it; a queue lane opens its gate
+    /// with the request on it and answers `None`: its producer applies
+    /// the request before its first poll (see
+    /// [`Lane::request_accepted`]).
+    pub(crate) fn activate(&mut self, now_us: u64, request: Option<SourceControl>) -> Option<bool> {
+        match &mut self.kind {
+            Kind::Inline(source) => request.map(|r| source.control(now_us, r).is_ok()),
+            Kind::Queue(q) => {
+                *q.gate.request.lock().unwrap_or_else(|p| p.into_inner()) = request;
+                q.gate.set(GateState::Active);
+                None
+            }
+        }
+    }
+
+    /// A queue lane's request outcome, waiting for its producer to post
+    /// it: `Some(true)` taken, `Some(false)` refused. The producer applies
+    /// the request first thing once its gate opens, so the wait is one
+    /// thread wake-up. `None` for inline lanes (they answer at
+    /// activation), and for a producer that was cancelled or ended before
+    /// it applied the request. Only ask a lane activated with a request.
+    pub(crate) fn request_accepted(&self) -> Option<bool> {
+        let Kind::Queue(q) = &self.kind else {
+            return None;
+        };
+        let gate = &q.gate;
+        let mut state = gate.state.lock().unwrap_or_else(|p| p.into_inner());
+        loop {
+            match gate.outcome.load(Ordering::Acquire) {
+                ACCEPTED => return Some(true),
+                REFUSED => return Some(false),
+                _ => {}
+            }
+            let ended = q.handle.as_ref().is_none_or(JoinHandle::is_finished);
+            if *state == GateState::Cancelled || ended {
+                return None;
+            }
+            let tick = std::time::Duration::from_millis(1);
+            state = gate
+                .cv
+                .wait_timeout(state, tick)
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
         }
     }
 
@@ -239,11 +321,13 @@ impl Drop for Lane {
 }
 
 /// Spawn one queue lane per candidate; only candidate 0 starts active,
-/// the others park at their gates until the scheduler hedges onto them.
-/// If a spawn fails, dropping the lanes already started reaps them.
+/// carrying `first_request`, and the others park at their gates until
+/// the scheduler hedges onto them. If a spawn fails, dropping the lanes
+/// already started reaps them.
 pub(crate) fn spawn_all(
     rel_id: u32,
     candidates: Vec<Box<dyn Source>>,
+    mut first_request: Option<SourceControl>,
     schema: &Schema,
     clock: &Arc<dyn Clock>,
     config: &FederationConfig,
@@ -252,12 +336,12 @@ pub(crate) fn spawn_all(
         let descriptor = source.descriptor();
         let (writer, reader) = queue_pair(schema.clone(), config.queue_capacity);
         let blocked = writer.blocked_handle();
-        let initial = if idx == 0 {
-            GateState::Active
+        let gate = if idx == 0 {
+            Gate::new(GateState::Active, first_request.take())
         } else {
-            GateState::Standby
+            Gate::new(GateState::Standby, None)
         };
-        let gate = Arc::new(Gate::new(initial));
+        let gate = Arc::new(gate);
         let (thread_clock, thread_gate) = (clock.clone(), gate.clone());
         let batch_cap = config.producer_batch.max(1);
         let handle = std::thread::Builder::new()

@@ -13,9 +13,10 @@
 //!   with the delivery rate its [`tukwila_source::SourceDescriptor`]
 //!   declares (falling back to the configured prior, then the mirror
 //!   assumption) — weighing the expected latency win of activating it
-//!   (who must re-deliver everything already delivered — sequential
-//!   access, no rewind) against the modeled waste (duplicate-tuple dedup
-//!   work, observed queue backpressure, one more busy core). The best
+//!   (a racing standby must re-deliver everything already delivered —
+//!   sequential access, no rewind; a splitting one skips it) against the
+//!   modeled waste (duplicate-tuple dedup work, observed queue
+//!   backpressure, one more busy core). The best
 //!   payer is woken, so registration order is irrelevant to hedge
 //!   quality; only a race that pays is started, and declined races are
 //!   counted and reported. With no *healthy* active candidate left the
@@ -31,6 +32,13 @@
 //! * Standbys whose declared key range has already been fully delivered
 //!   by drained (EOF) candidates are skipped outright: their every tuple
 //!   would dedup away.
+//! * When the primary is a key-ordered ascending scan (the adapter asks
+//!   the first activated candidate for one), a hedge onto a full mirror
+//!   that declares `key_scan` is priced — and run — as a *split*: the
+//!   standby scans from the far key end towards the primary, nothing is
+//!   delivered twice but the handful of keys where the two meet, and the
+//!   remainder comes in at the two candidates' combined rate. One split
+//!   per relation; later hedges race.
 //!
 //! Every decision is a pure function of the supplied timeline instants
 //! and observed tuple counts — the scheduler never reads a clock itself.
@@ -104,6 +112,14 @@ pub struct PermutationScheduler {
     blocked_sends: Vec<u64>,
     /// Host core budget for the busy-core waste term (queue lanes).
     cores: Option<usize>,
+    /// Per candidate: a full mirror that declares the `key_scan`
+    /// capability and has not refused a request (registration order).
+    key_scan: Vec<bool>,
+    /// The ascending side of a split: the first activated candidate,
+    /// once it took its ascending key-scan request.
+    ascending: Option<usize>,
+    /// The descending side: the standby a hedge split onto.
+    descending: Option<usize>,
     /// Trace identity: the federated relation's display name and the
     /// candidates' names (registration order), used to label decision
     /// events. Empty until [`PermutationScheduler::set_identity`].
@@ -129,6 +145,9 @@ impl PermutationScheduler {
             published: false,
             blocked_sends: vec![0; candidates],
             cores: None,
+            key_scan: vec![false; candidates],
+            ascending: None,
+            descending: None,
             relation_name: String::new(),
             candidate_names: Vec::new(),
             config,
@@ -154,6 +173,58 @@ impl PermutationScheduler {
     pub fn set_declared_rates(&mut self, rates: Vec<Option<f64>>) {
         assert_eq!(rates.len(), self.profiles.len());
         self.declared_rates = rates;
+    }
+
+    /// Declare per candidate (registration order) whether it is a full
+    /// mirror that takes key-scan requests.
+    pub(crate) fn set_key_scan(&mut self, key_scan: Vec<bool>) {
+        assert_eq!(key_scan.len(), self.profiles.len());
+        self.key_scan = key_scan;
+    }
+
+    /// Whether the first activated candidate should be asked for an
+    /// ascending key scan: it takes key scans, and so does at least one
+    /// other full mirror a hedge could split onto.
+    pub(crate) fn primary_may_split(&self) -> bool {
+        self.key_scan[0] && self.key_scan.iter().filter(|&&k| k).count() >= 2
+    }
+
+    /// Candidate `idx` took its ascending key-scan request: it is the
+    /// primary a later hedge may split with.
+    pub(crate) fn set_ascending(&mut self, idx: usize) {
+        self.ascending = Some(idx);
+    }
+
+    /// Candidate `idx` refused its key-scan request (a wrapper that does
+    /// not forward [`tukwila_source::Source::control`], say). It delivers
+    /// in its own order, as an ordinary race: it leaves any split role it
+    /// had, and the gate prices it as a race from now on.
+    pub(crate) fn split_refused(&mut self, idx: usize) {
+        self.key_scan[idx] = false;
+        if self.ascending == Some(idx) {
+            self.ascending = None;
+        }
+        if self.descending == Some(idx) {
+            self.descending = None;
+        }
+    }
+
+    /// The primary of a split: the ascending key-scan side, if any.
+    pub(crate) fn ascending(&self) -> Option<usize> {
+        self.ascending
+    }
+
+    /// The standby a hedge split onto: the descending side, if any.
+    pub(crate) fn descending(&self) -> Option<usize> {
+        self.descending
+    }
+
+    /// Whether a hedge onto standby `idx` would split: it takes key
+    /// scans, a live ascending primary exists, and no split ran yet.
+    fn splits_onto(&self, idx: usize) -> bool {
+        self.key_scan[idx]
+            && self.descending.is_none()
+            && self.ascending.is_some_and(|a| !self.profiles[a].eof)
     }
 
     /// Seed per-candidate cross-query learning (registration order): the
@@ -333,20 +404,18 @@ impl PermutationScheduler {
             let (scores, best) = self.score_standbys(costs, &standbys, now_us);
             match best {
                 Some((best_idx, decision)) => {
+                    let split = self.splits_onto(best_idx);
+                    if split {
+                        self.descending = Some(best_idx);
+                    }
                     let woken = self.activate_idx(best_idx, now_us);
-                    self.trace_hedge(
-                        now_us,
-                        idx,
-                        scores,
-                        woken,
-                        decision.win_us,
-                        decision.waste_us,
-                    );
+                    let priced = (decision.win_us, decision.waste_us);
+                    self.trace_hedge(now_us, idx, scores, woken, priced, split);
                     return woken;
                 }
                 None => {
                     self.declined += 1;
-                    self.trace_hedge(now_us, idx, scores, None, 0.0, 0.0);
+                    self.trace_hedge(now_us, idx, scores, None, (0.0, 0.0), false);
                 }
             }
         }
@@ -354,17 +423,18 @@ impl PermutationScheduler {
     }
 
     /// Journal one hedge-gate evaluation: the stalled candidate, every
-    /// standby's [`RaceDecision`]-derived score, and the outcome. Stamped
-    /// with the caller-supplied `now_us` so the scheduler still never
-    /// reads a clock itself.
+    /// standby's [`RaceDecision`]-derived score, the outcome with its
+    /// `(win, waste)` pricing, and whether it split. Stamped with the
+    /// caller-supplied `now_us` so the scheduler still never reads a
+    /// clock itself.
     fn trace_hedge(
         &self,
         now_us: u64,
         stalled_idx: usize,
         scores: Vec<CandidateScore>,
         chosen_idx: Option<usize>,
-        win_us: f64,
-        waste_us: f64,
+        (win_us, waste_us): (f64, f64),
+        split: bool,
     ) {
         if !self.config.trace.is_enabled() {
             return;
@@ -379,6 +449,7 @@ impl PermutationScheduler {
                 win_us,
                 waste_us,
                 fired: chosen_idx.is_some(),
+                split,
             },
         );
     }
@@ -451,6 +522,11 @@ impl PermutationScheduler {
             .filter(|&&i| !self.profiles[i].eof)
             .count();
         let prior = Some(self.config.prior_rate_tuples_per_sec).filter(|r| *r > 0.0);
+        // A split standby shares the remainder with the primary, which
+        // keeps delivering at its observed rate.
+        let partner_rate = self
+            .ascending
+            .map(|a| self.profiles[a].rate.rate_tuples_per_sec().unwrap_or(0.0));
         let tracing = self.config.trace.is_enabled();
         let mut scores: Vec<CandidateScore> = Vec::new();
         let mut best: Option<(f64, f64, usize, RaceDecision)> = None;
@@ -466,6 +542,7 @@ impl PermutationScheduler {
                 blocked_sends: self.blocked_sends.iter().sum(),
                 racing,
                 cores: self.cores,
+                split_partner_rate_tps: partner_rate.filter(|_| self.splits_onto(idx)),
             });
             if tracing {
                 scores.push(CandidateScore {

@@ -23,12 +23,16 @@
 //! mirrors with different [`delay::DelayModel`]s, or overlapping partial
 //! replicas — behind a `FederatedSource` that implements [`Source`], so
 //! everything that polls this crate's interface runs over federated
-//! relations unchanged. Three trait hooks here exist for that layer:
-//! [`source::SourceDescriptor`] (candidate registration/reporting, and the
-//! `complete` flag distinguishing full mirrors from partial replicas),
+//! relations unchanged. Four trait hooks here exist for that layer:
+//! [`source::SourceDescriptor`] (candidate registration/reporting, the
+//! `complete` flag distinguishing full mirrors from partial replicas, and
+//! the declared [`source::SourceCapabilities`]), `Source::control` (the
+//! key-scan request a `key_scan` mirror takes when the federation layer
+//! activates it, so two mirrors can split a relation from both ends),
 //! `Source::observed_rate` (self-profiled delivery rates feeding the
 //! re-optimizer's delivery-bound costing), and `Source::as_any`
 //! (post-run report extraction through `Box<dyn Source>`).
+//! [`delay::DelayedSource`] declares `key_scan`.
 
 pub mod delay;
 pub mod mem;
@@ -36,4 +40,6 @@ pub mod source;
 
 pub use delay::{DelayModel, DelayedSource};
 pub use mem::MemSource;
-pub use source::{DueTimes, Poll, Source, SourceDescriptor, SourceProgressView};
+pub use source::{
+    DueTimes, Poll, Source, SourceCapabilities, SourceControl, SourceDescriptor, SourceProgressView,
+};

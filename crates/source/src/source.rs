@@ -1,6 +1,6 @@
 //! The sequential-access source interface.
 
-use tukwila_relation::{Schema, Tuple};
+use tukwila_relation::{Error, Result, Schema, Tuple, Value};
 use tukwila_stats::ArrivalSchedule;
 
 /// Result of polling a source at a virtual instant.
@@ -139,11 +139,47 @@ pub struct SourceDescriptor {
     /// undeclared (the gate falls back to the configured prior, then to
     /// the mirror assumption).
     pub declared_rate_tuples_per_sec: Option<f64>,
+    /// Requests this candidate declares it takes through
+    /// [`Source::control`]. A declaration is a promise, not a proof: a
+    /// wrapper may forward the descriptor but not the request, so callers
+    /// must still handle a refusal.
+    pub capabilities: SourceCapabilities,
+}
+
+/// What a source declares it can do beyond sequential delivery.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SourceCapabilities {
+    /// The source can restart delivery as a key-ordered scan of the keys
+    /// after a given one, ascending or descending
+    /// ([`SourceControl::KeyScan`]).
+    pub key_scan: bool,
+}
+
+/// A request to a source, made through [`Source::control`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum SourceControl {
+    /// Restart delivery as a scan of exactly the tuples whose key (the
+    /// values of `key_cols`, compared lexicographically by
+    /// [`Value::cmp_total`]) is greater than `after` — every tuple when
+    /// `after` is `None` — in ascending key order, or in descending key
+    /// order when `descending`. Nothing delivered before the request is
+    /// delivered again unless it falls in the requested range.
+    KeyScan {
+        key_cols: Vec<usize>,
+        after: Option<Vec<Value>>,
+        descending: bool,
+    },
 }
 
 /// A sequential-only data source. Implementations must deliver tuples in a
 /// fixed order; reading is destructive (no rewinds), mirroring the paper's
 /// "we limit access to the input relations to be sequential only".
+///
+/// There is one exception, for sources that declare it: a source whose
+/// [`SourceDescriptor::capabilities`] include `key_scan` takes a
+/// key-scan request through [`Source::control`] when it is activated,
+/// and then delivers the requested key range in key order. Every other
+/// source refuses requests and stays strictly sequential.
 pub trait Source: Send {
     /// Stable identifier of the base relation this source serves.
     fn rel_id(&self) -> u32;
@@ -176,7 +212,21 @@ pub trait Source: Send {
             complete: true,
             key_range: None,
             declared_rate_tuples_per_sec: None,
+            capabilities: SourceCapabilities::default(),
         }
+    }
+
+    /// Ask the source to change what it delivers from timeline instant
+    /// `now_us` on. Only sources whose descriptor declares the matching
+    /// capability take a request; the default refuses every request, and
+    /// a refused request changes nothing. A federation adapter issues at
+    /// most one request per candidate, when it activates the candidate.
+    fn control(&mut self, now_us: u64, request: SourceControl) -> Result<()> {
+        let _ = (now_us, request);
+        Err(Error::Exec(format!(
+            "source '{}' takes no requests",
+            self.name()
+        )))
     }
 
     /// The driver that polls this source is about to stop polling for a
@@ -252,6 +302,26 @@ mod tests {
         assert!(wall.is_due(0, 0), "no skipping on a wall clock");
         assert_eq!(wall.promise(0, 0), None);
         assert_eq!(wall.earliest(), Some(10));
+    }
+
+    #[test]
+    fn requests_are_refused_by_default() {
+        use tukwila_relation::{DataType, Field};
+        let schema = Schema::new(vec![Field::new("t.x", DataType::Int)]);
+        let rows = vec![Tuple::new(vec![Value::Int(1)])];
+        let mut src = crate::MemSource::new(1, "t", schema, rows.clone());
+        assert_eq!(src.descriptor().capabilities, SourceCapabilities::default());
+        let request = SourceControl::KeyScan {
+            key_cols: vec![0],
+            after: None,
+            descending: true,
+        };
+        assert!(src.control(0, request).is_err());
+        assert_eq!(
+            src.poll(0, 8),
+            Poll::Ready(rows),
+            "a refusal changes nothing"
+        );
     }
 
     #[test]

@@ -298,8 +298,10 @@ pub struct RaceContext {
     /// its profile — there is nobody credible left to wait for.
     pub healthy: Option<(f64, f64)>,
     /// Distinct tuples already delivered to the engine. A freshly
-    /// activated full mirror re-delivers all of them (sequential access,
-    /// no rewind), which is both dedup waste and a head start it lacks.
+    /// activated full mirror that races re-delivers all of them
+    /// (sequential access, no rewind), which is both dedup waste and a
+    /// head start it lacks. A standby that splits (see
+    /// [`RaceContext::split_partner_rate_tps`]) skips them.
     pub delivered: f64,
     /// Expected tuples still to come.
     pub remaining: f64,
@@ -315,6 +317,12 @@ pub struct RaceContext {
     /// Host parallelism budget; `None` means unknown/not-threaded, which
     /// disables the busy-core term.
     pub cores: Option<usize>,
+    /// `Some(rate)` when the standby would *split* the relation instead
+    /// of racing for it: it scans from the far key end towards the
+    /// primary, which keeps delivering at `rate` tuples per second, and
+    /// the two stop where they meet. Nothing already delivered is sent
+    /// again. `None` prices a race.
+    pub split_partner_rate_tps: Option<f64>,
 }
 
 /// Outcome of the race question, with the two sides of the break-even
@@ -392,12 +400,20 @@ impl DeliveryModel {
     /// The break-even inequality: hedge iff
     ///
     /// ```text
-    /// win   = eta_healthy(remaining) − (delivered + remaining) / standby_rate · 1e6
-    /// waste = delivered · dup_tuple_us
+    /// win   = eta_healthy(remaining) − eta_standby
+    /// waste = delivered · dup_tuple_us          (a race only)
     ///       + blocked_sends · blocked_send_us
     ///       + busy_core_us   (when racing + 1 exceeds the core budget)
     /// hedge ⇔ win > waste
     /// ```
+    ///
+    /// A racing standby re-delivers everything, so `eta_standby =
+    /// (delivered + remaining) / standby_rate · 1e6`, and every tuple
+    /// already delivered is a duplicate to dedup. A splitting standby
+    /// (`ctx.split_partner_rate_tps` is `Some`) scans only the remainder,
+    /// from the far end, while the primary keeps going:
+    /// `eta_standby = remaining / (standby_rate + partner_rate) · 1e6`,
+    /// and the duplicate term drops out.
     ///
     /// With no healthy active candidate (`ctx.healthy == None`) the win
     /// is unbounded — there is nobody credible to wait for, so the hedge
@@ -405,7 +421,11 @@ impl DeliveryModel {
     /// candidate dies, and reproduces the legacy rule exactly in the
     /// one-primary-stalls case.
     pub fn race(&self, ctx: &RaceContext) -> RaceDecision {
-        let waste_us = ctx.delivered.max(0.0) * self.costs.dup_tuple_us
+        let dup_us = match ctx.split_partner_rate_tps {
+            Some(_) => 0.0,
+            None => ctx.delivered.max(0.0) * self.costs.dup_tuple_us,
+        };
+        let waste_us = dup_us
             + ctx.blocked_sends as f64 * self.costs.blocked_send_us
             + match ctx.cores {
                 Some(cores) if ctx.racing + 1 > cores => self.costs.busy_core_us,
@@ -422,8 +442,12 @@ impl DeliveryModel {
             .standby_rate_tps
             .filter(|r| *r > 0.0)
             .unwrap_or(healthy_rate);
-        let standby_eta_us = if standby_rate > 0.0 {
-            (ctx.delivered + ctx.remaining).max(0.0) / standby_rate * 1e6
+        let (tuples, rate) = match ctx.split_partner_rate_tps {
+            Some(partner) => (ctx.remaining, standby_rate + partner.max(0.0)),
+            None => (ctx.delivered + ctx.remaining, standby_rate),
+        };
+        let standby_eta_us = if rate > 0.0 {
+            tuples.max(0.0) / rate * 1e6
         } else {
             f64::INFINITY
         };
@@ -553,6 +577,7 @@ mod tests {
             blocked_sends: 1000,
             racing: 64,
             cores: Some(1),
+            split_partner_rate_tps: None,
         });
         assert!(d.hedge, "nobody credible to wait for: hedge");
         assert!(d.win_us.is_infinite());
@@ -573,6 +598,7 @@ mod tests {
             blocked_sends: 0,
             racing: 1,
             cores: None,
+            split_partner_rate_tps: None,
         });
         assert!(!d.hedge, "win={} waste={}", d.win_us, d.waste_us);
         assert!(d.win_us < 0.0);
@@ -591,6 +617,7 @@ mod tests {
             blocked_sends: 0,
             racing: 1,
             cores: None,
+            split_partner_rate_tps: None,
         });
         assert!(d.hedge);
         assert!(d.win_us > 0.0);
@@ -607,6 +634,7 @@ mod tests {
             blocked_sends: 0,
             racing: 1,
             cores: Some(8),
+            split_partner_rate_tps: None,
         };
         let free = m.race(&base);
         assert!(free.hedge, "win={} waste={}", free.win_us, free.waste_us);
@@ -617,5 +645,32 @@ mod tests {
         assert!(!congested.hedge, "backpressure must veto the race");
         let saturated = m.race(&RaceContext { racing: 8, ..base });
         assert!(saturated.waste_us >= m.costs().busy_core_us);
+    }
+
+    #[test]
+    fn a_split_skips_the_duplicates_and_shares_the_remainder() {
+        let m = DeliveryModel::default();
+        // The race this case declines: the from-scratch standby must
+        // re-deliver 9000 tuples before it helps with the last 1000.
+        let race = RaceContext {
+            healthy: Some((100_000.0, 10_000.0)),
+            delivered: 9_000.0,
+            remaining: 1_000.0,
+            standby_rate_tps: None,
+            blocked_sends: 0,
+            racing: 1,
+            cores: None,
+            split_partner_rate_tps: None,
+        };
+        assert!(!m.race(&race).hedge);
+        let split = m.race(&RaceContext {
+            split_partner_rate_tps: Some(10_000.0),
+            ..race.clone()
+        });
+        // 1000 tuples at the combined 20k t/s: 50 ms instead of 100 ms.
+        assert!(split.hedge, "win={} waste={}", split.win_us, split.waste_us);
+        assert_eq!(split.win_us, 100_000.0 - 50_000.0);
+        assert_eq!(split.waste_us, 0.0, "no duplicates to dedup");
+        assert!(m.race(&race).waste_us > 0.0);
     }
 }

@@ -191,6 +191,10 @@ pub enum TraceEvent {
         waste_us: f64,
         /// Whether a standby was actually activated.
         fired: bool,
+        /// Whether the chosen standby splits the relation with the
+        /// stalled primary (a key scan from the far end, stopping where
+        /// the two meet) rather than racing it from the first tuple.
+        split: bool,
     },
     /// A standby was activated outside the cost gate (the EOF sweep:
     /// every live candidate finished without completing the relation).
@@ -338,6 +342,7 @@ impl TraceRecord {
                 win_us,
                 waste_us,
                 fired,
+                split,
             } => {
                 s.push_str(&format!(
                     ",\"relation\":\"{}\",\"stalled\":\"{}\",\"scores\":[",
@@ -366,10 +371,11 @@ impl TraceRecord {
                     None => s.push_str(",\"chosen\":null"),
                 }
                 s.push_str(&format!(
-                    ",\"win_us\":{},\"waste_us\":{},\"fired\":{}",
+                    ",\"win_us\":{},\"waste_us\":{},\"fired\":{},\"split\":{}",
                     json_f64(*win_us),
                     json_f64(*waste_us),
-                    fired
+                    fired,
+                    split
                 ));
             }
             TraceEvent::Activation {
@@ -816,6 +822,7 @@ mod tests {
             win_us: if fired { 5000.0 } else { 0.0 },
             waste_us: if fired { 100.0 } else { 0.0 },
             fired,
+            split: false,
         }
     }
 
@@ -895,6 +902,7 @@ mod tests {
             win_us: f64::INFINITY,
             waste_us: 0.0,
             fired: false,
+            split: false,
         });
         let line = sink.export_jsonl();
         assert!(line.contains("r\\\"x\\\""));

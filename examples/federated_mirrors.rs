@@ -4,9 +4,11 @@
 //! one behind a bursty 802.11b-style wireless link (long outages between
 //! bursts) and a steady mirror at half the bandwidth. A static client
 //! pinned to the flaky mirror eats every outage; the federation layer
-//! profiles both mirrors online, fails over when the active one is silent
-//! past its profile-derived stall threshold, dedupes the overlap by key,
-//! and re-ranks the permutation as evidence accumulates.
+//! profiles both mirrors online and, when the active one is silent past
+//! its profile-derived stall threshold, splits the rest of the relation
+//! with the steady mirror: the steady one scans from the far key end,
+//! the flaky one keeps scanning from the near end, and the relation is
+//! complete where they meet (overlap is deduped by key).
 //!
 //! Run with: `cargo run --release --example federated_mirrors`
 
@@ -88,8 +90,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let r = fed.report();
         println!(
-            "{}: {} distinct tuples, {} failover(s)",
-            r.name, r.delivered, r.failovers
+            "{}: {} distinct tuples, {} failover(s){}",
+            r.name,
+            r.delivered,
+            r.failovers,
+            if r.split { ", split" } else { "" }
         );
         for c in &r.candidates {
             println!(

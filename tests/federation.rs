@@ -15,8 +15,10 @@ use tukwila::federation::{
     DeclaredRate, FederatedCatalog, FederatedSource, FederationConfig, PartialReplica,
 };
 use tukwila::optimizer::OptimizerContext;
-use tukwila::relation::{Schema, Tuple};
-use tukwila::source::{DelayModel, DelayedSource, Source};
+use tukwila::relation::{DataType, Field, Result, Schema, Tuple, Value};
+use tukwila::source::{
+    DelayModel, DelayedSource, Poll, Source, SourceControl, SourceDescriptor, SourceProgressView,
+};
 use tukwila::stats::{Clock, WallClock};
 
 mod common;
@@ -495,6 +497,264 @@ proptest! {
         );
         for r in fed_reports(&sources) {
             prop_assert_eq!(r.candidates.len(), 3);
+        }
+    }
+}
+
+// ------------------------------------------------------------------ splits
+
+/// A key-sorted relation of `n` rows, `(k1, k2, v)`. With `composite` the
+/// key is `(k1, k2)` shaped like LINEITEM's (orderkey, linenumber): 1–7
+/// lines per sparse order key. Otherwise the key is the sparse `k1`
+/// alone and `k2` is noise.
+fn keyed_rows(n: usize, composite: bool, seed: u64) -> (Schema, Vec<usize>, Vec<Tuple>) {
+    let schema = Schema::new(vec![
+        Field::new("r.k1", DataType::Int),
+        Field::new("r.k2", DataType::Int),
+        Field::new("r.v", DataType::Int),
+    ]);
+    let mut x = seed | 1;
+    let mut next = move |m: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % m
+    };
+    let (mut rows, mut k1) = (Vec::with_capacity(n), 0i64);
+    while rows.len() < n {
+        k1 += 1 + next(5) as i64;
+        let lines = if composite { 1 + next(7) as i64 } else { 1 };
+        for line in 1..=lines {
+            if rows.len() < n {
+                let k2 = if composite { line } else { next(3) as i64 };
+                rows.push(Tuple::new(vec![
+                    Value::Int(k1),
+                    Value::Int(k2),
+                    Value::Int(k1 * 10 + k2),
+                ]));
+            }
+        }
+    }
+    let key_cols = if composite { vec![0, 1] } else { vec![0] };
+    (schema, key_cols, rows)
+}
+
+/// How a split property perturbs one candidate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Twist {
+    /// Delivers as its delay model says.
+    Plain,
+    /// Declares `key_scan` (its descriptor is forwarded) but refuses every
+    /// request, like a wrapper that does not forward `control`.
+    Refuses,
+    /// Goes silent forever after this many tuples.
+    DiesAfter(usize),
+    /// Takes a key-scan request but keeps delivering in storage order.
+    IgnoresOrder,
+}
+
+/// A [`DelayedSource`] mirror under a [`Twist`]; with `refuses` it also
+/// refuses every request.
+struct Twisted {
+    inner: DelayedSource,
+    twist: Twist,
+    refuses: bool,
+    sent: usize,
+}
+
+impl Source for Twisted {
+    fn rel_id(&self) -> u32 {
+        self.inner.rel_id()
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn poll(&mut self, now_us: u64, max_tuples: usize) -> Poll {
+        let max_tuples = match self.twist {
+            Twist::DiesAfter(k) if self.sent >= k => {
+                return Poll::Pending {
+                    next_ready_us: u64::MAX,
+                }
+            }
+            Twist::DiesAfter(k) => max_tuples.min(k - self.sent),
+            _ => max_tuples,
+        };
+        let polled = self.inner.poll(now_us, max_tuples);
+        if let Poll::Ready(b) = &polled {
+            self.sent += b.len();
+        }
+        polled
+    }
+
+    fn progress(&self) -> SourceProgressView {
+        self.inner.progress()
+    }
+
+    fn descriptor(&self) -> SourceDescriptor {
+        self.inner.descriptor()
+    }
+
+    fn control(&mut self, now_us: u64, request: SourceControl) -> Result<()> {
+        match self.twist {
+            Twist::Refuses => Err(tukwila::relation::Error::Exec("refused".into())),
+            _ if self.refuses => Err(tukwila::relation::Error::Exec("refused".into())),
+            Twist::IgnoresOrder => Ok(()),
+            Twist::Plain | Twist::DiesAfter(_) => self.inner.control(now_us, request),
+        }
+    }
+}
+
+/// Drain an inline federated source on its virtual timeline.
+fn drain_fed(fed: &mut FederatedSource) -> Vec<Tuple> {
+    let (mut clock, mut out) = (0u64, Vec::new());
+    for _ in 0..1_000_000 {
+        match fed.poll(clock, 64) {
+            Poll::Ready(batch) => out.extend(batch),
+            Poll::Pending { next_ready_us } => {
+                assert!(next_ready_us > clock, "pending must move the clock");
+                clock = next_ready_us;
+            }
+            Poll::Eof => return out,
+        }
+    }
+    panic!("the federated source never finished");
+}
+
+/// Sorted keys of `rows`, asserting each key appears once.
+fn keys_once(rows: &[Tuple], key_cols: &[usize]) -> Vec<Vec<i64>> {
+    let mut keys: Vec<Vec<i64>> = rows
+        .iter()
+        .map(|t| {
+            key_cols
+                .iter()
+                .map(|&c| t.get(c).as_int().unwrap())
+                .collect()
+        })
+        .collect();
+    keys.sort();
+    let n = keys.len();
+    keys.dedup();
+    assert_eq!(keys.len(), n, "a key was delivered twice");
+    keys
+}
+
+/// The split scenarios: which candidates exist and how each is twisted.
+/// Candidates are a flaky primary, a steady standby and, in the
+/// both-die case, a slow remote that must finish the relation.
+fn split_candidates(case: usize, seed: u64, (k, j): (usize, usize)) -> Vec<(DelayModel, Twist)> {
+    let flaky = DelayModel::Wireless {
+        bytes_per_sec: 20_000.0 + (seed % 180) as f64 * 1_000.0,
+        burst_ms: 1.0 + (seed % 19) as f64,
+        gap_ms: 5.0 + (seed % 95) as f64,
+        seed,
+    };
+    let steady = DelayModel::Bandwidth {
+        bytes_per_sec: 10_000.0 + (seed % 90) as f64 * 1_000.0,
+        initial_latency_us: seed % 5_000,
+    };
+    let remote = DelayModel::Bandwidth {
+        bytes_per_sec: 5_000.0,
+        initial_latency_us: 20_000,
+    };
+    match case {
+        0 => vec![(flaky, Twist::Plain), (steady, Twist::Plain)],
+        1 => vec![(flaky, Twist::DiesAfter(k)), (steady, Twist::Refuses)],
+        2 => vec![(flaky, Twist::DiesAfter(k)), (steady, Twist::Plain)],
+        3 => vec![(flaky, Twist::Plain), (steady, Twist::DiesAfter(j))],
+        4 => vec![
+            (flaky, Twist::DiesAfter(k)),
+            (steady, Twist::DiesAfter(j)),
+            (remote, Twist::Plain),
+        ],
+        _ => vec![(flaky, Twist::DiesAfter(k)), (steady, Twist::IgnoresOrder)],
+    }
+}
+
+/// Build the federated source over `candidates`; with `race`, every
+/// candidate refuses requests, so hedges race as they did before splits.
+fn split_fed(
+    rows: &[Tuple],
+    schema: &Schema,
+    key_cols: &[usize],
+    candidates: &[(DelayModel, Twist)],
+    race: bool,
+) -> FederatedSource {
+    let sources = candidates
+        .iter()
+        .enumerate()
+        .map(|(i, (model, twist))| {
+            let inner =
+                DelayedSource::new(1, format!("m{i}"), schema.clone(), rows.to_vec(), model);
+            Box::new(Twisted {
+                inner,
+                twist: *twist,
+                refuses: race,
+                sent: 0,
+            }) as Box<dyn Source>
+        })
+        .collect();
+    FederatedSource::new(key_cols.to_vec(), sources, FederationConfig::default()).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Split delivery returns the race's answer, which is the relation:
+    /// every key exactly once, whatever the schedules, stall points and
+    /// refusals. A split side that breaks its key order fails loudly
+    /// instead of completing early.
+    #[test]
+    fn split_matches_race_and_ground_truth(
+        seed in 1u64..1_000_000,
+        n in 2usize..160,
+        composite in 0usize..2,
+        case in 0usize..6,
+        k_frac in 0usize..100,
+        j_frac in 0usize..100,
+    ) {
+        let (schema, key_cols, rows) = keyed_rows(n, composite == 1, seed);
+        let truth = keys_once(&rows, &key_cols);
+        // Death points strictly inside the relation, so the other side
+        // has something left to do.
+        let (k, j) = (k_frac * (n - 1) / 100, j_frac * (n - 1) / 100);
+        let candidates = split_candidates(case, seed, (k, j));
+
+        let mut race = split_fed(&rows, &schema, &key_cols, &candidates, true);
+        let raced = keys_once(&drain_fed(&mut race), &key_cols);
+        prop_assert_eq!(&raced, &truth, "the race lost or invented keys");
+        prop_assert!(!race.report().split, "refused requests never split");
+
+        let mut fed = split_fed(&rows, &schema, &key_cols, &candidates, false);
+        if case == 5 {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drain_fed(&mut fed)));
+            let err = run.expect_err("an out-of-order split side must fail, not truncate");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            prop_assert!(msg.contains("out of its requested"), "unexpected panic: {}", msg);
+            return Ok(());
+        }
+        let split = keys_once(&drain_fed(&mut fed), &key_cols);
+        prop_assert_eq!(&split, &raced, "split and race answers differ");
+        let report = fed.report();
+        match case {
+            1 => prop_assert!(!report.split, "a refused request must race"),
+            // A dead primary is hedged, and the hedge splits.
+            2 => prop_assert!(report.split, "the dead primary's hedge must split"),
+            _ => {}
+        }
+        if report.split && case != 4 {
+            // Only the batch that crossed the meeting point can repeat
+            // keys; in the both-die case the remote races on purpose.
+            let dupes: u64 = report.candidates.iter().map(|c| c.duplicates).sum();
+            prop_assert!(dupes <= 64, "case {}: a split re-sent {} tuples", case, dupes);
         }
     }
 }
