@@ -178,6 +178,9 @@ pub struct CorrectiveReport {
     /// phase's driver CPU (`None` when the run never calibrated — e.g.
     /// non-`Measured` cost models, or no monitor poll before completion).
     pub calibrated_unit_us: Option<f64>,
+    /// The runtime statistics the monitor gathered: per-signature
+    /// observations and multiplicative-join flags as of the last poll.
+    pub catalog: Arc<SelectivityCatalog>,
 }
 
 impl CorrectiveReport {
@@ -254,6 +257,7 @@ struct RunTotals {
     extra_cpu_us: u64,
     calibrated_unit_us: Option<f64>,
     exchange_stats: ExchangeTotals,
+    catalog: Arc<SelectivityCatalog>,
 }
 
 /// The corrective query processing executor.
@@ -781,6 +785,7 @@ impl CorrectiveExec {
                 extra_cpu_us,
                 calibrated_unit_us: calibrated,
                 exchange_stats,
+                catalog,
             },
         )
     }
@@ -901,6 +906,7 @@ impl CorrectiveExec {
             extra_cpu_us,
             calibrated_unit_us,
             exchange_stats,
+            catalog,
         } = totals;
 
         let stitch_start_clock = timeline.clock_us();
@@ -978,6 +984,7 @@ impl CorrectiveExec {
             reuse,
             rows,
             calibrated_unit_us,
+            catalog,
         })
     }
 
