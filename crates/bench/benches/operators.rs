@@ -1,15 +1,17 @@
 //! Criterion microbenchmarks for the engine's operators and state
 //! structures: the per-tuple costs behind every experiment (join
 //! algorithms at the heart of Figure 5, pre-aggregation behind Figure 6,
-//! histogram maintenance behind §4.5's overhead numbers).
+//! histogram maintenance behind §4.5's overhead numbers, narrow join rows
+//! behind local-mix's end-to-end throughput).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use tukwila_core::{ComplementaryJoinPair, RouterKind};
-use tukwila_datagen::{Dataset, DatasetConfig, TableId};
+use tukwila_datagen::{queries, Dataset, DatasetConfig, TableId};
 use tukwila_exec::agg::{AggSpec, GroupSpec, PreAggOp, WindowPolicy};
-use tukwila_exec::join::{MergeJoin, PipelinedHashJoin};
+use tukwila_exec::join::{MergeJoin, PipelinedHashJoin, RowBuilder};
 use tukwila_exec::op::IncOp;
+use tukwila_optimizer::{Optimizer, OptimizerContext, PhysKind, PhysNode};
 use tukwila_relation::agg::AggFunc;
 use tukwila_relation::{Tuple, Value};
 use tukwila_stats::DynamicHistogram;
@@ -106,6 +108,99 @@ fn bench_joins(c: &mut Criterion) {
     g.finish();
 }
 
+/// The joins of a left-deep plan, bottom first, each building rows with
+/// the plan's residual and emit list.
+fn chain_joins(mut node: &PhysNode) -> Vec<PipelinedHashJoin> {
+    let mut joins = Vec::new();
+    while let PhysKind::Join {
+        left,
+        right,
+        left_col,
+        right_col,
+        residual,
+        emit,
+        ..
+    } = &node.kind
+    {
+        let (ls, rs) = (left.schema.clone(), right.schema.clone());
+        let rows = RowBuilder::new(&ls, &rs, residual.clone(), emit.clone()).unwrap();
+        joins.push(PipelinedHashJoin::new(ls, rs, *left_col, *right_col).with_rows(rows));
+        node = left;
+    }
+    joins.reverse();
+    joins
+}
+
+/// Q10A's join chain, σ_R(lineitem) ⋈ orders ⋈ customer ⋈ nation, as
+/// pipelined hash joins: the right sides build first (identical work in
+/// both variants, not timed), then the filtered lineitem streams through
+/// the chain.
+/// `full` emits every column of every join; `narrowed` emits the columns
+/// the plan keeps for Q10A's aggregate. The gap is the cost of building
+/// and dropping columns nobody reads.
+fn bench_narrow_rows(c: &mut Criterion) {
+    let d = Dataset::generate(DatasetConfig::uniform(0.02));
+    let q = queries::q10a();
+    let order = [
+        TableId::Lineitem,
+        TableId::Orders,
+        TableId::Customer,
+        TableId::Nation,
+    ];
+    let ids: Vec<u32> = order.iter().map(|t| t.rel_id()).collect();
+    let lineitem = &q.rels[q.rel_index(ids[0]).unwrap()];
+    let filter = lineitem.filter.as_ref().expect("Q10A filters lineitem");
+    let probe: Vec<Tuple> = d
+        .lineitem
+        .iter()
+        .filter(|t| filter.matches(t).unwrap())
+        .cloned()
+        .collect();
+    let opt = Optimizer::new(OptimizerContext::no_statistics());
+    let narrowed = opt.plan_with_order(&q, &ids).unwrap();
+    let mut plain = q.clone();
+    plain.agg = None;
+    let full = opt.plan_with_order(&plain, &ids).unwrap();
+
+    // The right sides build in the (untimed) setup: identical tables in
+    // both variants. The timed part streams σ_R(lineitem) up the chain.
+    let built = |plan: &PhysNode| {
+        let mut joins = chain_joins(plan);
+        let mut sink = Vec::new();
+        for (j, t) in joins.iter_mut().zip(&order[1..]) {
+            for chunk in d.table(*t).chunks(1024) {
+                j.push(1, chunk, &mut sink).unwrap();
+            }
+        }
+        joins
+    };
+    let stream = |mut joins: Vec<PipelinedHashJoin>| {
+        let mut rows = 0;
+        for chunk in probe.chunks(1024) {
+            let mut batch = chunk.to_vec();
+            for j in joins.iter_mut() {
+                let mut out = Vec::new();
+                j.push(0, &batch, &mut out).unwrap();
+                batch = out;
+            }
+            rows += batch.len();
+        }
+        rows
+    };
+    let rows = stream(built(&full.root));
+    assert_eq!(rows, stream(built(&narrowed.root)), "same join, same rows");
+    println!("narrow_rows: {rows} output rows per run");
+
+    let mut g = c.benchmark_group("narrow_rows");
+    g.sample_size(15);
+    for (name, plan) in [("full", &full), ("narrowed", &narrowed)] {
+        g.bench_function(name, |b| {
+            b.iter_batched(|| built(&plan.root), stream, BatchSize::LargeInput)
+        });
+    }
+    g.finish();
+}
+
 fn bench_preagg(c: &mut Criterion) {
     let d = dataset();
     let lineitem = &d.lineitem;
@@ -199,6 +294,7 @@ fn bench_histogram(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_joins,
+    bench_narrow_rows,
     bench_preagg,
     bench_state_structures,
     bench_histogram

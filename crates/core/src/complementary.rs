@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use tukwila_exec::join::{MergeJoin, PipelinedHashJoin};
+use tukwila_exec::join::{MergeJoin, PipelinedHashJoin, RowBuilder};
 use tukwila_exec::op::{Batch, ExtractedState, IncOp};
 use tukwila_exec::split::{OrderRouter, PriorityQueueRouter, Router};
 use tukwila_relation::{Error, Result, Schema, Tuple};
@@ -49,7 +49,7 @@ pub struct ComplementaryJoinPair {
     merge: MergeJoin,
     hash: PipelinedHashJoin,
     routers: [Box<dyn Router>; 2],
-    out_schema: Schema,
+    rows: RowBuilder,
     stats: ComplementaryStats,
     counters: Arc<OpCounters>,
     finished: bool,
@@ -63,7 +63,7 @@ impl ComplementaryJoinPair {
         right_key: usize,
         router: RouterKind,
     ) -> ComplementaryJoinPair {
-        let out_schema = left_schema.concat(&right_schema);
+        let rows = RowBuilder::concat(&left_schema, &right_schema);
         ComplementaryJoinPair {
             merge: MergeJoin::new(
                 left_schema.clone(),
@@ -73,15 +73,30 @@ impl ComplementaryJoinPair {
             ),
             hash: PipelinedHashJoin::new(left_schema, right_schema, left_key, right_key),
             routers: [router.build(left_key), router.build(right_key)],
-            out_schema,
+            rows,
             stats: ComplementaryStats::default(),
             counters: OpCounters::new(),
             finished: false,
         }
     }
 
+    /// Build output rows with `rows` (residual check, emitted columns)
+    /// instead of the full concatenation — in both joins and the
+    /// mini-stitch-up; `rows` is over `(left, right)`.
+    pub fn with_rows(mut self, rows: RowBuilder) -> ComplementaryJoinPair {
+        self.merge = self.merge.with_rows(rows.clone());
+        self.hash = self.hash.with_rows(rows.clone());
+        self.rows = rows;
+        self
+    }
+
     pub fn stats(&self) -> ComplementaryStats {
         self.stats
+    }
+
+    /// Key matches found so far by the two joins.
+    fn inner_matches(&self) -> u64 {
+        self.merge.counters().matches() + self.hash.counters().matches()
     }
 
     /// Route a batch, preserving arrival order within each destination,
@@ -144,7 +159,7 @@ impl IncOp for ComplementaryJoinPair {
     }
 
     fn schema(&self) -> &Schema {
-        &self.out_schema
+        self.rows.schema()
     }
 
     fn push(&mut self, port: usize, batch: &[Tuple], out: &mut Batch) -> Result<()> {
@@ -154,17 +169,19 @@ impl IncOp for ComplementaryJoinPair {
             )));
         }
         self.counters.add_in(batch.len() as u64);
-        let before = out.len();
+        let (before, matched) = (out.len(), self.inner_matches());
         self.route_batch(port, batch, out)?;
         self.counters.add_out((out.len() - before) as u64);
+        self.counters.add_matches(self.inner_matches() - matched);
         Ok(())
     }
 
     fn finish_input(&mut self, port: usize, out: &mut Batch) -> Result<()> {
-        let before = out.len();
+        let (before, matched) = (out.len(), self.inner_matches());
         self.drain_router(port, out)?;
         self.merge.finish_input(port, out)?;
         self.counters.add_out((out.len() - before) as u64);
+        self.counters.add_matches(self.inner_matches() - matched);
         Ok(())
     }
 
@@ -182,30 +199,31 @@ impl IncOp for ComplementaryJoinPair {
         let (h_r, h_s) = (&hash_states[0].structure, &hash_states[1].structure);
         let (m_r, m_s) = (&merge_states[0].structure, &merge_states[1].structure);
         let h_r_key = h_r.props().keyed_on.unwrap_or(0);
-        let m_s_key = m_s.props().keyed_on.unwrap_or(0);
         let m_r_key = m_r.props().keyed_on.unwrap_or(0);
-        let h_s_key = h_s.props().keyed_on.unwrap_or(0);
 
         let mut matches = Vec::new();
+        let mut matched = 0;
         // hash R ⋈ merge S.
         for t in h_r.scan() {
             matches.clear();
             m_s.probe_into(&t.key(h_r_key), &mut matches);
             for m in &matches {
-                out.push(t.concat(m));
+                self.rows.push(&t, m, out);
             }
+            matched += matches.len() as u64;
         }
         // merge R ⋈ hash S.
         for t in m_r.scan() {
             matches.clear();
             h_s.probe_into(&t.key(m_r_key), &mut matches);
             for m in &matches {
-                out.push(t.concat(m));
+                self.rows.push(&t, m, out);
             }
+            matched += matches.len() as u64;
         }
-        let _ = (m_s_key, h_s_key);
         self.stats.stitch_tuples += (out.len() - before) as u64;
-        self.counters.add_out((out.len() - before) as u64);
+        self.rows
+            .count(&self.counters, matched, (out.len() - before) as u64);
         Ok(())
     }
 
@@ -251,7 +269,17 @@ mod tests {
         router: RouterKind,
     ) -> (Batch, ComplementaryStats) {
         let (ls, rs) = schemas();
-        let mut j = ComplementaryJoinPair::new(ls, rs, 0, 0, router);
+        run_pair_with(left, right, router, RowBuilder::concat(&ls, &rs))
+    }
+
+    fn run_pair_with(
+        left: &[Tuple],
+        right: &[Tuple],
+        router: RouterKind,
+        rows: RowBuilder,
+    ) -> (Batch, ComplementaryStats) {
+        let (ls, rs) = schemas();
+        let mut j = ComplementaryJoinPair::new(ls, rs, 0, 0, router).with_rows(rows);
         let mut out = Vec::new();
         for chunk in left.chunks(16) {
             j.push(0, chunk, &mut out).unwrap();
@@ -299,6 +327,17 @@ mod tests {
                 "router {router:?}"
             );
             assert!(stats.hash_tuples + stats.merge_tuples == 600);
+            // Narrowed rows: the merge join, the hash join and the
+            // mini-stitch-up all build through the one row builder.
+            let (ls, rs) = schemas();
+            let narrow = RowBuilder::new(&ls, &rs, vec![], vec![0, 3]).unwrap();
+            let (out, stats) = run_pair_with(&left, &right, router, narrow);
+            let want: Batch = reference(&left, &right)
+                .iter()
+                .map(|r| r.project(&[0, 3]))
+                .collect();
+            assert_eq!(canonicalize(&out), canonicalize(&want), "router {router:?}");
+            assert!(stats.hash_tuples > 0 && stats.stitch_tuples > 0);
         }
     }
 

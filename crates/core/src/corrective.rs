@@ -1030,13 +1030,14 @@ impl CorrectiveExec {
         for (sig, (out, product)) in per_sig {
             catalog.observe_subexpr(sig, out, product);
         }
-        // Multiplicative-join flags.
+        // Multiplicative-join flags, from the key matches: a join
+        // predicate multiplies whatever residual check follows it.
         for obs in observations {
             if let Some((_, pred_id)) = join_nodes.iter().find(|(node, _)| *node == obs.node) {
                 let tin = obs.counters.tuples_in();
-                let tout = obs.counters.tuples_out();
-                if tin > 0 && tout > tin {
-                    catalog.flag_multiplicative(*pred_id, tout as f64 / tin as f64);
+                let matched = obs.counters.matches();
+                if tin > 0 && matched > tin {
+                    catalog.flag_multiplicative(*pred_id, matched as f64 / tin as f64);
                 }
             }
         }
@@ -1301,6 +1302,30 @@ mod tests {
         let mut sources = sources_for(&d, &q);
         let report = exec.run(&mut sources).unwrap();
         assert_eq!(canonicalize_approx(&report.rows), static_answer(&d, &q));
+    }
+
+    #[test]
+    fn monitor_reads_matches_for_flags_and_emitted_rows_for_selectivity() {
+        // A join with a residual: 10 input tuples, 30 key matches, 4 rows
+        // surviving the residual.
+        let counters = tukwila_stats::OpCounters::new();
+        counters.add_in(10);
+        counters.add_matches(30);
+        counters.add_out(4);
+        let sig = tukwila_storage::ExprSig::new(vec![1, 2]);
+        let obs = NodeObservation {
+            node: 7,
+            name: "pipelined-hash-join".into(),
+            output_sig: Some(sig.clone()),
+            input_sigs: vec![],
+            counters,
+        };
+        let catalog = Arc::new(SelectivityCatalog::new());
+        let consumed: HashMap<u32, u64> = [(1, 5), (2, 5)].into_iter().collect();
+        CorrectiveExec::publish_plan_observations(&catalog, &[obs], &[(7, 42)], &consumed);
+        assert_eq!(catalog.multiplicative_factor(42), Some(3.0));
+        let seen = catalog.subexpr(&sig).unwrap();
+        assert_eq!((seen.out_card, seen.in_product), (4, 25.0));
     }
 
     #[test]

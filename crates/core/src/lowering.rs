@@ -3,6 +3,11 @@
 //! a *canonical answer projection* (fixed column order derived from the
 //! query, not the plan shape — the §3.2 schema-compatibility discipline)
 //! feeding the shared group-by table of Figure 1.
+//!
+//! Each join operator gets its plan node's residual equalities and emit
+//! list as one [`RowBuilder`]: it checks the residual on each matched
+//! pair and builds only the columns the plan keeps. No filter operator
+//! follows a join; scan predicates remain [`FilterOp`]s.
 
 use std::sync::Arc;
 
@@ -10,7 +15,9 @@ use tukwila_exec::agg::{
     AggSpec, GroupSpec, PreAggOp, SharedGroupOp, SharedGroupTable, WindowPolicy,
 };
 use tukwila_exec::filter::FilterOp;
-use tukwila_exec::join::{HybridHashJoin, MergeJoin, NestedLoopsJoin, PipelinedHashJoin};
+use tukwila_exec::join::{
+    HybridHashJoin, MergeJoin, NestedLoopsJoin, PipelinedHashJoin, RowBuilder,
+};
 use tukwila_exec::project::ProjectOp;
 use tukwila_exec::{IncOp, PipelinePlan, PlanBuilder};
 use tukwila_optimizer::{PhysAgg, PhysJoinAlgo, PhysKind, PhysNode, PhysPlan, PreAggMode};
@@ -117,55 +124,31 @@ impl<'a> LowerCtx<'a> {
                 right_col,
                 pred_id,
                 residual,
+                emit,
             } => {
                 let l = self.lower_node(left)?;
                 let r = self.lower_node(right)?;
+                let (ls, rs) = (left.schema.clone(), right.schema.clone());
+                let rows = RowBuilder::new(&ls, &rs, residual.clone(), emit.clone())?;
                 let op: Box<dyn IncOp> = match algo {
-                    PhysJoinAlgo::PipelinedHash => Box::new(PipelinedHashJoin::new(
-                        left.schema.clone(),
-                        right.schema.clone(),
-                        *left_col,
-                        *right_col,
-                    )),
-                    PhysJoinAlgo::Merge => Box::new(MergeJoin::new(
-                        left.schema.clone(),
-                        right.schema.clone(),
-                        *left_col,
-                        *right_col,
-                    )),
-                    PhysJoinAlgo::HybridHash => Box::new(HybridHashJoin::new(
-                        left.schema.clone(),
-                        right.schema.clone(),
-                        *left_col,
-                        *right_col,
-                    )),
+                    PhysJoinAlgo::PipelinedHash => Box::new(
+                        PipelinedHashJoin::new(ls, rs, *left_col, *right_col).with_rows(rows),
+                    ),
+                    PhysJoinAlgo::Merge => {
+                        Box::new(MergeJoin::new(ls, rs, *left_col, *right_col).with_rows(rows))
+                    }
+                    PhysJoinAlgo::HybridHash => {
+                        Box::new(HybridHashJoin::new(ls, rs, *left_col, *right_col).with_rows(rows))
+                    }
                     PhysJoinAlgo::NestedLoops => {
-                        let pred = Expr::eq(
-                            Expr::Col(*left_col),
-                            Expr::Col(left.schema.arity() + *right_col),
-                        );
-                        Box::new(NestedLoopsJoin::new(
-                            left.schema.clone(),
-                            right.schema.clone(),
-                            pred,
-                        ))
+                        let pred =
+                            Expr::eq(Expr::Col(*left_col), Expr::Col(ls.arity() + *right_col));
+                        Box::new(NestedLoopsJoin::new(ls, rs, pred).with_rows(rows))
                     }
                 };
                 let id = self.attach(op, &[l, r], node)?;
                 self.join_nodes.push((id, *pred_id));
-                if residual.is_empty() {
-                    Ok(Lowered::Node(id))
-                } else {
-                    let pred = Expr::And(
-                        residual
-                            .iter()
-                            .map(|&(a, b)| Expr::eq(Expr::Col(a), Expr::Col(b)))
-                            .collect(),
-                    );
-                    let f = Box::new(FilterOp::new(pred, node.schema.clone()));
-                    let fid = self.b.add_op(f, &[Some(id)], Some(node.sig.clone()))?;
-                    Ok(Lowered::Node(fid))
-                }
+                Ok(Lowered::Node(id))
             }
             PhysKind::PreAgg {
                 child,
@@ -335,6 +318,7 @@ fn split_at_cuts(
             right_col,
             pred_id,
             residual,
+            emit,
         } => PhysKind::Join {
             algo: *algo,
             left: Box::new(split_at_cuts(
@@ -355,6 +339,7 @@ fn split_at_cuts(
             right_col: *right_col,
             pred_id: *pred_id,
             residual: residual.clone(),
+            emit: emit.clone(),
         },
         PhysKind::PreAgg {
             child,

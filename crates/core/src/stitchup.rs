@@ -30,9 +30,10 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use tukwila_exec::join::batch::{probe_table, BatchJoinStats};
+use tukwila_exec::join::RowBuilder;
 use tukwila_exec::Batch;
 use tukwila_optimizer::{LogicalQuery, PhysKind, PhysNode};
-use tukwila_relation::{Expr, Result, Tuple};
+use tukwila_relation::{Result, Tuple};
 use tukwila_storage::registry::RegistryEntry;
 use tukwila_storage::{ExprSig, StateRegistry, TupleHashTable};
 
@@ -225,10 +226,15 @@ impl<'a> StitchUp<'a> {
                 left_col,
                 right_col,
                 residual,
+                emit,
                 ..
             } => {
                 let l = self.eval(left, false, stats)?;
                 let r = self.eval(right, false, stats)?;
+                // Rows in the node's (narrowed) layout, residual checked
+                // before each is built.
+                let rows =
+                    RowBuilder::new(&left.schema, &right.schema, residual.clone(), emit.clone())?;
 
                 // One table per right-side partition, probed in place or
                 // rehashed once.
@@ -264,7 +270,7 @@ impl<'a> StitchUp<'a> {
                         &l_pure_rows[i],
                         *left_col,
                         &r_pure_tables[i],
-                        residual,
+                        &rows,
                         &mut stats.join,
                         &mut out,
                     )?;
@@ -281,7 +287,7 @@ impl<'a> StitchUp<'a> {
                                 l_rows,
                                 *left_col,
                                 table,
-                                residual,
+                                &rows,
                                 &mut stats.join,
                                 &mut mixed,
                             )?;
@@ -291,7 +297,7 @@ impl<'a> StitchUp<'a> {
                         l_rows,
                         *left_col,
                         &r_mixed_table,
-                        residual,
+                        &rows,
                         &mut stats.join,
                         &mut mixed,
                     )?;
@@ -301,7 +307,7 @@ impl<'a> StitchUp<'a> {
                         &l.mixed,
                         *left_col,
                         table,
-                        residual,
+                        &rows,
                         &mut stats.join,
                         &mut mixed,
                     )?;
@@ -310,7 +316,7 @@ impl<'a> StitchUp<'a> {
                     &l.mixed,
                     *left_col,
                     &r_mixed_table,
-                    residual,
+                    &rows,
                     &mut stats.join,
                     &mut mixed,
                 )?;
@@ -319,16 +325,6 @@ impl<'a> StitchUp<'a> {
             }
         }
     }
-}
-
-/// Convenience for residual-aware equality predicates (used by tests).
-pub fn residual_expr(pairs: &[(usize, usize)]) -> Expr {
-    Expr::And(
-        pairs
-            .iter()
-            .map(|&(a, b)| Expr::eq(Expr::Col(a), Expr::Col(b)))
-            .collect(),
-    )
 }
 
 /// Assert-style helper: ensure a signature exists in the registry for a

@@ -5,8 +5,10 @@
 //! rehashes the partition otherwise (the rule lives in `core::stitchup`);
 //! [`probe_table`] is the probe both cases share.
 
-use tukwila_relation::{Result, Tuple, Value};
+use tukwila_relation::{Result, Tuple};
 use tukwila_storage::TupleHashTable;
+
+use crate::join::RowBuilder;
 
 /// Statistics from batch/stitch-up join primitives.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -21,16 +23,21 @@ pub struct BatchJoinStats {
     pub rehashes: usize,
 }
 
-/// Hash join over two tuple slices.
+/// Hash join over two tuple slices, building rows with `rows` (over the
+/// `(left, right)` layout). Returns the key matches found, before the
+/// residual check.
 pub fn hash_join_slices(
     left: &[Tuple],
     right: &[Tuple],
     left_key: usize,
     right_key: usize,
+    rows: &RowBuilder,
     out: &mut Vec<Tuple>,
     stats: &mut BatchJoinStats,
-) -> Result<()> {
-    // Build on the smaller side; emit in left.concat(right) orientation.
+) -> Result<u64> {
+    // Build on the smaller side; emit in left ++ right orientation.
+    let before = out.len();
+    let mut matched = 0;
     if left.len() <= right.len() {
         let mut table = TupleHashTable::new(left_key);
         for t in left {
@@ -39,8 +46,8 @@ pub fn hash_join_slices(
         for t in right {
             stats.probes += 1;
             for m in table.probe(&t.key(right_key)) {
-                out.push(m.concat(t));
-                stats.output += 1;
+                matched += 1;
+                rows.push(m, t, out);
             }
         }
     } else {
@@ -51,59 +58,57 @@ pub fn hash_join_slices(
         for t in left {
             stats.probes += 1;
             for m in table.probe(&t.key(left_key)) {
-                out.push(t.concat(m));
-                stats.output += 1;
+                matched += 1;
+                rows.push(t, m, out);
             }
         }
     }
-    Ok(())
+    stats.output += out.len() - before;
+    Ok(matched)
 }
 
 /// Probe a sealed hash table with a slice of probe rows — the stitch-up
-/// probe (§3.4.3). Residual equality (`joined[a] == joined[b]` over the
-/// virtual `probe ++ match` layout) is checked against the probe row and
-/// the match *before* the joined tuple is built, so misses and residual
-/// rejects never allocate. Output order: probe rows in slice order,
-/// matches in table insertion order.
+/// probe (§3.4.3). `rows` is over the `probe ++ match` layout: its
+/// residual is checked on the probe row and the match *before* the joined
+/// row is built, so misses and residual rejects never allocate. Output
+/// order: probe rows in slice order, matches in table insertion order.
 pub fn probe_table(
     probes: &[Tuple],
     probe_key: usize,
     table: &TupleHashTable,
-    residual: &[(usize, usize)],
+    rows: &RowBuilder,
     stats: &mut BatchJoinStats,
     out: &mut Vec<Tuple>,
 ) -> Result<()> {
+    let before = out.len();
     for p in probes {
         stats.probes += 1;
         for m in table.probe(&p.key(probe_key)) {
-            let keep = residual
-                .iter()
-                .all(|&(a, b)| joined_get(p, m, a).eq_total(joined_get(p, m, b)));
-            if keep {
-                out.push(p.concat(m));
-                stats.output += 1;
-            }
+            rows.push(p, m, out);
         }
     }
+    stats.output += out.len() - before;
     Ok(())
-}
-
-/// Column `c` of the virtual tuple `p ++ m`, without building it.
-fn joined_get<'a>(p: &'a Tuple, m: &'a Tuple, c: usize) -> &'a Value {
-    if c < p.arity() {
-        p.get(c)
-    } else {
-        m.get(c - p.arity())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tukwila_relation::Value;
+    use tukwila_relation::{DataType, Field, Schema, Value};
 
     fn t(k: i64, v: i64) -> Tuple {
         Tuple::new(vec![Value::Int(k), Value::Int(v)])
+    }
+
+    fn kv(side: &str) -> Schema {
+        Schema::new(vec![
+            Field::new(format!("{side}.k"), DataType::Int),
+            Field::new(format!("{side}.v"), DataType::Int),
+        ])
+    }
+
+    fn builder(residual: &[(usize, usize)], emit: &[usize]) -> RowBuilder {
+        RowBuilder::new(&kv("p"), &kv("m"), residual.to_vec(), emit.to_vec()).unwrap()
     }
 
     #[test]
@@ -112,15 +117,24 @@ mod tests {
         let large = vec![t(1, 9), t(1, 8), t(3, 7)];
         let mut out = Vec::new();
         let mut stats = BatchJoinStats::default();
-        hash_join_slices(&small, &large, 0, 0, &mut out, &mut stats).unwrap();
+        let all = builder(&[], &[0, 1, 2, 3]);
+        hash_join_slices(&small, &large, 0, 0, &all, &mut out, &mut stats).unwrap();
         assert_eq!(out.len(), 2);
         // Orientation: left attrs first.
         assert_eq!(out[0].get(1).as_int().unwrap(), 0);
 
         let mut out2 = Vec::new();
-        hash_join_slices(&large, &small, 0, 0, &mut out2, &mut stats).unwrap();
+        hash_join_slices(&large, &small, 0, 0, &all, &mut out2, &mut stats).unwrap();
         assert_eq!(out2.len(), 2);
         assert_eq!(out2[0].get(3).as_int().unwrap(), 0);
+
+        // Narrowed, with a residual: only the right values survive.
+        let mut out3 = Vec::new();
+        let narrow = builder(&[(1, 3)], &[3]);
+        let matched =
+            hash_join_slices(&large, &small, 0, 0, &narrow, &mut out3, &mut stats).unwrap();
+        assert_eq!(matched, 2);
+        assert!(out3.is_empty(), "no pair has equal values");
     }
 
     #[test]
@@ -148,7 +162,11 @@ mod tests {
             t(9, 0),
             t(3, 31),
         ];
-        for residual in [&[][..], &[(1usize, 3usize)][..]] {
+        for (residual, emit) in [
+            (&[][..], &[0, 1, 2, 3][..]),
+            (&[(1usize, 3usize)][..], &[0, 1, 2, 3][..]),
+            (&[(1, 3)][..], &[1, 2][..]),
+        ] {
             // Brute force: every probe against every stored row in
             // insertion order, concat first, residual on the joined tuple.
             let mut want = Vec::new();
@@ -161,28 +179,30 @@ mod tests {
                         .iter()
                         .all(|&(a, b)| joined.get(a).eq_total(joined.get(b)))
                     {
-                        want.push(joined);
+                        want.push(joined.project(emit));
                         want_stats.output += 1;
                     }
                 }
             }
             let mut got = Vec::new();
             let mut stats = BatchJoinStats::default();
-            probe_table(&probes, 0, &table, residual, &mut stats, &mut got).unwrap();
-            assert_eq!(got, want, "residual {residual:?}");
-            assert_eq!(stats, want_stats, "residual {residual:?}");
+            let rows = builder(residual, emit);
+            probe_table(&probes, 0, &table, &rows, &mut stats, &mut got).unwrap();
+            assert_eq!(got, want, "residual {residual:?} emit {emit:?}");
+            assert_eq!(stats, want_stats, "residual {residual:?} emit {emit:?}");
         }
         // The residual rejects some key matches; the null key matches.
         let mut stats = BatchJoinStats::default();
         let mut out = Vec::new();
-        probe_table(&probes, 0, &table, &[(1, 3)], &mut stats, &mut out).unwrap();
+        let rows = builder(&[(1, 3)], &[0, 1, 2, 3]);
+        probe_table(&probes, 0, &table, &rows, &mut stats, &mut out).unwrap();
         assert_eq!(out.len(), 5);
         assert!(out.iter().any(|j| j.get(0).is_null()));
 
         // Empty probe slice: no output, no probes.
         let mut out = Vec::new();
         let mut stats = BatchJoinStats::default();
-        probe_table(&[], 0, &table, &[(1, 3)], &mut stats, &mut out).unwrap();
+        probe_table(&[], 0, &table, &rows, &mut stats, &mut out).unwrap();
         assert!(out.is_empty());
         assert_eq!(stats, BatchJoinStats::default());
     }

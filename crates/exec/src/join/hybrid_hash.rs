@@ -12,6 +12,7 @@ use tukwila_relation::{Error, Result, Schema, Tuple};
 use tukwila_stats::OpCounters;
 use tukwila_storage::{StateStructure, TupleHashTable, TupleList};
 
+use crate::join::RowBuilder;
 use crate::op::{Batch, ExtractedState, IncOp};
 
 /// Build-then-probe hash join.
@@ -20,7 +21,7 @@ pub struct HybridHashJoin {
     probe_key: usize,
     build_schema: Schema,
     probe_schema: Schema,
-    out_schema: Schema,
+    rows: RowBuilder,
     build: TupleHashTable,
     /// Probe tuples that arrived before the build completed.
     pending_probe: TupleList,
@@ -39,29 +40,38 @@ impl HybridHashJoin {
         build_key: usize,
         probe_key: usize,
     ) -> HybridHashJoin {
-        let out_schema = build_schema.concat(&probe_schema);
         HybridHashJoin {
             build_key,
             probe_key,
             build: TupleHashTable::new(build_key),
             pending_probe: TupleList::new(),
             probe_buffer: TupleHashTable::new(probe_key),
+            rows: RowBuilder::concat(&build_schema, &probe_schema),
             build_schema,
             probe_schema,
-            out_schema,
             build_done: false,
             counters: OpCounters::new(),
         }
     }
 
-    fn probe_one(&mut self, t: &Tuple, out: &mut Batch) -> Result<()> {
+    /// Build output rows with `rows` (residual check, emitted columns)
+    /// instead of the full concatenation; `rows` is over `(build, probe)`.
+    pub fn with_rows(mut self, rows: RowBuilder) -> HybridHashJoin {
+        self.rows = rows;
+        self
+    }
+
+    /// Probe with `t` and buffer it; returns the key matches found.
+    fn probe_one(&mut self, t: &Tuple, out: &mut Batch) -> Result<u64> {
         let key = t.key(self.probe_key);
+        let mut matched = 0;
         for m in self.build.probe(&key) {
-            out.push(m.concat(t));
+            matched += 1;
+            self.rows.push(m, t, out);
         }
         self.counters.add_work(1);
         self.probe_buffer.insert(t.clone())?;
-        Ok(())
+        Ok(matched)
     }
 }
 
@@ -75,12 +85,13 @@ impl IncOp for HybridHashJoin {
     }
 
     fn schema(&self) -> &Schema {
-        &self.out_schema
+        self.rows.schema()
     }
 
     fn push(&mut self, port: usize, batch: &[Tuple], out: &mut Batch) -> Result<()> {
         self.counters.add_in(batch.len() as u64);
         let before = out.len();
+        let mut matched = 0;
         match port {
             0 => {
                 if self.build_done {
@@ -96,7 +107,7 @@ impl IncOp for HybridHashJoin {
             1 => {
                 if self.build_done {
                     for t in batch {
-                        self.probe_one(t, out)?;
+                        matched += self.probe_one(t, out)?;
                     }
                 } else {
                     for t in batch {
@@ -106,7 +117,8 @@ impl IncOp for HybridHashJoin {
             }
             p => return Err(Error::Exec(format!("hybrid hash join has no port {p}"))),
         }
-        self.counters.add_out((out.len() - before) as u64);
+        self.rows
+            .count(&self.counters, matched, (out.len() - before) as u64);
         Ok(())
     }
 
@@ -115,10 +127,12 @@ impl IncOp for HybridHashJoin {
             self.build_done = true;
             let pending = std::mem::take(&mut self.pending_probe);
             let before = out.len();
+            let mut matched = 0;
             for t in pending.tuples() {
-                self.probe_one(t, out)?;
+                matched += self.probe_one(t, out)?;
             }
-            self.counters.add_out((out.len() - before) as u64);
+            self.rows
+                .count(&self.counters, matched, (out.len() - before) as u64);
         }
         Ok(())
     }

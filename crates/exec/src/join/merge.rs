@@ -13,6 +13,7 @@ use tukwila_relation::{Error, Result, Schema, SortKey, Tuple};
 use tukwila_stats::OpCounters;
 use tukwila_storage::{SortedList, StateStructure};
 
+use crate::join::RowBuilder;
 use crate::op::{Batch, ExtractedState, IncOp};
 
 /// Merge join on single ascending equi-join columns.
@@ -21,7 +22,7 @@ pub struct MergeJoin {
     right_key: usize,
     left_schema: Schema,
     right_schema: Schema,
-    out_schema: Schema,
+    rows: RowBuilder,
     left: SortedList,
     right: SortedList,
     /// Next unjoined index per side.
@@ -40,21 +41,27 @@ impl MergeJoin {
         left_key: usize,
         right_key: usize,
     ) -> MergeJoin {
-        let out_schema = left_schema.concat(&right_schema);
         MergeJoin {
             left_key,
             right_key,
             left: SortedList::new(vec![SortKey::asc(left_key)]),
             right: SortedList::new(vec![SortKey::asc(right_key)]),
+            rows: RowBuilder::concat(&left_schema, &right_schema),
             left_schema,
             right_schema,
-            out_schema,
             li: 0,
             ri: 0,
             left_eof: false,
             right_eof: false,
             counters: OpCounters::new(),
         }
+    }
+
+    /// Build output rows with `rows` (residual check, emitted columns)
+    /// instead of the full concatenation; `rows` is over `(left, right)`.
+    pub fn with_rows(mut self, rows: RowBuilder) -> MergeJoin {
+        self.rows = rows;
+        self
     }
 
     /// Tuples buffered per side.
@@ -108,10 +115,12 @@ impl MergeJoin {
                     let before = out.len();
                     for a in &lt[self.li..le] {
                         for b in &rt[self.ri..re] {
-                            out.push(a.concat(b));
+                            self.rows.push(a, b, out);
                         }
                     }
-                    self.counters.add_out((out.len() - before) as u64);
+                    let matched = ((le - self.li) * (re - self.ri)) as u64;
+                    self.rows
+                        .count(&self.counters, matched, (out.len() - before) as u64);
                     self.counters
                         .add_work(((le - self.li) + (re - self.ri)) as u64);
                     self.li = le;
@@ -132,7 +141,7 @@ impl IncOp for MergeJoin {
     }
 
     fn schema(&self) -> &Schema {
-        &self.out_schema
+        self.rows.schema()
     }
 
     fn push(&mut self, port: usize, batch: &[Tuple], out: &mut Batch) -> Result<()> {

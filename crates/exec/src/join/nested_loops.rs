@@ -7,17 +7,19 @@ use tukwila_relation::{Error, Expr, Result, Schema, Tuple};
 use tukwila_stats::OpCounters;
 use tukwila_storage::{StateStructure, TupleList};
 
+use crate::join::RowBuilder;
 use crate::op::{Batch, ExtractedState, IncOp};
 
 /// Nested-loops join with an arbitrary predicate over the concatenated
-/// tuple. Buffers both inputs (paper §3.4's buffering requirement), so it
-/// is "symmetric": each arriving tuple is tested against everything
-/// buffered on the other side.
+/// layout, tested on each pair in place before its row is built. Buffers
+/// both inputs (paper §3.4's buffering requirement), so it is
+/// "symmetric": each arriving tuple is tested against everything buffered
+/// on the other side.
 pub struct NestedLoopsJoin {
     predicate: Expr,
     left_schema: Schema,
     right_schema: Schema,
-    out_schema: Schema,
+    rows: RowBuilder,
     left: TupleList,
     right: TupleList,
     counters: Arc<OpCounters>,
@@ -26,16 +28,40 @@ pub struct NestedLoopsJoin {
 impl NestedLoopsJoin {
     /// `predicate` is evaluated over `left.concat(right)`.
     pub fn new(left_schema: Schema, right_schema: Schema, predicate: Expr) -> NestedLoopsJoin {
-        let out_schema = left_schema.concat(&right_schema);
         NestedLoopsJoin {
             predicate,
+            rows: RowBuilder::concat(&left_schema, &right_schema),
             left_schema,
             right_schema,
-            out_schema,
             left: TupleList::new(),
             right: TupleList::new(),
             counters: OpCounters::new(),
         }
+    }
+
+    /// Build output rows with `rows` (residual check, emitted columns)
+    /// instead of the full concatenation; `rows` is over `(left, right)`.
+    pub fn with_rows(mut self, rows: RowBuilder) -> NestedLoopsJoin {
+        self.rows = rows;
+        self
+    }
+
+    /// Join one pair into `out` if the predicate holds; returns whether
+    /// it matched (before the residual check).
+    fn join(&self, l: &Tuple, r: &Tuple, out: &mut Batch) -> Result<bool> {
+        let split = self.left_schema.arity();
+        let col = |c: usize| {
+            if c < split {
+                l.values().get(c)
+            } else {
+                r.values().get(c - split)
+            }
+        };
+        let matched = self.predicate.matches_with(&col)?;
+        if matched {
+            self.rows.push(l, r, out);
+        }
+        Ok(matched)
     }
 }
 
@@ -49,20 +75,18 @@ impl IncOp for NestedLoopsJoin {
     }
 
     fn schema(&self) -> &Schema {
-        &self.out_schema
+        self.rows.schema()
     }
 
     fn push(&mut self, port: usize, batch: &[Tuple], out: &mut Batch) -> Result<()> {
         self.counters.add_in(batch.len() as u64);
         let before = out.len();
+        let mut matched = 0;
         match port {
             0 => {
                 for t in batch {
                     for r in self.right.iter() {
-                        let joined = t.concat(r);
-                        if self.predicate.matches(&joined)? {
-                            out.push(joined);
-                        }
+                        matched += self.join(t, r, out)? as u64;
                     }
                     self.counters.add_work(self.right.tuples().len() as u64);
                     self.left.insert(t.clone());
@@ -71,10 +95,7 @@ impl IncOp for NestedLoopsJoin {
             1 => {
                 for t in batch {
                     for l in self.left.iter() {
-                        let joined = l.concat(t);
-                        if self.predicate.matches(&joined)? {
-                            out.push(joined);
-                        }
+                        matched += self.join(l, t, out)? as u64;
                     }
                     self.counters.add_work(self.left.tuples().len() as u64);
                     self.right.insert(t.clone());
@@ -82,7 +103,8 @@ impl IncOp for NestedLoopsJoin {
             }
             p => return Err(Error::Exec(format!("nested loops join has no port {p}"))),
         }
-        self.counters.add_out((out.len() - before) as u64);
+        self.rows
+            .count(&self.counters, matched, (out.len() - before) as u64);
         Ok(())
     }
 

@@ -22,6 +22,7 @@ use tukwila_storage::hash_table::partition_of;
 use tukwila_storage::{StateStructure, TupleHashTable};
 
 use crate::join::batch::{hash_join_slices, BatchJoinStats};
+use crate::join::RowBuilder;
 use crate::op::{Batch, ExtractedState, IncOp};
 
 const NPARTS: usize = 8;
@@ -32,7 +33,7 @@ pub struct OverflowHashJoin {
     right_key: usize,
     left_schema: Schema,
     right_schema: Schema,
-    out_schema: Schema,
+    rows: RowBuilder,
     left: TupleHashTable,
     right: TupleHashTable,
     /// Resident-memory budget across both tables.
@@ -55,21 +56,27 @@ impl OverflowHashJoin {
         right_key: usize,
         mem_limit_bytes: usize,
     ) -> OverflowHashJoin {
-        let out_schema = left_schema.concat(&right_schema);
         OverflowHashJoin {
             left_key,
             right_key,
             left: TupleHashTable::new(left_key),
             right: TupleHashTable::new(right_key),
+            rows: RowBuilder::concat(&left_schema, &right_schema),
             left_schema,
             right_schema,
-            out_schema,
             mem_limit: mem_limit_bytes.max(1),
             spilled: (0..NPARTS).map(|_| None).collect(),
             resolved: false,
             counters: OpCounters::new(),
             stats: BatchJoinStats::default(),
         }
+    }
+
+    /// Build output rows with `rows` (residual check, emitted columns)
+    /// instead of the full concatenation; `rows` is over `(left, right)`.
+    pub fn with_rows(mut self, rows: RowBuilder) -> OverflowHashJoin {
+        self.rows = rows;
+        self
     }
 
     /// Number of partitions currently spilled.
@@ -133,12 +140,13 @@ impl IncOp for OverflowHashJoin {
     }
 
     fn schema(&self) -> &Schema {
-        &self.out_schema
+        self.rows.schema()
     }
 
     fn push(&mut self, port: usize, batch: &[Tuple], out: &mut Batch) -> Result<()> {
         self.counters.add_in(batch.len() as u64);
         let before = out.len();
+        let mut matched = 0;
         for t in batch {
             let (key, other_spilled) = match port {
                 0 => {
@@ -158,12 +166,14 @@ impl IncOp for OverflowHashJoin {
                 match port {
                     0 => {
                         for m in self.right.probe(&key) {
-                            out.push(t.concat(m));
+                            matched += 1;
+                            self.rows.push(t, m, out);
                         }
                     }
                     _ => {
                         for m in self.left.probe(&key) {
-                            out.push(m.concat(t));
+                            matched += 1;
+                            self.rows.push(m, t, out);
                         }
                     }
                 }
@@ -178,7 +188,8 @@ impl IncOp for OverflowHashJoin {
                 // resident remainder is what it is.
             }
         }
-        self.counters.add_out((out.len() - before) as u64);
+        self.rows
+            .count(&self.counters, matched, (out.len() - before) as u64);
         Ok(())
     }
 
@@ -191,41 +202,36 @@ impl IncOp for OverflowHashJoin {
         }
         self.resolved = true;
         let before = out.len();
+        let mut matched = 0;
         for p in 0..NPARTS {
             let Some((pre_left, pre_right)) = self.spilled[p].take() else {
                 continue;
             };
             let all_left = self.left.restore_partition(p)?;
             let all_right = self.right.restore_partition(p)?;
-            let is_pre = |set: &[Tuple], t: &Tuple| set.iter().any(|x| x == t);
-            let post_left: Vec<Tuple> = all_left
-                .iter()
-                .filter(|t| !is_pre(&pre_left, t))
-                .cloned()
-                .collect();
-            let post_right: Vec<Tuple> = all_right
-                .iter()
-                .filter(|t| !is_pre(&pre_right, t))
-                .cloned()
-                .collect();
-            hash_join_slices(
+            let post_left = without(&all_left, &pre_left);
+            let post_right = without(&all_right, &pre_right);
+            matched += hash_join_slices(
                 &post_left,
                 &all_right,
                 self.left_key,
                 self.right_key,
+                &self.rows,
                 out,
                 &mut self.stats,
             )?;
-            hash_join_slices(
+            matched += hash_join_slices(
                 &pre_left,
                 &post_right,
                 self.left_key,
                 self.right_key,
+                &self.rows,
                 out,
                 &mut self.stats,
             )?;
         }
-        self.counters.add_out((out.len() - before) as u64);
+        self.rows
+            .count(&self.counters, matched, (out.len() - before) as u64);
         Ok(())
     }
 
@@ -249,6 +255,22 @@ impl IncOp for OverflowHashJoin {
             },
         ]
     }
+}
+
+/// `all` minus `pre` as multisets: each pre-spill tuple removes one equal
+/// tuple, so an identical tuple that arrived after the spill stays.
+fn without(all: &[Tuple], pre: &[Tuple]) -> Vec<Tuple> {
+    let mut pre: Vec<&Tuple> = pre.iter().collect();
+    all.iter()
+        .filter(|t| match pre.iter().position(|x| x == t) {
+            Some(i) => {
+                pre.swap_remove(i);
+                false
+            }
+            None => true,
+        })
+        .cloned()
+        .collect()
 }
 
 #[cfg(test)]
@@ -275,9 +297,19 @@ mod tests {
         Tuple::new(vec![Value::Int(k), Value::Int(v)])
     }
 
-    fn run_with_limit(left: &[Tuple], right: &[Tuple], limit: usize) -> (Batch, usize) {
+    fn full() -> RowBuilder {
         let (ls, rs) = schemas();
-        let mut j = OverflowHashJoin::new(ls, rs, 0, 0, limit);
+        RowBuilder::concat(&ls, &rs)
+    }
+
+    fn run_with_limit(
+        left: &[Tuple],
+        right: &[Tuple],
+        limit: usize,
+        rows: &RowBuilder,
+    ) -> (Batch, usize) {
+        let (ls, rs) = schemas();
+        let mut j = OverflowHashJoin::new(ls, rs, 0, 0, limit).with_rows(rows.clone());
         let mut out = Vec::new();
         // Interleave sides to stress deferred probes.
         let mut li = 0;
@@ -299,9 +331,9 @@ mod tests {
         (out, spilled)
     }
 
-    fn expected(left: &[Tuple], right: &[Tuple]) -> Batch {
+    fn expected(left: &[Tuple], right: &[Tuple], rows: &RowBuilder) -> Batch {
         let (ls, rs) = schemas();
-        let mut j = PipelinedHashJoin::new(ls, rs, 0, 0);
+        let mut j = PipelinedHashJoin::new(ls, rs, 0, 0).with_rows(rows.clone());
         let mut out = Vec::new();
         j.push(0, left, &mut out).unwrap();
         j.push(1, right, &mut out).unwrap();
@@ -312,9 +344,12 @@ mod tests {
     fn no_spill_under_generous_budget() {
         let left: Vec<Tuple> = (0..100).map(|i| t(i % 20, i)).collect();
         let right: Vec<Tuple> = (0..100).map(|i| t(i % 20, 1000 + i)).collect();
-        let (out, spilled) = run_with_limit(&left, &right, usize::MAX);
+        let (out, spilled) = run_with_limit(&left, &right, usize::MAX, &full());
         assert_eq!(spilled, 0);
-        assert_eq!(canonicalize(&out), canonicalize(&expected(&left, &right)));
+        assert_eq!(
+            canonicalize(&out),
+            canonicalize(&expected(&left, &right, &full()))
+        );
     }
 
     #[test]
@@ -322,22 +357,36 @@ mod tests {
         let left: Vec<Tuple> = (0..400).map(|i| t(i % 50, i)).collect();
         let right: Vec<Tuple> = (0..400).map(|i| t(i % 50, 9000 + i)).collect();
         // ~25KB of data; 4KB budget forces several spills.
-        let (out, spilled) = run_with_limit(&left, &right, 4096);
+        let (out, spilled) = run_with_limit(&left, &right, 4096, &full());
         assert!(spilled > 0, "expected spilling under a 4KB budget");
         assert_eq!(
             canonicalize(&out),
-            canonicalize(&expected(&left, &right)),
+            canonicalize(&expected(&left, &right, &full())),
             "overflow resolution must reproduce the exact join"
         );
+        // Narrowed rows with a residual: resolution builds through the
+        // same row builder as the resident probes.
+        let (ls, rs) = schemas();
+        let left: Vec<Tuple> = (0..400).map(|i| t(i % 50, i % 7)).collect();
+        let right: Vec<Tuple> = (0..400).map(|i| t(i % 50, i % 5)).collect();
+        let narrow = RowBuilder::new(&ls, &rs, vec![(1, 3)], vec![0, 3]).unwrap();
+        let (out, spilled) = run_with_limit(&left, &right, 4096, &narrow);
+        assert!(spilled > 0);
+        let want = expected(&left, &right, &narrow);
+        assert!(!want.is_empty() && want.iter().all(|r| r.arity() == 2));
+        assert_eq!(canonicalize(&out), canonicalize(&want));
     }
 
     #[test]
     fn fully_spilled_still_correct() {
         let left: Vec<Tuple> = (0..200).map(|i| t(i % 10, i)).collect();
         let right: Vec<Tuple> = (0..200).map(|i| t(i % 10, 1000 + i)).collect();
-        let (out, spilled) = run_with_limit(&left, &right, 1);
+        let (out, spilled) = run_with_limit(&left, &right, 1, &full());
         assert_eq!(spilled, 8, "1-byte budget spills every partition");
-        assert_eq!(canonicalize(&out), canonicalize(&expected(&left, &right)));
+        assert_eq!(
+            canonicalize(&out),
+            canonicalize(&expected(&left, &right, &full()))
+        );
     }
 
     #[test]

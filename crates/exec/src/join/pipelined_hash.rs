@@ -12,6 +12,7 @@ use tukwila_relation::{Result, Schema, Tuple};
 use tukwila_stats::OpCounters;
 use tukwila_storage::{StateStructure, TupleHashTable};
 
+use crate::join::RowBuilder;
 use crate::op::{Batch, ExtractedState, IncOp};
 
 /// Symmetric hash join on a single equi-join column per side.
@@ -20,7 +21,7 @@ pub struct PipelinedHashJoin {
     right_key: usize,
     left_schema: Schema,
     right_schema: Schema,
-    out_schema: Schema,
+    rows: RowBuilder,
     left_table: TupleHashTable,
     right_table: TupleHashTable,
     counters: Arc<OpCounters>,
@@ -35,17 +36,23 @@ impl PipelinedHashJoin {
         left_key: usize,
         right_key: usize,
     ) -> PipelinedHashJoin {
-        let out_schema = left_schema.concat(&right_schema);
         PipelinedHashJoin {
             left_key,
             right_key,
             left_table: TupleHashTable::new(left_key),
             right_table: TupleHashTable::new(right_key),
+            rows: RowBuilder::concat(&left_schema, &right_schema),
             left_schema,
             right_schema,
-            out_schema,
             counters: OpCounters::new(),
         }
+    }
+
+    /// Build output rows with `rows` (residual check, emitted columns)
+    /// instead of the full concatenation; `rows` is over `(left, right)`.
+    pub fn with_rows(mut self, rows: RowBuilder) -> PipelinedHashJoin {
+        self.rows = rows;
+        self
     }
 
     /// Tuples buffered on each side so far.
@@ -64,19 +71,21 @@ impl IncOp for PipelinedHashJoin {
     }
 
     fn schema(&self) -> &Schema {
-        &self.out_schema
+        self.rows.schema()
     }
 
     fn push(&mut self, port: usize, batch: &[Tuple], out: &mut Batch) -> Result<()> {
         self.counters.add_in(batch.len() as u64);
         let before = out.len();
+        let mut matched = 0u64;
         match port {
             0 => {
                 self.counters.add_work(batch.len() as u64);
                 for t in batch {
                     let key = t.key(self.left_key);
                     for m in self.right_table.probe(&key) {
-                        out.push(t.concat(m));
+                        matched += 1;
+                        self.rows.push(t, m, out);
                     }
                     self.left_table.insert(t.clone())?;
                 }
@@ -86,7 +95,8 @@ impl IncOp for PipelinedHashJoin {
                 for t in batch {
                     let key = t.key(self.right_key);
                     for m in self.left_table.probe(&key) {
-                        out.push(m.concat(t));
+                        matched += 1;
+                        self.rows.push(m, t, out);
                     }
                     self.right_table.insert(t.clone())?;
                 }
@@ -97,7 +107,8 @@ impl IncOp for PipelinedHashJoin {
                 )))
             }
         }
-        self.counters.add_out((out.len() - before) as u64);
+        self.rows
+            .count(&self.counters, matched, (out.len() - before) as u64);
         Ok(())
     }
 
@@ -171,6 +182,23 @@ mod tests {
         j.push(1, &[t(7, 3), t(7, 4)], &mut out).unwrap();
         assert_eq!(out.len(), 4);
         assert_eq!(j.counters().tuples_out(), 4);
+    }
+
+    #[test]
+    fn residual_rejects_count_as_matches_not_output() {
+        let (ls, rs) = schemas();
+        // l.v = r.v on top of the key; emit l.k and r.v only.
+        let rows = RowBuilder::new(&ls, &rs, vec![(1, 3)], vec![0, 3]).unwrap();
+        let mut j = PipelinedHashJoin::new(ls, rs, 0, 0).with_rows(rows);
+        assert_eq!(j.schema().arity(), 2);
+        let mut out = Vec::new();
+        j.push(0, &[t(7, 1), t(7, 2)], &mut out).unwrap();
+        j.push(1, &[t(7, 2), t(8, 2)], &mut out).unwrap();
+        assert_eq!(out, vec![t(7, 2)]);
+        let c = j.counters();
+        assert_eq!((c.matches(), c.tuples_out()), (2, 1));
+        // Per-input probe work plus one residual check per match.
+        assert_eq!(c.work(), 4 + 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use tukwila_storage::ExprSig;
 use crate::cost::{CardEstimator, EstimateMode, OptimizerContext, PreAggConfig};
 use crate::logical::{JoinPred, LogicalQuery};
 use crate::phys::{PartialSlot, PhysAgg, PhysJoinAlgo, PhysKind, PhysNode, PhysPlan, PreAggMode};
-use crate::preagg::{group_cols_for, preagg_point, PreAggPoint};
+use crate::preagg::{group_cols_for, needed_cols, preagg_point, PreAggPoint};
 
 /// Join-order skeleton produced by enumeration.
 #[derive(Debug)]
@@ -548,21 +548,13 @@ impl<'a> Lowerer<'a> {
             _ => PhysJoinAlgo::PipelinedHash,
         };
 
-        let schema = left.schema.concat(&right.schema);
-        let mut col_map = left.col_map.clone();
-        col_map.extend(
-            right
-                .col_map
-                .iter()
-                .map(|&((rel, c), pos)| ((rel, c), pos + off)),
-        );
-        let mut partials = left.partials.clone();
-        partials.extend(right.partials.iter().map(|p| PartialSlot {
-            agg_idx: p.agg_idx,
-            value_col: p.value_col + off,
-            count_col: p.count_col.map(|c| c + off),
-        }));
         let sig = left.sig.union(&right.sig);
+        let JoinLayout {
+            emit,
+            schema,
+            col_map,
+            partials,
+        } = narrow(self.q, &sig, &left, &right);
         let mask = self.mask_of(&sig);
         let est_card = self.est.card(mask);
         let cm = self.ctx.cost_model;
@@ -596,6 +588,7 @@ impl<'a> Lowerer<'a> {
                 right_col,
                 pred_id: first.id,
                 residual,
+                emit,
             },
             schema,
             col_map,
@@ -693,6 +686,70 @@ impl<'a> Lowerer<'a> {
             .as_ref()
             .map(|a| a.aggs[agg_idx].0)
             .unwrap_or(AggFunc::Count)
+    }
+}
+
+/// A join node's output layout: which positions of `left ++ right` it
+/// keeps, and the schema, column map and partial slots over them.
+struct JoinLayout {
+    emit: Vec<usize>,
+    schema: Schema,
+    col_map: Vec<((u32, usize), usize)>,
+    partials: Vec<PartialSlot>,
+}
+
+/// The output layout of a join over `sig`: the concatenation `left ++
+/// right` with every column nothing above reads filtered out (see
+/// [`needed_cols`]), in concatenation order. Carried partials always
+/// survive.
+fn narrow(q: &LogicalQuery, sig: &ExprSig, left: &PhysNode, right: &PhysNode) -> JoinLayout {
+    let off = left.schema.arity();
+    let width = off + right.schema.arity();
+    // What each concatenated position holds: a base column or a partial.
+    let mut base: Vec<Option<(u32, usize)>> = vec![None; width];
+    for &(bc, pos) in &left.col_map {
+        base[pos] = Some(bc);
+    }
+    for &(bc, pos) in &right.col_map {
+        base[pos + off] = Some(bc);
+    }
+    let needed = needed_cols(q, sig);
+    let emit: Vec<usize> = (0..width)
+        .filter(|&pos| match (base[pos], &needed) {
+            (Some(bc), Some(needed)) => needed.contains(&bc),
+            _ => true,
+        })
+        .collect();
+    let mut new_pos = vec![usize::MAX; width];
+    for (i, &pos) in emit.iter().enumerate() {
+        new_pos[pos] = i;
+    }
+    let col_map = emit
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &pos)| base[pos].map(|bc| (bc, i)))
+        .collect();
+    let partials = left
+        .partials
+        .iter()
+        .copied()
+        .chain(right.partials.iter().map(|p| PartialSlot {
+            agg_idx: p.agg_idx,
+            value_col: p.value_col + off,
+            count_col: p.count_col.map(|c| c + off),
+        }))
+        .map(|p| PartialSlot {
+            agg_idx: p.agg_idx,
+            value_col: new_pos[p.value_col],
+            count_col: p.count_col.map(|c| new_pos[c]),
+        })
+        .collect();
+    let schema = left.schema.concat(&right.schema).project(&emit);
+    JoinLayout {
+        emit,
+        schema,
+        col_map,
+        partials,
     }
 }
 
@@ -944,6 +1001,29 @@ mod tests {
         assert_eq!(agg.aggs.len(), 1);
         assert_eq!(agg.aggs[0].0, AggFunc::Max);
         assert!(agg.post_project.is_none());
+    }
+
+    #[test]
+    fn joins_emit_only_needed_columns() {
+        let opt = Optimizer::new(OptimizerContext::no_statistics());
+        let plan = opt.plan_with_order(&agg_query(), &[1, 2, 3]).unwrap();
+        let PhysKind::Join { left, emit, .. } = &plan.root.kind else {
+            panic!("expected join root");
+        };
+        // a ⋈ b keeps the group column a.k and b.kc, which joins c.
+        let names = |n: &PhysNode| -> Vec<String> {
+            n.schema.fields().iter().map(|f| f.name.clone()).collect()
+        };
+        assert_eq!(names(left), ["a.k", "b.kc"]);
+        assert!(matches!(&left.kind, PhysKind::Join { emit, .. } if *emit == [0, 3]));
+        // The root keeps the group column and max(c.v)'s input.
+        assert_eq!(*emit, [0, 3]);
+        assert_eq!(names(&plan.root), ["a.k", "c.v"]);
+        assert_eq!(plan.root.col_of(3, 1), Some(1));
+        assert_eq!(plan.root.col_of(2, 1), None, "b.kc is read by no one above");
+        // Without an aggregate every column is the answer.
+        let plain = opt.plan_with_order(&chain(), &[1, 2, 3]).unwrap();
+        assert_eq!(plain.root.schema.arity(), 7);
     }
 
     #[test]

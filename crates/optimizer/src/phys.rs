@@ -44,7 +44,9 @@ pub struct PhysNode {
     /// Output schema of this node.
     pub schema: Schema,
     /// Mapping `(rel_id, base column) -> output position` for base columns
-    /// still present in the output.
+    /// still present in the output. Scans keep every column; a join keeps
+    /// only the columns something above it reads (its `emit` list), and a
+    /// pre-aggregation only its group columns.
     pub col_map: Vec<((u32, usize), usize)>,
     /// Carried aggregate partials (present below pre-aggregation points).
     pub partials: Vec<PartialSlot>,
@@ -80,9 +82,14 @@ pub enum PhysKind {
         right_col: usize,
         pred_id: u64,
         /// Extra equality conditions (cyclic join graphs), as position
-        /// pairs in the join *output* schema; lowered to a filter above
-        /// the join.
+        /// pairs in the concatenated layout `left ++ right`; the join
+        /// checks them on each matched pair before building its row.
         residual: Vec<(usize, usize)>,
+        /// The concatenated layout's positions the join materializes,
+        /// ascending: the columns some operator above reads
+        /// ([`crate::preagg::needed_cols`]) plus carried partials. Every
+        /// position when the query does not aggregate.
+        emit: Vec<usize>,
     },
     PreAgg {
         child: Box<PhysNode>,
@@ -227,6 +234,7 @@ mod tests {
                 right_col: 0,
                 pred_id: 1,
                 residual: vec![],
+                emit: (0..schema.arity()).collect(),
             },
             col_map,
             partials: vec![],

@@ -91,6 +91,26 @@ pub fn group_cols_for(q: &LogicalQuery, subtree: &ExprSig) -> Vec<(u32, usize)> 
     group_cols
 }
 
+/// The base columns of subexpression `sig` that something above it reads:
+/// join columns crossing its boundary and final group columns (exactly
+/// [`group_cols_for`]), plus aggregate inputs inside it. `None` when the
+/// query does not aggregate: its answer is every column. The set depends
+/// only on `sig`, never on the join order below or above it, so every
+/// plan's node for a signature keeps the same columns.
+pub fn needed_cols(q: &LogicalQuery, sig: &ExprSig) -> Option<Vec<(u32, usize)>> {
+    let agg = q.agg.as_ref()?;
+    let mut cols = group_cols_for(q, sig);
+    cols.extend(
+        agg.aggs
+            .iter()
+            .filter(|(_, r)| sig.contains(r.rel))
+            .map(|(_, r)| (r.rel, r.col)),
+    );
+    cols.sort_unstable();
+    cols.dedup();
+    Some(cols)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +224,23 @@ mod tests {
             ),
         ];
         assert!(preagg_point(&q).is_none());
+    }
+
+    #[test]
+    fn needed_cols_add_agg_inputs_to_group_cols() {
+        let q = flights_query();
+        // F ⋈ T: F's group columns, T.ssn crossing to C; T.flight and
+        // F.fid (the F–T join itself) are inside.
+        let ft = ExprSig::new(vec![1, 2]);
+        assert_eq!(needed_cols(&q, &ft), Some(vec![(1, 0), (1, 1), (2, 0)]));
+        // C alone: the crossing C.p plus the max(num) input.
+        assert_eq!(
+            needed_cols(&q, &ExprSig::single(3)),
+            Some(vec![(3, 0), (3, 1)])
+        );
+        let mut plain = q.clone();
+        plain.agg = None;
+        assert_eq!(needed_cols(&plain, &ft), None);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Scalar expressions and predicates for select-project-join-aggregate
 //! queries (the query model of the paper's optimizer, §4.3).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -154,9 +155,67 @@ impl Expr {
         }
     }
 
-    /// Evaluate as a predicate.
+    /// Evaluate as a predicate. Same answer as `eval(t)?.as_bool()`, but
+    /// comparisons and connectives read their operands in place: a column
+    /// borrows from the tuple and a literal from the expression, so a
+    /// string compare touches no reference count.
     pub fn matches(&self, t: &Tuple) -> Result<bool> {
-        self.eval(t)?.as_bool()
+        self.matches_with(&|i| t.values().get(i))
+    }
+
+    /// [`Expr::matches`] over any row layout: `col(i)` is column `i`, or
+    /// `None` when out of range. Joins use it to test a predicate on a
+    /// matched pair before building the joined row.
+    pub fn matches_with<'v>(&'v self, col: &impl Fn(usize) -> Option<&'v Value>) -> Result<bool> {
+        match self {
+            Expr::Cmp(l, op, r) => {
+                let lv = l.operand(col)?;
+                let rv = r.operand(col)?;
+                if lv.is_null() || rv.is_null() {
+                    return Ok(false);
+                }
+                let ord = lv.cmp_total(&rv);
+                Ok(op.eval(ord, ord == Ordering::Equal))
+            }
+            Expr::And(es) => {
+                for e in es {
+                    if !e.matches_with(col)? {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+            Expr::Or(es) => {
+                for e in es {
+                    if e.matches_with(col)? {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
+            Expr::Not(e) => Ok(!e.matches_with(col)?),
+            other => other.operand(col)?.as_bool(),
+        }
+    }
+
+    /// The value of this expression as a comparison operand: borrowed for
+    /// columns and literals, computed otherwise.
+    fn operand<'v>(&'v self, col: &impl Fn(usize) -> Option<&'v Value>) -> Result<Cow<'v, Value>> {
+        match self {
+            Expr::Col(i) => col(*i)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| Error::Exec(format!("column {i} out of range"))),
+            Expr::Lit(v) => Ok(Cow::Borrowed(v)),
+            Expr::Arith(l, op, r) => {
+                let lv = l.operand(col)?;
+                let rv = r.operand(col)?;
+                if lv.is_null() || rv.is_null() {
+                    return Ok(Cow::Owned(Value::Null));
+                }
+                eval_arith(&lv, *op, &rv).map(Cow::Owned)
+            }
+            pred => pred.matches_with(col).map(|b| Cow::Owned(Value::Bool(b))),
+        }
     }
 
     /// All column indices referenced by this expression.

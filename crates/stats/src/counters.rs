@@ -11,6 +11,8 @@ pub struct OpCounters {
     tuples_out: AtomicU64,
     /// Probe/comparison work performed; a proxy for CPU cost.
     work: AtomicU64,
+    /// Key matches a join found, before its residual check (joins only).
+    matches: AtomicU64,
 }
 
 impl OpCounters {
@@ -37,6 +39,12 @@ impl OpCounters {
         self.work.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Count `n` join key matches (pairs found before the residual check).
+    #[inline]
+    pub fn add_matches(&self, n: u64) {
+        self.matches.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Total tuples the operator has consumed.
     pub fn tuples_in(&self) -> u64 {
         self.tuples_in.load(Ordering::Relaxed)
@@ -45,6 +53,12 @@ impl OpCounters {
     /// Total tuples the operator has produced.
     pub fn tuples_out(&self) -> u64 {
         self.tuples_out.load(Ordering::Relaxed)
+    }
+
+    /// Key matches a join found before its residual check; `tuples_out`
+    /// counts the rows that passed it. Zero for non-join operators.
+    pub fn matches(&self) -> u64 {
+        self.matches.load(Ordering::Relaxed)
     }
 
     /// Accumulated probe/comparison work (a proxy for CPU cost).

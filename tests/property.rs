@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use tukwila::core::{ComplementaryJoinPair, CorrectiveConfig, CorrectiveExec, RouterKind};
 use tukwila::exec::filter::FilterOp;
 use tukwila::exec::join::batch::{hash_join_slices, probe_table, BatchJoinStats};
-use tukwila::exec::join::{MergeJoin, PipelinedHashJoin};
+use tukwila::exec::join::{MergeJoin, PipelinedHashJoin, RowBuilder};
 use tukwila::exec::op::IncOp;
 use tukwila::exec::project::ProjectOp;
 use tukwila::exec::reference::{canonicalize, canonicalize_approx, RefQuery, RefRelation};
@@ -53,6 +53,51 @@ fn keyed_rows(rows: &[(u8, i64, i64)]) -> Vec<Tuple> {
     rows.iter()
         .map(|&(c, k, v)| Tuple::new(vec![value(c, k), Value::Int(v)]))
         .collect()
+}
+
+/// Decode a random expression tree from `ops`: comparisons, connectives
+/// and arithmetic down to `depth`, then columns (of a 3-column row, one
+/// out of range) and literals of every type, null included.
+fn random_pred(ops: &mut dyn Iterator<Item = (u8, i64)>, depth: u32) -> Expr {
+    let (op, x) = ops.next().unwrap_or((0, 0));
+    let leaf = |op: u8, x: i64| match op % 6 {
+        0..=1 => Expr::Col((x.rem_euclid(4)) as usize),
+        2 => Expr::Lit(Value::Date(x as i32)),
+        3 => Expr::Lit(Value::Bool(x > 0)),
+        _ => Expr::Lit(value(op % 9, x)),
+    };
+    if depth == 0 {
+        return leaf(op, x);
+    }
+    let cmp = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    let sub = |ops: &mut dyn Iterator<Item = (u8, i64)>| random_pred(ops, depth - 1);
+    match op % 8 {
+        0..=2 => {
+            let l = sub(ops);
+            Expr::cmp(l, cmp[(x.rem_euclid(6)) as usize], sub(ops))
+        }
+        3 => Expr::And((0..1 + x.rem_euclid(3)).map(|_| sub(ops)).collect()),
+        4 => Expr::Or((0..1 + x.rem_euclid(3)).map(|_| sub(ops)).collect()),
+        5 => Expr::Not(Box::new(sub(ops))),
+        6 => {
+            let l = sub(ops);
+            let op = [
+                tukwila::relation::expr::ArithOp::Add,
+                tukwila::relation::expr::ArithOp::Sub,
+                tukwila::relation::expr::ArithOp::Mul,
+                tukwila::relation::expr::ArithOp::Div,
+            ][(x.rem_euclid(4)) as usize];
+            Expr::Arith(Box::new(l), op, Box::new(sub(ops)))
+        }
+        _ => leaf(op / 8, x),
+    }
 }
 
 fn int_schema(arity: usize) -> Schema {
@@ -346,7 +391,8 @@ proptest! {
         let right = keyed_rows(&rrows);
         let mut out = Vec::new();
         let mut stats = BatchJoinStats::default();
-        hash_join_slices(&left, &right, 0, 0, &mut out, &mut stats).unwrap();
+        let rows = RowBuilder::concat(&schema2("l"), &schema2("r"));
+        hash_join_slices(&left, &right, 0, 0, &rows, &mut out, &mut stats).unwrap();
         prop_assert_eq!(stats.output, out.len());
         prop_assert_eq!(stats.probes, left.len().max(right.len()));
 
@@ -439,12 +485,14 @@ proptest! {
 
     /// The stitch-up probe equals brute force — every probe row against
     /// every table row in insertion order, concat first, residual on the
-    /// joined tuple — in output order and in `BatchJoinStats`.
+    /// joined tuple, then narrowed to the emitted columns — in output
+    /// order and in `BatchJoinStats`.
     #[test]
     fn stitchup_probe_equals_concat_then_residual(
         table_rows in prop::collection::vec(((0u8..=8), -4i64..4, -2i64..2), 0..40),
         probe_rows in prop::collection::vec(((0u8..=8), -4i64..4, -2i64..2), 0..40),
         with_residual in any::<bool>(),
+        emit_mask in 0u8..16,
     ) {
         let stored = keyed_rows(&table_rows);
         let probes = keyed_rows(&probe_rows);
@@ -454,6 +502,7 @@ proptest! {
         }
         // Residual over the joined layout: probe col 1 vs table col 1.
         let residual: &[(usize, usize)] = if with_residual { &[(1, 3)] } else { &[] };
+        let emit: Vec<usize> = (0..4).filter(|c| emit_mask & (1 << c) != 0).collect();
 
         let mut want = Vec::new();
         let mut want_stats = BatchJoinStats::default();
@@ -462,16 +511,47 @@ proptest! {
             for m in stored.iter().filter(|m| m.key(0) == p.key(0)) {
                 let joined = p.concat(m);
                 if residual.iter().all(|&(a, b)| joined.get(a).eq_total(joined.get(b))) {
-                    want.push(joined);
+                    want.push(joined.project(&emit));
                     want_stats.output += 1;
                 }
             }
         }
+        let rows = RowBuilder::new(&schema2("p"), &schema2("m"), residual.to_vec(), emit).unwrap();
         let mut got = Vec::new();
         let mut stats = BatchJoinStats::default();
-        probe_table(&probes, 0, &table, residual, &mut stats, &mut got).unwrap();
+        probe_table(&probes, 0, &table, &rows, &mut stats, &mut got).unwrap();
         same_order(&got, &want)?;
         prop_assert_eq!(stats, want_stats);
+    }
+
+    /// `Expr::matches` (operands borrowed in place) agrees with
+    /// `eval(t)?.as_bool()` — value and error-ness — on random predicate
+    /// trees over nulls, mixed Int/Float/Date columns and strings.
+    #[test]
+    fn matches_equals_eval_as_bool(
+        cells in prop::collection::vec(((0u8..=10), -4i64..4), 3..4),
+        program in prop::collection::vec((0u8..=255, -4i64..4), 1..24),
+    ) {
+        let row = Tuple::new(
+            cells
+                .iter()
+                .map(|&(c, x)| if c >= 9 { Value::Date(x as i32) } else { value(c, x) })
+                .collect(),
+        );
+        let mut ops = program.iter().copied();
+        let pred = random_pred(&mut ops, 3);
+        let want = pred.eval(&row).and_then(|v| v.as_bool());
+        match (pred.matches(&row), want) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "{}", pred),
+            (Err(_), Err(_)) => {}
+            (got, want) => prop_assert!(
+                false,
+                "{}: matches {:?} vs eval {:?}",
+                pred,
+                got.is_ok(),
+                want.is_ok()
+            ),
+        }
     }
 
     /// The federated seen-set passes exactly the first delivery of each
