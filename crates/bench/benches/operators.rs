@@ -249,14 +249,14 @@ fn bench_state_structures(c: &mut Criterion) {
         b.iter(|| {
             let mut t = TupleHashTable::new(0);
             for r in &rows {
-                t.insert(r.clone()).unwrap();
+                t.insert(r.clone());
             }
             t.len()
         })
     });
     let mut table = TupleHashTable::new(0);
     for r in &rows {
-        table.insert(r.clone()).unwrap();
+        table.insert(r.clone());
     }
     g.bench_function("hash_table_probe", |b| {
         b.iter(|| {

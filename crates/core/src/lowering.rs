@@ -15,12 +15,10 @@ use tukwila_exec::agg::{
     AggSpec, GroupSpec, PreAggOp, SharedGroupOp, SharedGroupTable, WindowPolicy,
 };
 use tukwila_exec::filter::FilterOp;
-use tukwila_exec::join::{
-    HybridHashJoin, MergeJoin, NestedLoopsJoin, PipelinedHashJoin, RowBuilder,
-};
+use tukwila_exec::join::{PipelinedHashJoin, RowBuilder};
 use tukwila_exec::project::ProjectOp;
 use tukwila_exec::{IncOp, PipelinePlan, PlanBuilder};
-use tukwila_optimizer::{PhysAgg, PhysJoinAlgo, PhysKind, PhysNode, PhysPlan, PreAggMode};
+use tukwila_optimizer::{PhysAgg, PhysKind, PhysNode, PhysPlan, PreAggMode};
 use tukwila_relation::{Error, Expr, Result, Schema};
 
 /// A lowered, executable plan plus the metadata the corrective executor
@@ -117,7 +115,6 @@ impl<'a> LowerCtx<'a> {
                 }
             },
             PhysKind::Join {
-                algo,
                 left,
                 right,
                 left_col,
@@ -130,22 +127,8 @@ impl<'a> LowerCtx<'a> {
                 let r = self.lower_node(right)?;
                 let (ls, rs) = (left.schema.clone(), right.schema.clone());
                 let rows = RowBuilder::new(&ls, &rs, residual.clone(), emit.clone())?;
-                let op: Box<dyn IncOp> = match algo {
-                    PhysJoinAlgo::PipelinedHash => Box::new(
-                        PipelinedHashJoin::new(ls, rs, *left_col, *right_col).with_rows(rows),
-                    ),
-                    PhysJoinAlgo::Merge => {
-                        Box::new(MergeJoin::new(ls, rs, *left_col, *right_col).with_rows(rows))
-                    }
-                    PhysJoinAlgo::HybridHash => {
-                        Box::new(HybridHashJoin::new(ls, rs, *left_col, *right_col).with_rows(rows))
-                    }
-                    PhysJoinAlgo::NestedLoops => {
-                        let pred =
-                            Expr::eq(Expr::Col(*left_col), Expr::Col(ls.arity() + *right_col));
-                        Box::new(NestedLoopsJoin::new(ls, rs, pred).with_rows(rows))
-                    }
-                };
+                let op =
+                    Box::new(PipelinedHashJoin::new(ls, rs, *left_col, *right_col).with_rows(rows));
                 let id = self.attach(op, &[l, r], node)?;
                 self.join_nodes.push((id, *pred_id));
                 Ok(Lowered::Node(id))
@@ -311,7 +294,6 @@ fn split_at_cuts(
     let rewritten_kind = match &node.kind {
         PhysKind::Scan { .. } => node.kind.clone(),
         PhysKind::Join {
-            algo,
             left,
             right,
             left_col,
@@ -320,7 +302,6 @@ fn split_at_cuts(
             residual,
             emit,
         } => PhysKind::Join {
-            algo: *algo,
             left: Box::new(split_at_cuts(
                 left,
                 false,

@@ -17,12 +17,12 @@
 //! * The right side is probed **in place or rehashed**, one partition at a
 //!   time. A right-side `pure[i]` read from the registry is probed through
 //!   its sealed [`TupleHashTable`] directly — no scan, no rebuild — when
-//!   that table is keyed on the join's right column, its layout adapter is
-//!   the identity, and nothing of it is spilled. (Intermediate entries are
-//!   read from the registry only when `reuse_intermediates` is on; leaves
-//!   always are.) Every other registered partition is rehashed on the join
-//!   column and counted in [`BatchJoinStats::rehashes`]. Partitions that
-//!   stitch-up computed itself, and `mixed`, are hashed without counting.
+//!   that table is keyed on the join's right column and its layout adapter
+//!   is the identity. (Intermediate entries are read from the registry
+//!   only when `reuse_intermediates` is on; leaves always are.) Every other
+//!   registered partition is rehashed on the join column and counted in
+//!   [`BatchJoinStats::rehashes`]. Partitions that stitch-up computed
+//!   itself, and `mixed`, are hashed without counting.
 //! * Only the root's `mixed` tuples are new answers: the diagonal `pure`
 //!   results were already emitted by the phases themselves.
 
@@ -57,7 +57,7 @@ enum Pure {
     Computed(Batch),
     /// A registry entry read back as rows in the node's layout.
     Loaded(Batch),
-    /// A registry entry whose structure is a fully resident hash table in
+    /// A registry entry whose structure is a hash table in
     /// the node's layout: its rows are read only on demand, and it is
     /// probed in place when keyed on the join column.
     Sealed(Arc<RegistryEntry>),
@@ -74,16 +74,16 @@ impl Pure {
     /// A hash table over this partition keyed on `col`: the sealed table
     /// itself when it already is one, else a rebuild — counted as a
     /// rehash when the partition came from the registry.
-    fn table(&self, col: usize, stats: &mut BatchJoinStats) -> Result<Table<'_>> {
+    fn table(&self, col: usize, stats: &mut BatchJoinStats) -> Table<'_> {
         if let Pure::Sealed(e) = self {
             if let Some(t) = e.structure.as_hash_table().filter(|t| t.key_col() == col) {
-                return Ok(Table::InPlace(t));
+                return Table::InPlace(t);
             }
         }
         if !matches!(self, Pure::Computed(_)) {
             stats.rehashes += 1;
         }
-        Ok(Table::Rebuilt(hash_on(&self.rows(), col)?))
+        Table::Rebuilt(hash_on(&self.rows(), col))
     }
 }
 
@@ -106,12 +106,12 @@ impl std::ops::Deref for Table<'_> {
 }
 
 /// Build a hash table over `tuples` keyed on `col`.
-fn hash_on(tuples: &[Tuple], col: usize) -> Result<TupleHashTable> {
+fn hash_on(tuples: &[Tuple], col: usize) -> TupleHashTable {
     let mut t = TupleHashTable::new(col);
     for tu in tuples {
-        t.insert(tu.clone())?;
+        t.insert(tu.clone());
     }
-    Ok(t)
+    t
 }
 
 /// Partition-labelled result set at one plan node.
@@ -168,7 +168,7 @@ impl<'a> StitchUp<'a> {
     }
 
     /// Read a registered structure back in the layout of `node`: kept
-    /// sealed when it is a fully resident hash table needing no adapter,
+    /// sealed when it is a hash table needing no adapter,
     /// scanned (and adapted) otherwise.
     fn load(
         &self,
@@ -188,11 +188,7 @@ impl<'a> StitchUp<'a> {
         };
         entry.mark_reused();
         stats.entries_reused += 1;
-        let resident_table = entry
-            .structure
-            .as_hash_table()
-            .is_some_and(|t| t.spilled_len() == 0);
-        if adapter.is_identity() && resident_table {
+        if adapter.is_identity() && entry.structure.as_hash_table().is_some() {
             return Ok(Some(Pure::Sealed(entry)));
         }
         let tuples = entry.structure.scan();
@@ -242,8 +238,8 @@ impl<'a> StitchUp<'a> {
                     .pure
                     .iter()
                     .map(|p| p.table(*right_col, &mut stats.join))
-                    .collect::<Result<Vec<_>>>()?;
-                let r_mixed_table = hash_on(&r.mixed, *right_col)?;
+                    .collect::<Vec<_>>();
+                let r_mixed_table = hash_on(&r.mixed, *right_col);
 
                 // Each left partition's rows probe the right-side tables
                 // directly; only the surviving joined tuples are built.
@@ -273,7 +269,7 @@ impl<'a> StitchUp<'a> {
                         &rows,
                         &mut stats.join,
                         &mut out,
-                    )?;
+                    );
                     stats.recomputed_pure += out.len();
                     pure.push(Pure::Computed(out));
                 }
@@ -290,7 +286,7 @@ impl<'a> StitchUp<'a> {
                                 &rows,
                                 &mut stats.join,
                                 &mut mixed,
-                            )?;
+                            );
                         }
                     }
                     probe_table(
@@ -300,7 +296,7 @@ impl<'a> StitchUp<'a> {
                         &rows,
                         &mut stats.join,
                         &mut mixed,
-                    )?;
+                    );
                 }
                 for table in &r_pure_tables {
                     probe_table(
@@ -310,7 +306,7 @@ impl<'a> StitchUp<'a> {
                         &rows,
                         &mut stats.join,
                         &mut mixed,
-                    )?;
+                    );
                 }
                 probe_table(
                     &l.mixed,
@@ -319,7 +315,7 @@ impl<'a> StitchUp<'a> {
                     &rows,
                     &mut stats.join,
                     &mut mixed,
-                )?;
+                );
 
                 Ok(Labeled { pure, mixed })
             }
@@ -340,8 +336,15 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tukwila_optimizer::{Optimizer, OptimizerContext};
-    use tukwila_relation::{DataType, Field, Schema, Value};
-    use tukwila_storage::TupleList;
+    use tukwila_relation::{DataType, Field, Schema, SortKey, Value};
+    use tukwila_storage::{SortedList, StateStructure};
+
+    /// A sealed non-hash structure: the rows sorted on column 0.
+    fn sorted_list(rows: impl IntoIterator<Item = Tuple>) -> Arc<dyn StateStructure> {
+        let mut l = SortedList::new(vec![SortKey::asc(0)]);
+        rows.into_iter().for_each(|t| l.insert(t));
+        Arc::new(l)
+    }
 
     /// Two relations, two phases, everything registered at the leaves:
     /// stitch-up must produce exactly A0⋈B1 ∪ A1⋈B0.
@@ -370,13 +373,8 @@ mod tests {
         let registry = StateRegistry::new();
         let schema = Schema::new(vec![Field::new("a.k", DataType::Int)]);
         let schema_b = Schema::new(vec![Field::new("b.k", DataType::Int)]);
-        let list_of = |vals: &[i64]| -> Arc<dyn tukwila_storage::StateStructure> {
-            let mut l = TupleList::new();
-            for &v in vals {
-                l.insert(Tuple::new(vec![Value::Int(v)]));
-            }
-            Arc::new(l)
-        };
+        let list_of =
+            |vals: &[i64]| sorted_list(vals.iter().map(|&v| Tuple::new(vec![Value::Int(v)])));
         // Phase 0: a={1,2}, b={2}; phase 1: a={3}, b={1,3}.
         registry.register(ExprSig::single(1), 0, schema.clone(), list_of(&[1, 2]));
         registry.register(ExprSig::single(2), 0, schema_b.clone(), list_of(&[2]));
@@ -401,10 +399,10 @@ mod tests {
     /// The keyed-or-rehash rule. The same three phases of data are sealed
     /// with the plan's right-side relation held three ways — as tables
     /// keyed on the stitch join column, as tables keyed on another column,
-    /// and as `TupleList`s (the left side is always a list, so its scan
-    /// order is fixed). Every way yields the same rows in the same order;
-    /// only the first probes in place, the others rehash each registered
-    /// right-side partition once.
+    /// and as `SortedList`s (the left side is always a sorted list, so its
+    /// scan order is fixed). Every way yields the same rows in the same
+    /// order; only the first probes in place, the others rehash each
+    /// registered right-side partition once.
     #[test]
     fn sealed_tables_probe_in_place_or_rehash() {
         let fields = |name: &str| {
@@ -456,17 +454,15 @@ mod tests {
         };
         let nphases = 3;
 
-        let run = |right_as: &dyn Fn(Vec<Tuple>) -> Arc<dyn tukwila_storage::StateStructure>| {
+        let run = |right_as: &dyn Fn(Vec<Tuple>) -> Arc<dyn StateStructure>| {
             let registry = StateRegistry::new();
             for (rel, name) in [(1u32, "a"), (2, "b")] {
                 for phase in 0..nphases {
                     let rows = data(rel, phase);
-                    let structure: Arc<dyn tukwila_storage::StateStructure> = if rel == right_rel {
+                    let structure = if rel == right_rel {
                         right_as(rows)
                     } else {
-                        let mut l = TupleList::new();
-                        rows.into_iter().for_each(|t| l.insert(t));
-                        Arc::new(l)
+                        sorted_list(rows)
                     };
                     registry.register(ExprSig::single(rel), phase, fields(name), structure);
                 }
@@ -481,19 +477,15 @@ mod tests {
             (got, stats)
         };
         let table_on = |col: usize| {
-            move |rows: Vec<Tuple>| -> Arc<dyn tukwila_storage::StateStructure> {
+            move |rows: Vec<Tuple>| -> Arc<dyn StateStructure> {
                 let mut t = TupleHashTable::new(col);
-                rows.into_iter().for_each(|r| t.insert(r).unwrap());
+                rows.into_iter().for_each(|r| t.insert(r));
                 Arc::new(t)
             }
         };
         let (keyed, keyed_stats) = run(&table_on(*right_col));
         let (other, other_stats) = run(&table_on(other_col));
-        let (listed, listed_stats) = run(&|rows| {
-            let mut l = TupleList::new();
-            rows.into_iter().for_each(|t| l.insert(t));
-            Arc::new(l)
-        });
+        let (listed, listed_stats) = run(&sorted_list);
 
         // Cross-phase pairs, brute force, in the plan's orientation.
         let left_rel = 3 - right_rel;

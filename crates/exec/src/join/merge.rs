@@ -64,11 +64,6 @@ impl MergeJoin {
         self
     }
 
-    /// Tuples buffered per side.
-    pub fn buffered(&self) -> (usize, usize) {
-        (self.left.len(), self.right.len())
-    }
-
     /// Emit all joins whose key groups are complete on both sides.
     ///
     /// A key group on a sorted stream is complete once a strictly greater

@@ -1,20 +1,16 @@
-//! Join operators. All joins buffer their inputs (paper §3.4: "every plan
-//! must buffer the source data fed into it at the leaves... we also extend
-//! the other join forms to do buffering"), which is what makes their state
-//! available to stitch-up plans. Every join builds its output rows through
-//! one [`RowBuilder`]: residual check first, then only the emitted columns.
+//! Join operators. Every plan join is a [`PipelinedHashJoin`]: symmetric,
+//! so any prefix of its inputs leaves a consistent state, and buffering
+//! both inputs (paper §3.4: "every plan must buffer the source data fed
+//! into it at the leaves"), which is what makes that state available to
+//! stitch-up plans. [`MergeJoin`] runs only inside the complementary join
+//! pair (§5). Both build their output rows through one [`RowBuilder`]:
+//! residual check first, then only the emitted columns.
 
 pub mod batch;
-pub mod hybrid_hash;
 pub mod merge;
-pub mod nested_loops;
-pub mod overflow;
 pub mod pipelined_hash;
 pub mod rows;
 
-pub use hybrid_hash::HybridHashJoin;
 pub use merge::MergeJoin;
-pub use nested_loops::NestedLoopsJoin;
-pub use overflow::OverflowHashJoin;
 pub use pipelined_hash::PipelinedHashJoin;
 pub use rows::RowBuilder;

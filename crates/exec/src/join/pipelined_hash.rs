@@ -87,7 +87,7 @@ impl IncOp for PipelinedHashJoin {
                         matched += 1;
                         self.rows.push(t, m, out);
                     }
-                    self.left_table.insert(t.clone())?;
+                    self.left_table.insert(t.clone());
                 }
             }
             1 => {
@@ -98,7 +98,7 @@ impl IncOp for PipelinedHashJoin {
                         matched += 1;
                         self.rows.push(m, t, out);
                     }
-                    self.right_table.insert(t.clone())?;
+                    self.right_table.insert(t.clone());
                 }
             }
             p => {

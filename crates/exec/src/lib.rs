@@ -15,14 +15,13 @@
 //! * [`plan::PipelinePlan`] — an operator tree with leaf bindings to source
 //!   relations, batch cascade, and `seal()` to extract state structures
 //!   into the registry when a phase ends.
-//! * Operators: filter, project, pipelined (symmetric) hash join, merge
-//!   join, (symmetric) nested loops, hybrid hash join, blocking hash
-//!   aggregation, the shared group-by table that survives across plans
-//!   (Figure 1), adjustable-window pre-aggregation and the pseudogroup
-//!   operator (§3.2, §6).
-//! * [`split::Split`] / [`split::combine`] / [`split::Router`] and the
-//!   cross-thread [`queue::queue_pair`] — the special operators for
-//!   sharing data between subplans.
+//! * Operators: filter, project, the pipelined (symmetric) hash join that
+//!   every plan join is, the merge join of the complementary pair (§5),
+//!   blocking hash aggregation, the shared group-by table that survives
+//!   across plans (Figure 1), adjustable-window pre-aggregation and the
+//!   pseudogroup operator (§3.2, §6).
+//! * [`split::Router`] and the cross-thread [`queue::queue_pair`] — the
+//!   special operators for sharing data between subplans.
 //! * [`driver::SimDriver`] — single-plan execution against sources, under
 //!   either clock of the dual-clock design: the simulated
 //!   [`tukwila_stats::VirtualClock`] (deterministic, idle time is free) or

@@ -25,8 +25,8 @@ pub struct ExtractedState {
 /// An incremental (push-based) operator.
 ///
 /// The engine pushes batches into an input port; the operator appends any
-/// output it can produce *now* to `out`. Blocking operators (aggregation,
-/// the build side of a hybrid hash join) hold data until [`IncOp::finish`].
+/// output it can produce *now* to `out`. Blocking operators (aggregation)
+/// hold data until [`IncOp::finish`].
 /// Because every push fully propagates before the next one is admitted,
 /// batch boundaries are consistent suspension points (§3's requirement for
 /// mid-pipeline plan switching).
@@ -44,8 +44,8 @@ pub trait IncOp: Send {
     fn push(&mut self, port: usize, batch: &[Tuple], out: &mut Batch) -> Result<()>;
 
     /// Signal that input `port` is exhausted. May emit buffered output
-    /// (e.g. a hybrid hash join starts streaming probes once the build
-    /// input ends).
+    /// (e.g. a merge join emits its last key group once one input
+    /// ends).
     fn finish_input(&mut self, port: usize, out: &mut Batch) -> Result<()> {
         let _ = (port, out);
         Ok(())

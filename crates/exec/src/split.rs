@@ -1,12 +1,7 @@
-//! Split, combine, and router components (paper §3: "Tukwila has special
-//! operators for sharing information between subplans: split, which
-//! partitions data across different plans; combine, which unions data from
-//! different plans").
-//!
-//! The router implements §3.3's "router module that helps the split
-//! operator decide what subplan is most appropriate for an incoming tuple",
-//! including the order-conformance test and the priority-queue
-//! pre-processing used by the complementary join pair (§5).
+//! Routers (paper §3.3: the "router module that helps the split operator
+//! decide what subplan is most appropriate for an incoming tuple"): the
+//! order-conformance test and the priority-queue pre-processing that the
+//! complementary join pair (§5) splits its inputs with.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -149,84 +144,6 @@ impl Router for PriorityQueueRouter {
     }
 }
 
-/// Splits a batch across `n` output buffers according to a router.
-pub struct Split<R: Router> {
-    router: R,
-    n: usize,
-}
-
-impl<R: Router> Split<R> {
-    /// A splitter over `n` output ports.
-    pub fn new(router: R, n: usize) -> Split<R> {
-        Split { router, n }
-    }
-
-    /// Route a batch; returns one buffer per output port. Allocates the
-    /// port buffers every call — steady-state callers should hold a
-    /// `Vec<Vec<Tuple>>` and use [`Split::split_into`] instead.
-    pub fn split(&mut self, batch: &[Tuple]) -> Vec<Vec<Tuple>> {
-        let mut out = Vec::new();
-        self.split_into(batch, &mut out);
-        out
-    }
-
-    /// Route a batch into caller-owned port buffers, clearing and reusing
-    /// them (their capacity survives across batches, so a port that stays
-    /// empty costs nothing after the first call).
-    pub fn split_into(&mut self, batch: &[Tuple], out: &mut Vec<Vec<Tuple>>) {
-        prepare_port_buffers(out, self.n);
-        for t in batch {
-            let p = self.router.route(t).min(self.n - 1);
-            out[p].push(t.clone());
-        }
-    }
-
-    /// Flush buffered tuples at end of input. Allocates like
-    /// [`Split::split`]; see [`Split::drain_into`].
-    pub fn drain(&mut self) -> Vec<Vec<Tuple>> {
-        let mut out = Vec::new();
-        self.drain_into(&mut out);
-        out
-    }
-
-    /// Flush buffered tuples into caller-owned, reused port buffers.
-    pub fn drain_into(&mut self, out: &mut Vec<Vec<Tuple>>) {
-        prepare_port_buffers(out, self.n);
-        for (p, t) in self.router.drain() {
-            out[p.min(self.n - 1)].push(t);
-        }
-    }
-}
-
-/// Clear and resize a set of per-port buffers without dropping their
-/// allocations.
-fn prepare_port_buffers(out: &mut Vec<Vec<Tuple>>, n: usize) {
-    for b in out.iter_mut() {
-        b.clear();
-    }
-    out.resize_with(n, Vec::new);
-}
-
-/// Unions batches from multiple subplans (trivial, but named for symmetry
-/// with the paper's operator set).
-pub fn combine(parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {
-    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
-/// [`combine`] without consuming the per-port buffers: drains each into
-/// `out` so the buffers can be refilled by the next
-/// [`Split::split_into`] call.
-pub fn combine_into(parts: &mut [Vec<Tuple>], out: &mut Vec<Tuple>) {
-    out.reserve(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        out.append(p);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,39 +204,6 @@ mod tests {
         let stream = [2, 1, 4, 3, 6, 5];
         let violations = stream.iter().filter(|&&v| naive.route(&t(v)) == 1).count();
         assert!(violations >= 2, "naive router misroutes swapped pairs");
-    }
-
-    #[test]
-    fn split_and_combine_roundtrip() {
-        let mut s = Split::new(OrderRouter::new(0), 2);
-        let batch = vec![t(1), t(3), t(2), t(4)];
-        let parts = s.split(&batch);
-        assert_eq!(parts[0].len() + parts[1].len(), 4);
-        assert_eq!(parts[1].len(), 1, "only the 2 after 3 violates");
-        let all = combine(parts);
-        assert_eq!(all.len(), 4);
-    }
-
-    #[test]
-    fn split_into_reuses_buffers() {
-        let mut s = Split::new(OrderRouter::new(0), 2);
-        let mut bufs: Vec<Vec<Tuple>> = Vec::new();
-        s.split_into(&[t(1), t(3), t(2)], &mut bufs);
-        assert_eq!(bufs.len(), 2);
-        assert_eq!(bufs[0].len(), 2);
-        assert_eq!(bufs[1].len(), 1);
-        let cap0 = bufs[0].capacity();
-        let mut merged = Vec::new();
-        combine_into(&mut bufs, &mut merged);
-        assert_eq!(merged.len(), 3);
-        assert!(bufs.iter().all(Vec::is_empty), "combine_into drains");
-        // Second batch reuses the same buffers (capacity survives).
-        s.split_into(&[t(4), t(5)], &mut bufs);
-        assert!(bufs[0].capacity() >= cap0.min(2));
-        assert_eq!(bufs[0].len() + bufs[1].len(), 2);
-        let mut drained = Vec::new();
-        s.drain_into(&mut drained);
-        assert_eq!(drained.len(), 2);
     }
 
     #[test]

@@ -186,11 +186,6 @@ impl FederatedCatalog {
         Ok(())
     }
 
-    /// Number of registered candidates for a relation.
-    pub fn candidate_count(&self, rel: u32) -> usize {
-        self.relations.get(&rel).map_or(0, |e| e.candidates.len())
-    }
-
     /// Consume the catalog, producing one [`FederatedSource`] with inline
     /// lanes per registered relation (in `rel_id` order) — a drop-in
     /// `Vec<Box<dyn Source>>` for `SimDriver`, `CorrectiveExec`, and the

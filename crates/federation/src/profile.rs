@@ -125,14 +125,6 @@ impl BehaviorProfile {
         .max()
     }
 
-    /// How long this candidate has been silent at `now_us`; `None` while
-    /// it is an unactivated standby (a standby is not "silent", it was
-    /// never asked). Diagnostic companion to the stall machinery below.
-    pub fn silence_us(&self, now_us: u64) -> Option<u64> {
-        self.last_activity_us()
-            .map(|last| now_us.saturating_sub(last))
-    }
-
     /// Timeline instant after which the current silence counts as a
     /// stall.
     ///

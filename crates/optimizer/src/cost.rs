@@ -9,13 +9,13 @@ use tukwila_storage::ExprSig;
 use crate::logical::LogicalQuery;
 use crate::phys::PreAggMode;
 
-/// Per-operation cost constants (arbitrary units ≈ ns/tuple). Merge joins
-/// are "slightly more efficient than a pipelined hash join" (§5).
+/// Per-operation cost constants (arbitrary units ≈ ns/tuple). Every plan
+/// join is a pipelined hash join, priced as one insert plus one probe per
+/// input tuple.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     pub hash_insert: f64,
     pub hash_probe: f64,
-    pub merge_step: f64,
     pub output: f64,
     pub preagg_tuple: f64,
     pub agg_tuple: f64,
@@ -46,7 +46,6 @@ impl Default for CostModel {
         CostModel {
             hash_insert: 1.0,
             hash_probe: 1.0,
-            merge_step: 0.6,
             output: 0.5,
             preagg_tuple: 0.4,
             agg_tuple: 1.0,
@@ -84,9 +83,6 @@ pub struct OptimizerContext {
     /// Tuples of each source already consumed by earlier phases; plans are
     /// costed over the *remaining* data.
     pub consumed: HashMap<u32, u64>,
-    /// Columns on which sources are known/speculated sorted (enables merge
-    /// joins).
-    pub orders: HashMap<u32, usize>,
     /// Pre-aggregation policy.
     pub preagg: PreAggConfig,
     pub cost_model: CostModel,

@@ -12,7 +12,7 @@ use tukwila_storage::ExprSig;
 
 use crate::cost::{CardEstimator, EstimateMode, OptimizerContext, PreAggConfig};
 use crate::logical::{JoinPred, LogicalQuery};
-use crate::phys::{PartialSlot, PhysAgg, PhysJoinAlgo, PhysKind, PhysNode, PhysPlan, PreAggMode};
+use crate::phys::{PartialSlot, PhysAgg, PhysKind, PhysNode, PhysPlan, PreAggMode};
 use crate::preagg::{group_cols_for, needed_cols, preagg_point, PreAggPoint};
 
 /// Join-order skeleton produced by enumeration.
@@ -204,16 +204,11 @@ impl Optimizer {
                     est.card(mask),
                 ))
             }
-            PhysKind::Join {
-                algo, left, right, ..
-            } => {
+            PhysKind::Join { left, right, .. } => {
                 let (ls, lcard) = self.recost_node(q, left, credit_sunk, est, sunk, model)?;
                 let (rs, rcard) = self.recost_node(q, right, credit_sunk, est, sunk, model)?;
                 let card = est.card(mask);
-                let step = match algo {
-                    PhysJoinAlgo::Merge => cm.merge_step,
-                    _ => cm.hash_insert + cm.hash_probe,
-                };
+                let step = cm.hash_insert + cm.hash_probe;
                 let mut cost = step * (lcard + rcard) + cm.output * card;
                 if credit_sunk && self.ctx.is_sunk(&node.sig) {
                     let lmask = {
@@ -536,18 +531,6 @@ impl<'a> Lowerer<'a> {
             residual.push((lpos, rpos + off));
         }
 
-        // Merge join when both inputs are leaf scans of sources
-        // known/speculated sorted on the join columns.
-        let algo = match (&left.kind, &right.kind) {
-            (PhysKind::Scan { rel: lr, .. }, PhysKind::Scan { rel: rr, .. })
-                if self.ctx.orders.get(lr) == Some(&left_col)
-                    && self.ctx.orders.get(rr) == Some(&right_col) =>
-            {
-                PhysJoinAlgo::Merge
-            }
-            _ => PhysJoinAlgo::PipelinedHash,
-        };
-
         let sig = left.sig.union(&right.sig);
         let JoinLayout {
             emit,
@@ -558,10 +541,7 @@ impl<'a> Lowerer<'a> {
         let mask = self.mask_of(&sig);
         let est_card = self.est.card(mask);
         let cm = self.ctx.cost_model;
-        let step = match algo {
-            PhysJoinAlgo::Merge => cm.merge_step,
-            _ => cm.hash_insert + cm.hash_probe,
-        };
+        let step = cm.hash_insert + cm.hash_probe;
         let est_cpu = left.est_cpu
             + right.est_cpu
             + step * (left.est_card + right.est_card)
@@ -581,7 +561,6 @@ impl<'a> Lowerer<'a> {
         );
         Ok(PhysNode {
             kind: PhysKind::Join {
-                algo,
                 left: Box::new(left),
                 right: Box::new(right),
                 left_col,
@@ -941,23 +920,6 @@ mod tests {
             assert_eq!(*right_col, 0);
         } else {
             panic!("root must be a join");
-        }
-    }
-
-    #[test]
-    fn merge_join_selected_for_sorted_leaf_scans() {
-        let mut ctx = OptimizerContext::no_statistics();
-        ctx.orders.insert(1, 0);
-        ctx.orders.insert(2, 0);
-        let opt = Optimizer::new(ctx);
-        let q = LogicalQuery::new(
-            vec![rel(1, "a", &["k"]), rel(2, "b", &["k"])],
-            vec![pred(1, 1, 0, 2, 0)],
-        );
-        let plan = opt.optimize(&q).unwrap();
-        match &plan.root.kind {
-            PhysKind::Join { algo, .. } => assert_eq!(*algo, PhysJoinAlgo::Merge),
-            _ => panic!("expected join root"),
         }
     }
 

@@ -34,4 +34,4 @@ pub use cost::{CostModel, OptimizerContext, PreAggConfig};
 pub use enumerate::Optimizer;
 pub use fragment::{choose_cuts, choose_cuts_traced, FragmentationConfig};
 pub use logical::{AggRef, JoinPred, LogicalQuery, QueryAgg, QueryRel};
-pub use phys::{PhysAgg, PhysJoinAlgo, PhysKind, PhysNode, PhysPlan, PreAggMode};
+pub use phys::{PhysAgg, PhysKind, PhysNode, PhysPlan, PreAggMode};

@@ -4,15 +4,6 @@ use tukwila_relation::agg::AggFunc;
 use tukwila_relation::{Expr, Schema};
 use tukwila_storage::ExprSig;
 
-/// Physical join algorithm choices (the iterator modules of §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PhysJoinAlgo {
-    PipelinedHash,
-    Merge,
-    HybridHash,
-    NestedLoops,
-}
-
 /// Pre-aggregation operator flavor at an insertion point (drives Figure 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreAggMode {
@@ -73,8 +64,10 @@ pub enum PhysKind {
         name: String,
         filter: Option<Expr>,
     },
+    /// A pipelined (symmetric) hash join — the one join every plan
+    /// builds, because any prefix of its inputs leaves a consistent,
+    /// reusable state (§3, §3.4).
     Join {
-        algo: PhysJoinAlgo,
         left: Box<PhysNode>,
         right: Box<PhysNode>,
         /// Join key positions in each child's output schema.
@@ -142,16 +135,8 @@ impl PhysNode {
     pub fn describe(&self) -> String {
         match &self.kind {
             PhysKind::Scan { name, .. } => name.clone(),
-            PhysKind::Join {
-                left, right, algo, ..
-            } => {
-                let op = match algo {
-                    PhysJoinAlgo::PipelinedHash => "⋈",
-                    PhysJoinAlgo::Merge => "⋈ₘ",
-                    PhysJoinAlgo::HybridHash => "⋈ₕ",
-                    PhysJoinAlgo::NestedLoops => "⋈ₙ",
-                };
-                format!("({} {} {})", left.describe(), op, right.describe())
+            PhysKind::Join { left, right, .. } => {
+                format!("({} ⋈ {})", left.describe(), right.describe())
             }
             PhysKind::PreAgg { child, mode, .. } => {
                 let tag = match mode {
@@ -227,7 +212,6 @@ mod tests {
         let sig = l.sig.union(&r.sig);
         PhysNode {
             kind: PhysKind::Join {
-                algo: PhysJoinAlgo::PipelinedHash,
                 left: Box::new(l),
                 right: Box::new(r),
                 left_col: 0,

@@ -14,7 +14,7 @@ pub enum Error {
     Plan(String),
     /// A runtime execution failure.
     Exec(String),
-    /// An I/O failure (spill files, data loading).
+    /// An I/O failure.
     Io(std::io::Error),
 }
 

@@ -6,7 +6,6 @@ use std::cmp::Ordering;
 use std::fmt;
 
 use crate::error::{Error, Result};
-use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -90,11 +89,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Column reference resolved by name against a schema.
-    pub fn col_named(schema: &Schema, name: &str) -> Result<Expr> {
-        Ok(Expr::Col(schema.index_of(name)?))
-    }
-
     pub fn eq(lhs: Expr, rhs: Expr) -> Expr {
         Expr::Cmp(Box::new(lhs), CmpOp::Eq, Box::new(rhs))
     }

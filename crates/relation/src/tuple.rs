@@ -53,7 +53,7 @@ impl Tuple {
     }
 
     /// Rough in-memory footprint in bytes, used by the source bandwidth
-    /// models and spill accounting.
+    /// models.
     pub fn approx_bytes(&self) -> usize {
         let mut n = std::mem::size_of::<Value>() * self.vals.len();
         for v in self.vals.iter() {

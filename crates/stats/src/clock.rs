@@ -195,11 +195,6 @@ impl WallClock {
     pub fn scale(&self) -> f64 {
         self.scale
     }
-
-    /// Real time elapsed since the clock's epoch.
-    pub fn real_elapsed(&self) -> Duration {
-        self.epoch.elapsed()
-    }
 }
 
 impl Default for WallClock {

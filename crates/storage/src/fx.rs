@@ -70,11 +70,9 @@ impl Hasher for FxHasher {
 
 /// `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<K> = std::collections::HashSet<K, BuildHasherDefault<FxHasher>>;
 
-/// Hash one value with [`FxHasher`] (used for spill partitioning, where the
-/// partition of a key must be stable across structures).
+/// Hash one value with [`FxHasher`] (stable across runs and structures,
+/// unlike the std default; histograms bucket strings by it).
 pub fn hash_one<T: std::hash::Hash>(v: &T) -> u64 {
     let mut h = FxHasher::default();
     v.hash(&mut h);

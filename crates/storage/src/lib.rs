@@ -5,12 +5,13 @@
 //! modules* (the access pattern: build-then-probe, data-availability-driven,
 //! merge-driven). This crate provides the state-structure half:
 //!
-//! * [`list::TupleList`] — append-only list.
-//! * [`sorted_list::SortedList`] — list maintained in sort order.
 //! * [`hash_table::TupleHashTable`] — equi-key hash table (one
-//!   insertion-ordered row store with per-key chains) with lazy
-//!   partition-wise spill to disk (the XJoin-style overflow interface of
-//!   §3.3/§5).
+//!   insertion-ordered row store with per-key chains): what every plan
+//!   join buffers its inputs in.
+//! * [`sorted_list::SortedList`] — list maintained in sort order: the
+//!   complementary join pair's merge side (§5).
+//!
+//! Every structure lives in memory; no operator has a memory budget.
 //!
 //! Every structure advertises its properties ([`state::StructProps`]) so the
 //! router and re-optimizer can reason about what an existing structure
@@ -24,14 +25,11 @@
 
 pub mod fx;
 pub mod hash_table;
-pub mod list;
 pub mod registry;
 pub mod sorted_list;
-pub mod spill;
 pub mod state;
 
 pub use hash_table::TupleHashTable;
-pub use list::TupleList;
 pub use registry::{ExprSig, StateRegistry};
 pub use sorted_list::SortedList;
 pub use state::{StateStructure, StructProps};

@@ -152,16 +152,6 @@ impl StateRegistry {
             .cloned()
     }
 
-    /// All entries for a signature across phases.
-    pub fn lookup_all(&self, sig: &ExprSig) -> Vec<Arc<RegistryEntry>> {
-        self.entries
-            .read()
-            .iter()
-            .filter(|e| &e.sig == sig)
-            .cloned()
-            .collect()
-    }
-
     /// Every registered entry (snapshot).
     pub fn entries(&self) -> Vec<Arc<RegistryEntry>> {
         self.entries.read().clone()
@@ -197,11 +187,11 @@ impl StateRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list::TupleList;
-    use tukwila_relation::{DataType, Field, Tuple, Value};
+    use crate::SortedList;
+    use tukwila_relation::{DataType, Field, SortKey, Tuple, Value};
 
     fn list_of(n: usize) -> Arc<dyn StateStructure> {
-        let mut l = TupleList::new();
+        let mut l = SortedList::new(vec![SortKey::asc(0)]);
         for i in 0..n {
             l.insert(Tuple::new(vec![Value::Int(i as i64)]));
         }
@@ -241,7 +231,6 @@ mod tests {
         assert_eq!(reg.lookup(&sig, 0).unwrap().cardinality, 10);
         assert_eq!(reg.lookup(&sig, 1).unwrap().cardinality, 20);
         assert!(reg.lookup(&sig, 2).is_none());
-        assert_eq!(reg.lookup_all(&sig).len(), 2);
     }
 
     #[test]

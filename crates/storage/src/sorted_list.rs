@@ -14,7 +14,6 @@ use crate::state::{StateStructure, StructProps};
 pub struct SortedList {
     keys: Vec<SortKey>,
     tuples: Vec<Tuple>,
-    bytes: usize,
 }
 
 impl SortedList {
@@ -22,17 +21,11 @@ impl SortedList {
         SortedList {
             keys,
             tuples: Vec::new(),
-            bytes: 0,
         }
-    }
-
-    pub fn sort_keys(&self) -> &[SortKey] {
-        &self.keys
     }
 
     /// Insert maintaining order (stable: equal keys keep arrival order).
     pub fn insert(&mut self, t: Tuple) {
-        self.bytes += t.approx_bytes();
         if let Some(last) = self.tuples.last() {
             if cmp_tuples(&self.keys, last, &t) != Ordering::Greater {
                 self.tuples.push(t);
@@ -73,16 +66,10 @@ impl StateStructure for SortedList {
         self.tuples.len()
     }
 
-    fn approx_bytes(&self) -> usize {
-        self.bytes
-    }
-
     fn props(&self) -> StructProps {
         StructProps {
             keyed_on: self.keys.first().map(|k| k.col),
             sorted_by: self.keys.clone(),
-            requires_sorted_input: false,
-            partially_spilled: false,
         }
     }
 

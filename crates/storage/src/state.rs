@@ -5,19 +5,15 @@ use tukwila_relation::{Key, SortKey, Tuple};
 use crate::hash_table::TupleHashTable;
 
 /// Properties a state structure advertises (paper §3.1: structures
-/// "advertise certain properties (e.g., supports key-based access, requires
-/// sorted data)"). The re-optimizer and the stitch-up join consult these to
-/// decide how an existing structure can be reused.
+/// "advertise certain properties (e.g., supports key-based access)"). The
+/// re-optimizer and the stitch-up join consult these to decide how an
+/// existing structure can be reused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructProps {
     /// Column on which key-based probes are supported, if any.
     pub keyed_on: Option<usize>,
     /// Sort order the scan respects, if any.
     pub sorted_by: Vec<SortKey>,
-    /// Whether inserts must arrive in sort order.
-    pub requires_sorted_input: bool,
-    /// Whether part of the structure currently lives on disk.
-    pub partially_spilled: bool,
 }
 
 impl StructProps {
@@ -25,8 +21,6 @@ impl StructProps {
         StructProps {
             keyed_on: None,
             sorted_by: Vec::new(),
-            requires_sorted_input: false,
-            partially_spilled: false,
         }
     }
 
@@ -43,32 +37,28 @@ impl StructProps {
 /// `Arc<dyn StateStructure>` and other plans (notably stitch-up) read them
 /// through this trait.
 pub trait StateStructure: Send + Sync {
-    /// Number of stored tuples (including spilled ones).
+    /// Number of stored tuples.
     fn len(&self) -> usize;
 
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Approximate resident memory.
-    fn approx_bytes(&self) -> usize;
-
     /// Advertised properties.
     fn props(&self) -> StructProps;
 
-    /// Append all in-memory tuples matching `key` to `out`. Structures
+    /// Append all tuples matching `key` to `out`. Structures
     /// without keyed access fall back to a filtered scan.
     fn probe_into(&self, key: &Key, out: &mut Vec<Tuple>);
 
-    /// Clone out every in-memory tuple. (Tuple cloning is an `Arc` bump.)
+    /// Clone out every tuple. (Tuple cloning is an `Arc` bump.)
     ///
     /// Order contract: a scan is deterministic for a given sequence of
-    /// inserts, and each structure documents its order — insertion order
-    /// for [`crate::TupleList`], sort order for [`crate::SortedList`], and
-    /// for [`TupleHashTable`] grouped by key in index order with insertion
-    /// order within a key. Consumers (stitch-up's left sides, the
-    /// registry's readers) rely on that determinism for byte-identical
-    /// answers and traces across runs.
+    /// inserts, and each structure documents its order — sort order for
+    /// [`crate::SortedList`], and for [`TupleHashTable`] grouped by key in
+    /// index order with insertion order within a key. Consumers
+    /// (stitch-up's left sides, the registry's readers) rely on that
+    /// determinism for byte-identical answers and traces across runs.
     fn scan(&self) -> Vec<Tuple>;
 
     /// The structure as a hash table, when it is one — the handle
@@ -87,7 +77,7 @@ mod tests {
     fn props_constructors() {
         let u = StructProps::unkeyed();
         assert!(u.keyed_on.is_none());
-        assert!(!u.partially_spilled);
+        assert!(u.sorted_by.is_empty());
         let k = StructProps::keyed(3);
         assert_eq!(k.keyed_on, Some(3));
     }

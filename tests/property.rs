@@ -1,6 +1,6 @@
 //! Property-based tests over the invariants adaptive data partitioning
-//! relies on: distributivity of aggregation over union, equivalence of
-//! join algorithms, router completeness, state-structure agreement, and
+//! relies on: distributivity of aggregation over union, joins equal to a
+//! reference, router completeness, state-structure agreement, and
 //! end-to-end corrective-vs-static equivalence under randomized phase
 //! boundaries. The row operators (filter, hash join, hash aggregation,
 //! sorted buffering, the stitch-up probe, federated key dedup) are pinned
@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use tukwila::core::{ComplementaryJoinPair, CorrectiveConfig, CorrectiveExec, RouterKind};
 use tukwila::exec::filter::FilterOp;
-use tukwila::exec::join::batch::{hash_join_slices, probe_table, BatchJoinStats};
+use tukwila::exec::join::batch::{probe_table, BatchJoinStats};
 use tukwila::exec::join::{MergeJoin, PipelinedHashJoin, RowBuilder};
 use tukwila::exec::op::IncOp;
 use tukwila::exec::project::ProjectOp;
@@ -20,7 +20,6 @@ use tukwila::federation::KeyDedup;
 use tukwila::relation::agg::{AggFunc, AggState};
 use tukwila::relation::{CmpOp, DataType, Expr, Field, Key, Schema, Tuple, Value};
 use tukwila::source::{MemSource, Source};
-use tukwila::storage::hash_table::partition_of;
 use tukwila::storage::{SortedList, StateStructure, TupleHashTable};
 
 fn schema2(p: &str) -> Schema {
@@ -217,22 +216,20 @@ proptest! {
     }
 
     /// Hash table and sorted list answer point probes identically, and the
-    /// hash table's row store agrees exactly with a naive insertion-ordered
-    /// `Vec<(Key, Tuple)>` under inserts interleaved with partition spills
-    /// and restores: probes return matches in insertion order (compared
-    /// uncanonicalized), the size counters agree, and `scan()` is a
-    /// permutation of the resident rows.
+    /// hash table's row store agrees exactly with the insertion-ordered
+    /// rows: probes return matches in insertion order (compared
+    /// uncanonicalized), `distinct_keys` counts the keys, and `scan()` is a
+    /// permutation of the rows.
     #[test]
     fn state_structures_agree_on_probes(
         rows in prop::collection::vec((0i64..40, 0i64..1000), 0..150),
         probes in prop::collection::vec(0i64..50, 1..20),
-        ops in prop::collection::vec((0u8..10, 0i64..40, 0i64..1000), 0..120),
     ) {
         let tuples = tuples_from(&rows);
         let mut hash = TupleHashTable::new(0);
         let mut sorted = SortedList::new(vec![tukwila::relation::SortKey::asc(0)]);
         for t in &tuples {
-            hash.insert(t.clone()).unwrap();
+            hash.insert(t.clone());
             sorted.insert(t.clone());
         }
         prop_assert_eq!(hash.len(), sorted.len());
@@ -245,62 +242,15 @@ proptest! {
             prop_assert_eq!(canonicalize(&h), canonicalize(&s));
         }
 
-        // The reference: resident rows in insertion order, plus each
-        // spilled partition's rows in the order they went to disk.
-        const NPARTS: usize = 4;
-        let mut resident: Vec<(Key, Tuple)> =
-            tuples.iter().map(|t| (t.key(0), t.clone())).collect();
-        let mut on_disk: Vec<Vec<Tuple>> = vec![Vec::new(); NPARTS];
-        let mut marked = [false; NPARTS];
-        for (op, k, v) in ops {
-            let t = Tuple::new(vec![Value::Int(k), Value::Int(v)]);
-            let p = partition_of(&t.key(0), NPARTS);
-            match op {
-                0..=6 => {
-                    hash.insert(t.clone()).unwrap();
-                    if marked[p] {
-                        on_disk[p].push(t);
-                    } else {
-                        resident.push((t.key(0), t));
-                    }
-                }
-                7 | 8 => {
-                    let n = hash.spill_partition(p, NPARTS).unwrap();
-                    let (gone, kept): (Vec<_>, Vec<_>) = resident
-                        .drain(..)
-                        .partition(|(key, _)| partition_of(key, NPARTS) == p);
-                    resident = kept;
-                    prop_assert_eq!(n, gone.len());
-                    on_disk[p].extend(gone.into_iter().map(|(_, t)| t));
-                    marked[p] = true;
-                }
-                _ => {
-                    let back = hash.restore_partition(p).unwrap();
-                    let expected = std::mem::take(&mut on_disk[p]);
-                    prop_assert_eq!(canonicalize(&back), canonicalize(&expected));
-                    resident.extend(expected.into_iter().map(|t| (t.key(0), t)));
-                    marked[p] = false;
-                }
-            }
-            let spilled: usize = on_disk.iter().map(Vec::len).sum();
-            prop_assert_eq!(hash.resident_len(), resident.len());
-            prop_assert_eq!(hash.spilled_len(), spilled);
-            prop_assert_eq!(hash.len(), resident.len() + spilled);
-        }
-        let distinct: std::collections::HashSet<&Key> = resident.iter().map(|(k, _)| k).collect();
+        let distinct: std::collections::HashSet<Key> = tuples.iter().map(|t| t.key(0)).collect();
         prop_assert_eq!(hash.distinct_keys(), distinct.len());
         for p in probes.iter().copied().chain(0..40) {
             let key = Value::Int(p).to_key();
             let got: Vec<Tuple> = hash.probe(&key).cloned().collect();
-            let want: Vec<Tuple> = resident
-                .iter()
-                .filter(|(k, _)| *k == key)
-                .map(|(_, t)| t.clone())
-                .collect();
+            let want: Vec<Tuple> = tuples.iter().filter(|t| t.key(0) == key).cloned().collect();
             prop_assert_eq!(got, want, "probe {} in insertion order", p);
         }
-        let all: Vec<Tuple> = resident.into_iter().map(|(_, t)| t).collect();
-        prop_assert_eq!(canonicalize(&hash.scan()), canonicalize(&all));
+        prop_assert_eq!(canonicalize(&hash.scan()), canonicalize(&tuples));
     }
 
     /// `FilterOp` equals the reference executor for every column mix,
@@ -380,21 +330,35 @@ proptest! {
         }
     }
 
-    /// Row hash join equals the reference executor as a multiset on keys
-    /// with nulls, strings, floats and duplicates, building on either side.
+    /// The pipelined hash join — the join every plan builds — equals the
+    /// reference executor as a multiset on keys with nulls, strings, floats
+    /// and duplicates, with both inputs arriving as random batches that
+    /// alternate between the two ports.
     #[test]
     fn hash_join_equals_reference(
         lrows in prop::collection::vec(((0u8..=8), -4i64..4, -8i64..8), 0..30),
         rrows in prop::collection::vec(((0u8..=8), -4i64..4, -8i64..8), 0..30),
+        chunks in prop::collection::vec(1usize..8, 1..8),
+        right_first in any::<bool>(),
     ) {
         let left = keyed_rows(&lrows);
         let right = keyed_rows(&rrows);
+        let mut join = PipelinedHashJoin::new(schema2("l"), schema2("r"), 0, 0);
         let mut out = Vec::new();
-        let mut stats = BatchJoinStats::default();
-        let rows = RowBuilder::concat(&schema2("l"), &schema2("r"));
-        hash_join_slices(&left, &right, 0, 0, &rows, &mut out, &mut stats).unwrap();
-        prop_assert_eq!(stats.output, out.len());
-        prop_assert_eq!(stats.probes, left.len().max(right.len()));
+        let (mut l, mut r) = (&left[..], &right[..]);
+        let mut port = usize::from(right_first);
+        for &n in chunks.iter().cycle() {
+            if l.is_empty() && r.is_empty() {
+                break;
+            }
+            let side = if port == 0 { &mut l } else { &mut r };
+            let (batch, rest) = side.split_at(n.min(side.len()));
+            join.push(port, batch, &mut out).unwrap();
+            *side = rest;
+            port = 1 - port;
+        }
+        prop_assert_eq!(join.buffered(), (left.len(), right.len()));
+        prop_assert_eq!(join.counters().tuples_out(), out.len() as u64);
 
         let mut q = RefQuery::new(vec![
             RefRelation { schema: int_schema(2), tuples: left },
@@ -498,7 +462,7 @@ proptest! {
         let probes = keyed_rows(&probe_rows);
         let mut table = TupleHashTable::new(0);
         for t in &stored {
-            table.insert(t.clone()).unwrap();
+            table.insert(t.clone());
         }
         // Residual over the joined layout: probe col 1 vs table col 1.
         let residual: &[(usize, usize)] = if with_residual { &[(1, 3)] } else { &[] };
@@ -519,7 +483,7 @@ proptest! {
         let rows = RowBuilder::new(&schema2("p"), &schema2("m"), residual.to_vec(), emit).unwrap();
         let mut got = Vec::new();
         let mut stats = BatchJoinStats::default();
-        probe_table(&probes, 0, &table, &rows, &mut stats, &mut got).unwrap();
+        probe_table(&probes, 0, &table, &rows, &mut stats, &mut got);
         same_order(&got, &want)?;
         prop_assert_eq!(stats, want_stats);
     }
@@ -589,29 +553,6 @@ proptest! {
             }
         }
         prop_assert_eq!(dedup.seen_keys(), seen.len());
-    }
-
-    /// Spill roundtrip preserves arbitrary tuples exactly.
-    #[test]
-    fn spill_roundtrip_preserves_tuples(
-        rows in prop::collection::vec((any::<i64>(), -1e9f64..1e9, ".{0,12}"), 0..50),
-    ) {
-        use tukwila::storage::spill::SpillFile;
-        let tuples: Vec<Tuple> = rows
-            .iter()
-            .map(|(i, f, s)| {
-                Tuple::new(vec![
-                    Value::Int(*i),
-                    Value::Float(*f),
-                    Value::str(s),
-                    Value::Null,
-                ])
-            })
-            .collect();
-        let mut file = SpillFile::create().unwrap();
-        let seg = file.write_tuples(&tuples).unwrap();
-        let back = file.read_segment(seg).unwrap();
-        prop_assert_eq!(back, tuples);
     }
 
     /// Tuple adapters invert: adapting A→B then B→A is the identity.
