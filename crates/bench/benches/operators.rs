@@ -2,7 +2,7 @@
 //! structures: the per-tuple costs behind every experiment (join
 //! algorithms at the heart of Figure 5, pre-aggregation behind Figure 6,
 //! histogram maintenance behind §4.5's overhead numbers, narrow join rows
-//! behind local-mix's end-to-end throughput).
+//! and compiled scan filters behind local-mix's end-to-end throughput).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -13,7 +13,7 @@ use tukwila_exec::join::{MergeJoin, PipelinedHashJoin, RowBuilder};
 use tukwila_exec::op::IncOp;
 use tukwila_optimizer::{Optimizer, OptimizerContext, PhysKind, PhysNode};
 use tukwila_relation::agg::AggFunc;
-use tukwila_relation::{Tuple, Value};
+use tukwila_relation::{Expr, Predicate, Tuple, Value};
 use tukwila_stats::DynamicHistogram;
 use tukwila_storage::{StateStructure, TupleHashTable};
 
@@ -201,6 +201,53 @@ fn bench_narrow_rows(c: &mut Criterion) {
     g.finish();
 }
 
+/// The scan filters local-mix spends its filtering time on, Q10A's
+/// `l_returnflag = 'R'` over lineitem and Q3A's segment filter over
+/// customer, evaluated generically (`expr`) and compiled against the
+/// scan's schema as `FilterOp` runs them (`compiled`).
+fn bench_scan_filter(c: &mut Criterion) {
+    let d = Dataset::generate(DatasetConfig::uniform(0.02));
+    let scan = |q: &tukwila_optimizer::LogicalQuery, t: TableId| {
+        let rel = &q.rels[q.rel_index(t.rel_id()).expect("query reads the table")];
+        let filter = rel.filter.clone().expect("the query filters the table");
+        (filter, Dataset::schema(t), d.table(t))
+    };
+    let scans = [
+        scan(&queries::q10a(), TableId::Lineitem),
+        scan(&queries::q3a(), TableId::Customer),
+    ];
+    let compiled: Vec<Predicate> = scans
+        .iter()
+        .map(|(e, schema, _)| Predicate::compile(e, schema))
+        .collect();
+    let run = |keep: &dyn Fn(usize, &Tuple) -> bool| {
+        let mut kept = 0;
+        let mut out = Vec::with_capacity(1024);
+        for (i, (_, _, rows)) in scans.iter().enumerate() {
+            for chunk in rows.chunks(1024) {
+                out.clear();
+                out.extend(chunk.iter().filter(|t| keep(i, t)).cloned());
+                kept += out.len();
+            }
+        }
+        kept
+    };
+    let by_expr = |i: usize, t: &Tuple| Expr::matches(&scans[i].0, t).unwrap();
+    let by_compiled = |i: usize, t: &Tuple| compiled[i].matches(t).unwrap();
+    let kept = run(&by_expr);
+    assert_eq!(kept, run(&by_compiled), "same filters, same rows");
+    println!(
+        "scan_filter: {kept} of {} rows kept per run",
+        scans.iter().map(|s| s.2.len()).sum::<usize>()
+    );
+
+    let mut g = c.benchmark_group("scan_filter");
+    g.sample_size(20);
+    g.bench_function("expr", |b| b.iter(|| run(&by_expr)));
+    g.bench_function("compiled", |b| b.iter(|| run(&by_compiled)));
+    g.finish();
+}
+
 fn bench_preagg(c: &mut Criterion) {
     let d = dataset();
     let lineitem = &d.lineitem;
@@ -295,6 +342,7 @@ criterion_group!(
     benches,
     bench_joins,
     bench_narrow_rows,
+    bench_scan_filter,
     bench_preagg,
     bench_state_structures,
     bench_histogram

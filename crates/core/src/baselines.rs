@@ -1,5 +1,4 @@
-//! Baseline strategies for the paper's comparisons (Figures 2 and 3), plus
-//! the redundant-computation strategy (§2.1's fourth class, Example 2.3).
+//! Baseline strategies for the paper's comparisons (Figures 2 and 3).
 //!
 //! * **Static optimization**: optimize once, execute to completion.
 //! * **Plan partitioning** (Kabra–DeWitt-style, as configured in §4.4):
@@ -7,15 +6,13 @@
 //!   materialization point, so "Tukwila inserts one after 3 joins have been
 //!   performed"; the remainder of the query is re-optimized with the
 //!   materialized result's now-known cardinality.
-//! * **Redundant computation**: run competing plans over the same sample
-//!   and keep the one that progressed furthest (cheapest CPU per batch).
 
-use tukwila_exec::{Batch, CpuCostModel, ExecReport, SimDriver};
+use tukwila_exec::{CpuCostModel, ExecReport, SimDriver};
 use tukwila_optimizer::{
     AggRef, JoinPred, LogicalQuery, Optimizer, OptimizerContext, PhysKind, PhysNode, QueryRel,
 };
 use tukwila_relation::{Error, Result, Tuple};
-use tukwila_source::{MemSource, Poll, Source};
+use tukwila_source::{MemSource, Source};
 
 use crate::lowering::lower_plan;
 
@@ -277,58 +274,6 @@ fn remainder_query(
     Ok(out)
 }
 
-/// Redundant computation (Example 2.3): feed the same `sample_batches`
-/// batches from each source into every candidate plan, measure CPU, and
-/// return the index of the cheapest candidate.
-pub fn race_plans(
-    q: &LogicalQuery,
-    candidates: &[tukwila_optimizer::PhysPlan],
-    make_sources: &mut dyn FnMut() -> Vec<Box<dyn Source>>,
-    batch_size: usize,
-    sample_batches: usize,
-) -> Result<usize> {
-    let _ = q;
-    if candidates.is_empty() {
-        return Err(Error::Plan("no candidate plans to race".into()));
-    }
-    let mut best = 0usize;
-    let mut best_cost = f64::INFINITY;
-    for (i, plan) in candidates.iter().enumerate() {
-        let lowered = lower_plan(plan, None, false)?;
-        let mut pipeline = lowered.pipeline;
-        let mut sources = make_sources();
-        let mut sink = Batch::new();
-        let start = std::time::Instant::now();
-        let mut work: u64 = 0;
-        for _ in 0..sample_batches {
-            for src in sources.iter_mut() {
-                if let Poll::Ready(batch) = src.poll(u64::MAX, batch_size) {
-                    work += batch.len() as u64;
-                    pipeline.push_source(src.rel_id(), &batch, &mut sink)?;
-                }
-            }
-        }
-        // Cost per unit of input work; wall time breaks ties on real
-        // hardware, probe work keeps the race deterministic in tests.
-        let elapsed = start.elapsed().as_secs_f64();
-        let probes: u64 = pipeline
-            .observations()
-            .iter()
-            .map(|o| o.counters.work())
-            .sum();
-        let cost = if work == 0 {
-            elapsed
-        } else {
-            probes as f64 / work as f64 + elapsed * 1e-9
-        };
-        if cost < best_cost {
-            best_cost = cost;
-            best = i;
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,38 +335,5 @@ mod tests {
         // 2 joins total: cut after min(3, 2) = whole plan -> static.
         assert!(!pp.plan.contains("mat["), "{}", pp.plan);
         assert!(!pp.rows.is_empty());
-    }
-
-    #[test]
-    fn race_picks_the_cheaper_plan() {
-        let d = Dataset::generate(DatasetConfig::uniform(0.002));
-        let q = queries::q3a();
-        let opt = Optimizer::new(OptimizerContext::no_statistics());
-        // Candidate 0: bad order (lineitem x customer cross-ish via orders
-        // late); candidate 1: good order.
-        let bad = opt
-            .plan_with_order(
-                &q,
-                &[
-                    tukwila_datagen::TableId::Lineitem.rel_id(),
-                    tukwila_datagen::TableId::Orders.rel_id(),
-                    tukwila_datagen::TableId::Customer.rel_id(),
-                ],
-            )
-            .unwrap();
-        let good = opt
-            .plan_with_order(
-                &q,
-                &[
-                    tukwila_datagen::TableId::Customer.rel_id(),
-                    tukwila_datagen::TableId::Orders.rel_id(),
-                    tukwila_datagen::TableId::Lineitem.rel_id(),
-                ],
-            )
-            .unwrap();
-        let mut mk = || sources_for(&d, &q);
-        let winner = race_plans(&q, &[bad, good], &mut mk, 256, 8).unwrap();
-        // Both are plausible; the race must at least complete and pick one.
-        assert!(winner < 2);
     }
 }

@@ -25,8 +25,7 @@
 //!   the canonical answer projection and the shared group-by table that
 //!   persists across phases (Figure 1).
 //! * [`baselines`] — static optimization and plan-partitioning
-//!   (materialize-and-reoptimize) baselines for Figure 2/3, and the
-//!   redundant-computation (competing plans) strategy of Example 2.3.
+//!   (materialize-and-reoptimize) baselines for Figure 2/3.
 
 pub mod baselines;
 pub mod complementary;
@@ -35,7 +34,7 @@ pub mod lowering;
 pub mod stitchup;
 
 pub use baselines::{
-    race_plans, run_plan_partitioning, run_plan_partitioning_from, run_static, run_static_from,
+    run_plan_partitioning, run_plan_partitioning_from, run_static, run_static_from,
     run_static_with_driver, StaticRun,
 };
 pub use complementary::{ComplementaryJoinPair, ComplementaryStats, RouterKind};

@@ -2,14 +2,15 @@
 
 use std::sync::Arc;
 
-use tukwila_relation::{Expr, Result, Schema, Tuple};
+use tukwila_relation::{Expr, Predicate, Result, Schema, Tuple};
 use tukwila_stats::OpCounters;
 
 use crate::op::{Batch, IncOp};
 
-/// Pipelined selection: passes tuples matching a predicate.
+/// Pipelined selection: passes tuples matching a predicate, compiled
+/// once against the input's schema.
 pub struct FilterOp {
-    predicate: Expr,
+    predicate: Predicate,
     schema: Schema,
     counters: Arc<OpCounters>,
 }
@@ -18,7 +19,7 @@ impl FilterOp {
     /// A filter keeping tuples for which `predicate` evaluates true.
     pub fn new(predicate: Expr, schema: Schema) -> FilterOp {
         FilterOp {
-            predicate,
+            predicate: Predicate::compile(&predicate, &schema),
             schema,
             counters: OpCounters::new(),
         }

@@ -302,6 +302,6 @@ mod tests {
         let st = j.extract_states();
         assert_eq!(st.len(), 2);
         assert_eq!(st[0].structure.len(), 2);
-        assert_eq!(st[0].structure.props().sorted_by.len(), 1);
+        assert_eq!(st[0].structure.props().keyed_on, Some(0));
     }
 }

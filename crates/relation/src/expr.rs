@@ -4,10 +4,12 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{Error, Result};
+use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,13 +115,7 @@ impl Expr {
             Expr::Cmp(l, op, r) => {
                 let lv = l.eval(t)?;
                 let rv = r.eval(t)?;
-                if lv.is_null() || rv.is_null() {
-                    // SQL three-valued logic collapsed to false for
-                    // filtering purposes.
-                    return Ok(Value::Bool(false));
-                }
-                let ord = lv.cmp_total(&rv);
-                Ok(Value::Bool(op.eval(ord, ord == Ordering::Equal)))
+                Ok(Value::Bool(compare(&lv, *op, &rv)))
             }
             Expr::And(es) => {
                 for e in es {
@@ -165,11 +161,7 @@ impl Expr {
             Expr::Cmp(l, op, r) => {
                 let lv = l.operand(col)?;
                 let rv = r.operand(col)?;
-                if lv.is_null() || rv.is_null() {
-                    return Ok(false);
-                }
-                let ord = lv.cmp_total(&rv);
-                Ok(op.eval(ord, ord == Ordering::Equal))
+                Ok(compare(&lv, *op, &rv))
             }
             Expr::And(es) => {
                 for e in es {
@@ -196,9 +188,7 @@ impl Expr {
     /// columns and literals, computed otherwise.
     fn operand<'v>(&'v self, col: &impl Fn(usize) -> Option<&'v Value>) -> Result<Cow<'v, Value>> {
         match self {
-            Expr::Col(i) => col(*i)
-                .map(Cow::Borrowed)
-                .ok_or_else(|| Error::Exec(format!("column {i} out of range"))),
+            Expr::Col(i) => col(*i).map(Cow::Borrowed).ok_or_else(|| out_of_range(*i)),
             Expr::Lit(v) => Ok(Cow::Borrowed(v)),
             Expr::Arith(l, op, r) => {
                 let lv = l.operand(col)?;
@@ -258,6 +248,132 @@ impl Expr {
                 *op,
                 Box::new(r.remap_columns(f)),
             ),
+        }
+    }
+}
+
+/// The comparison every evaluator shares: SQL three-valued logic
+/// collapsed to false for filtering purposes when either side is null,
+/// otherwise `op` over [`Value::cmp_total`].
+fn compare(l: &Value, op: CmpOp, r: &Value) -> bool {
+    if l.is_null() || r.is_null() {
+        return false;
+    }
+    let ord = l.cmp_total(r);
+    op.eval(ord, ord == Ordering::Equal)
+}
+
+fn out_of_range(i: usize) -> Error {
+    Error::Exec(format!("column {i} out of range"))
+}
+
+/// A filter predicate compiled once against its input's [`Schema`].
+///
+/// A `Col op Lit` comparison whose column is declared with the literal's
+/// type becomes a typed leaf that reads the row's value directly: string
+/// `=`/`<>` compares lengths, then bytes; ints and dates compare as
+/// numbers. A value of any other variant (a null, a float in an int
+/// column, a row its schema misdeclares) takes the generic comparison.
+/// Every other form stays an [`Expr`] leaf. [`Predicate::matches`]
+/// therefore answers exactly as [`Expr::matches`] does, errors included,
+/// and `Expr::matches` stays the independent oracle.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Predicate {
+    /// `col = lit`, or `col <> lit` when `negated`, on a string column.
+    StrEq {
+        col: usize,
+        lit: Arc<str>,
+        negated: bool,
+    },
+    /// `col op lit` on an int column.
+    Int {
+        col: usize,
+        op: CmpOp,
+        lit: i64,
+    },
+    /// `col op lit` on a date column.
+    Date {
+        col: usize,
+        op: CmpOp,
+        lit: i32,
+    },
+    And(Vec<Predicate>),
+    Or(Vec<Predicate>),
+    Not(Box<Predicate>),
+    /// Any other form, evaluated by [`Expr::matches`].
+    Expr(Expr),
+}
+
+impl Predicate {
+    /// Compile `e` for rows of `schema`.
+    pub fn compile(e: &Expr, schema: &Schema) -> Predicate {
+        let all = |es: &[Expr]| es.iter().map(|e| Predicate::compile(e, schema)).collect();
+        match e {
+            Expr::And(es) => Predicate::And(all(es)),
+            Expr::Or(es) => Predicate::Or(all(es)),
+            Expr::Not(e) => Predicate::Not(Box::new(Predicate::compile(e, schema))),
+            Expr::Cmp(l, op, r) => match (&**l, &**r) {
+                (&Expr::Col(col), Expr::Lit(lit)) if col < schema.arity() => {
+                    match (schema.field(col).dtype, lit, *op) {
+                        (DataType::Str, Value::Str(s), CmpOp::Eq | CmpOp::Ne) => Predicate::StrEq {
+                            col,
+                            lit: s.clone(),
+                            negated: *op == CmpOp::Ne,
+                        },
+                        (DataType::Int, &Value::Int(lit), op) => Predicate::Int { col, op, lit },
+                        (DataType::Date, &Value::Date(lit), op) => Predicate::Date { col, op, lit },
+                        _ => Predicate::Expr(e.clone()),
+                    }
+                }
+                _ => Predicate::Expr(e.clone()),
+            },
+            _ => Predicate::Expr(e.clone()),
+        }
+    }
+
+    /// Whether `t` passes; the same answer as [`Expr::matches`] on the
+    /// expression this was compiled from.
+    pub fn matches(&self, t: &Tuple) -> Result<bool> {
+        let col = |i: usize| t.values().get(i).ok_or_else(|| out_of_range(i));
+        match self {
+            Predicate::StrEq {
+                col: i,
+                lit,
+                negated,
+            } => Ok(match col(*i)? {
+                // `str` equality: lengths, then bytes.
+                Value::Str(s) => (**s == **lit) != *negated,
+                other => {
+                    let op = if *negated { CmpOp::Ne } else { CmpOp::Eq };
+                    compare(other, op, &Value::Str(lit.clone()))
+                }
+            }),
+            Predicate::Int { col: i, op, lit } => Ok(match col(*i)? {
+                Value::Int(x) => op.eval(x.cmp(lit), x == lit),
+                other => compare(other, *op, &Value::Int(*lit)),
+            }),
+            Predicate::Date { col: i, op, lit } => Ok(match col(*i)? {
+                Value::Date(x) => op.eval(x.cmp(lit), x == lit),
+                other => compare(other, *op, &Value::Date(*lit)),
+            }),
+            Predicate::And(ps) => {
+                for p in ps {
+                    if !p.matches(t)? {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+            Predicate::Or(ps) => {
+                for p in ps {
+                    if p.matches(t)? {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
+            Predicate::Not(p) => Ok(!p.matches(t)?),
+            Predicate::Expr(e) => e.matches(t),
         }
     }
 }
@@ -407,6 +523,82 @@ mod tests {
     fn out_of_range_column_is_error() {
         let row = t(vec![Value::Int(1)]);
         assert!(Expr::Col(5).eval(&row).is_err());
+    }
+
+    fn typed_schema() -> Schema {
+        Schema::new(vec![
+            crate::Field::new("t.s", DataType::Str),
+            crate::Field::new("t.i", DataType::Int),
+            crate::Field::new("t.d", DataType::Date),
+        ])
+    }
+
+    #[test]
+    fn typed_leaves_compile_from_matching_literals() {
+        let schema = typed_schema();
+        let s = Predicate::compile(&Expr::eq(Expr::Col(0), Expr::Lit(Value::str("R"))), &schema);
+        assert!(matches!(
+            s,
+            Predicate::StrEq {
+                col: 0,
+                negated: false,
+                ..
+            }
+        ));
+        let i = Expr::cmp(Expr::Col(1), CmpOp::Lt, Expr::Lit(Value::Int(3)));
+        assert!(matches!(
+            Predicate::compile(&i, &schema),
+            Predicate::Int { col: 1, .. }
+        ));
+        let d = Expr::cmp(Expr::Col(2), CmpOp::Ge, Expr::Lit(Value::Date(9)));
+        let n = Predicate::compile(&Expr::Not(Box::new(d)), &schema);
+        assert!(matches!(n, Predicate::Not(ref p) if matches!(**p, Predicate::Date { .. })));
+        // String ordering, a literal of another type, a column beyond the
+        // schema and a literal on the left all stay generic.
+        for e in [
+            Expr::cmp(Expr::Col(0), CmpOp::Lt, Expr::Lit(Value::str("R"))),
+            Expr::eq(Expr::Col(1), Expr::Lit(Value::Float(1.0))),
+            Expr::eq(Expr::Col(3), Expr::Lit(Value::Int(1))),
+            Expr::eq(Expr::Lit(Value::Int(1)), Expr::Col(1)),
+        ] {
+            assert_eq!(Predicate::compile(&e, &schema), Predicate::Expr(e));
+        }
+    }
+
+    #[test]
+    fn typed_leaves_fall_back_on_other_variants() {
+        let schema = typed_schema();
+        let rows = [
+            t(vec![Value::str("R"), Value::Int(2), Value::Date(9)]),
+            t(vec![Value::Null, Value::Null, Value::Null]),
+            t(vec![Value::Int(1), Value::Float(2.0), Value::Int(9)]),
+            t(vec![Value::str("")]),
+        ];
+        let exprs = [
+            Expr::eq(Expr::Col(0), Expr::Lit(Value::str("R"))),
+            Expr::cmp(Expr::Col(0), CmpOp::Ne, Expr::Lit(Value::str("R"))),
+            Expr::Not(Box::new(Expr::eq(Expr::Col(0), Expr::Lit(Value::str("R"))))),
+            Expr::cmp(Expr::Col(1), CmpOp::Le, Expr::Lit(Value::Int(2))),
+            Expr::cmp(Expr::Col(2), CmpOp::Ge, Expr::Lit(Value::Date(9))),
+        ];
+        for e in &exprs {
+            let p = Predicate::compile(e, &schema);
+            for row in &rows {
+                match (p.matches(row), e.matches(row)) {
+                    (Ok(got), Ok(want)) => assert_eq!(got, want, "{e} on {row:?}"),
+                    (Err(_), Err(_)) => {}
+                    (got, want) => panic!("{e} on {row:?}: {got:?} vs {want:?}"),
+                }
+            }
+        }
+        // Null compares false, so its negation passes.
+        assert!(Predicate::compile(&exprs[2], &schema)
+            .matches(&rows[1])
+            .unwrap());
+        // The short row has no column 1.
+        assert!(Predicate::compile(&exprs[3], &schema)
+            .matches(&rows[3])
+            .is_err());
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   order-incompatibility").
 //! * [`Schema`] — named, typed attribute lists with qualified names.
 //! * [`Expr`] — scalar expressions and predicates for
-//!   select-project-join-aggregate queries.
+//!   select-project-join-aggregate queries; [`Predicate`] is a filter
+//!   predicate compiled against its input's schema.
 //! * [`agg`] — aggregate functions (`min`/`max`/`sum`/`count`/`avg`) with
 //!   *mergeable* accumulator state, the algebraic property (distributivity
 //!   over union) that adaptive data partitioning relies on.
@@ -31,7 +32,7 @@ pub mod tuple;
 pub mod value;
 
 pub use error::{Error, Result};
-pub use expr::{CmpOp, Expr};
+pub use expr::{CmpOp, Expr, Predicate};
 pub use schema::{Field, Schema};
 pub use sort::{cmp_tuples, SortKey};
 pub use tuple::{Tuple, TupleAdapter};

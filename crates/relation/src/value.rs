@@ -145,9 +145,18 @@ impl Value {
         }
     }
 
-    /// Equality consistent with [`Value::cmp_total`].
+    /// Equality consistent with [`Value::cmp_total`]. Same-variant pairs
+    /// skip the full ordering: strings test identity, then lengths and
+    /// bytes; floats keep the total order's `-0.0 ≠ 0.0` and NaN = NaN.
     pub fn eq_total(&self, other: &Value) -> bool {
-        self.cmp_total(other) == Ordering::Equal
+        use Value::*;
+        match (self, other) {
+            (Str(a), Str(b)) => Arc::ptr_eq(a, b) || **a == **b,
+            (Int(a), Int(b)) => a == b,
+            (Date(a), Date(b)) => a == b,
+            (Float(a), Float(b)) => a.total_cmp(b).is_eq(),
+            _ => self.cmp_total(other) == Ordering::Equal,
+        }
     }
 }
 

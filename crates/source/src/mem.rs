@@ -6,12 +6,18 @@ use crate::source::{Poll, Source, SourceProgressView};
 
 /// A local table exposed as a sequential source. Used for the paper's
 /// "local data" experiments, where running time isolates computation cost.
+///
+/// The source owns its rows and hands each one over exactly once: a poll
+/// moves the next rows out instead of cloning them, so delivering a table
+/// costs no reference-count traffic and a drained source drops nothing.
 pub struct MemSource {
     rel_id: u32,
     name: String,
     schema: Schema,
-    tuples: Vec<Tuple>,
-    pos: usize,
+    /// The rows not yet delivered, in table order.
+    rows: std::vec::IntoIter<Tuple>,
+    /// Rows in the table, delivered or not.
+    total: usize,
     advertise_total: bool,
 }
 
@@ -21,8 +27,8 @@ impl MemSource {
             rel_id,
             name: name.into(),
             schema,
-            tuples,
-            pos: 0,
+            total: tuples.len(),
+            rows: tuples.into_iter(),
             advertise_total: false,
         }
     }
@@ -32,10 +38,6 @@ impl MemSource {
     pub fn with_advertised_total(mut self) -> Self {
         self.advertise_total = true;
         self
-    }
-
-    pub fn remaining(&self) -> usize {
-        self.tuples.len() - self.pos
     }
 }
 
@@ -53,24 +55,22 @@ impl Source for MemSource {
     }
 
     fn poll(&mut self, _now_us: u64, max_tuples: usize) -> Poll {
-        if self.pos >= self.tuples.len() {
+        if self.rows.as_slice().is_empty() {
             return Poll::Eof;
         }
-        let end = (self.pos + max_tuples).min(self.tuples.len());
-        let batch = self.tuples[self.pos..end].to_vec();
-        self.pos = end;
-        Poll::Ready(batch)
+        Poll::Ready(self.rows.by_ref().take(max_tuples).collect())
     }
 
     fn progress(&self) -> SourceProgressView {
+        let read = self.total - self.rows.len();
         SourceProgressView {
-            tuples_read: self.pos as u64,
-            fraction_read: if self.advertise_total && !self.tuples.is_empty() {
-                Some(self.pos as f64 / self.tuples.len() as f64)
+            tuples_read: read as u64,
+            fraction_read: if self.advertise_total && self.total > 0 {
+                Some(read as f64 / self.total as f64)
             } else {
                 None
             },
-            eof: self.pos >= self.tuples.len(),
+            eof: self.rows.as_slice().is_empty(),
         }
     }
 }
@@ -121,6 +121,34 @@ mod tests {
         let mut s2 = src(10).with_advertised_total();
         let _ = s2.poll(0, 5);
         assert_eq!(s2.progress().fraction_read, Some(0.5));
+    }
+
+    #[test]
+    fn hands_rows_over_with_exact_progress() {
+        let input: Vec<Tuple> = (0..10).map(|i| Tuple::new(vec![Value::Int(i)])).collect();
+        let storage: Vec<*const Value> = input.iter().map(|t| t.values().as_ptr()).collect();
+        let schema = Schema::new(vec![Field::new("t.x", DataType::Int)]);
+        let mut s = MemSource::new(1, "t", schema, input).with_advertised_total();
+        let mut got = Vec::new();
+        // Zero, one, a middle size, then more than the remainder.
+        for max in [0, 1, 0, 4, 1, 100, 3] {
+            let before = got.len();
+            match s.poll(0, max) {
+                Poll::Ready(b) => {
+                    assert_eq!(b.len(), max.min(10 - before), "max {max}");
+                    got.extend(b);
+                }
+                Poll::Eof => assert_eq!(before, 10, "early eof"),
+                Poll::Pending { .. } => panic!("mem source never pends"),
+            }
+            let p = s.progress();
+            assert_eq!(p.tuples_read, got.len() as u64);
+            assert_eq!(p.fraction_read, Some(got.len() as f64 / 10.0));
+            assert_eq!(p.eof, got.len() == 10);
+        }
+        assert_eq!(s.poll(0, 0), Poll::Eof);
+        let delivered: Vec<*const Value> = got.iter().map(|t| t.values().as_ptr()).collect();
+        assert_eq!(delivered, storage, "rows are moved out, not copied");
     }
 
     #[test]

@@ -69,7 +69,6 @@ impl StateStructure for SortedList {
     fn props(&self) -> StructProps {
         StructProps {
             keyed_on: self.keys.first().map(|k| k.col),
-            sorted_by: self.keys.clone(),
         }
     }
 
@@ -136,6 +135,5 @@ mod tests {
         let mut out = Vec::new();
         l.probe_into(&Value::Int(4).to_key(), &mut out);
         assert_eq!(out.len(), 2);
-        assert_eq!(l.props().sorted_by, asc());
     }
 }

@@ -1,6 +1,6 @@
 //! The shared read-view trait over all state structures.
 
-use tukwila_relation::{Key, SortKey, Tuple};
+use tukwila_relation::{Key, Tuple};
 
 use crate::hash_table::TupleHashTable;
 
@@ -12,22 +12,16 @@ use crate::hash_table::TupleHashTable;
 pub struct StructProps {
     /// Column on which key-based probes are supported, if any.
     pub keyed_on: Option<usize>,
-    /// Sort order the scan respects, if any.
-    pub sorted_by: Vec<SortKey>,
 }
 
 impl StructProps {
     pub fn unkeyed() -> StructProps {
-        StructProps {
-            keyed_on: None,
-            sorted_by: Vec::new(),
-        }
+        StructProps { keyed_on: None }
     }
 
     pub fn keyed(col: usize) -> StructProps {
         StructProps {
             keyed_on: Some(col),
-            ..StructProps::unkeyed()
         }
     }
 }
@@ -77,7 +71,6 @@ mod tests {
     fn props_constructors() {
         let u = StructProps::unkeyed();
         assert!(u.keyed_on.is_none());
-        assert!(u.sorted_by.is_empty());
         let k = StructProps::keyed(3);
         assert_eq!(k.keyed_on, Some(3));
     }

@@ -18,7 +18,7 @@ use tukwila::exec::reference::{canonicalize, canonicalize_approx, RefQuery, RefR
 use tukwila::exec::CpuCostModel;
 use tukwila::federation::KeyDedup;
 use tukwila::relation::agg::{AggFunc, AggState};
-use tukwila::relation::{CmpOp, DataType, Expr, Field, Key, Schema, Tuple, Value};
+use tukwila::relation::{CmpOp, DataType, Expr, Field, Key, Predicate, Schema, Tuple, Value};
 use tukwila::source::{MemSource, Source};
 use tukwila::storage::{SortedList, StateStructure, TupleHashTable};
 
@@ -68,19 +68,11 @@ fn random_pred(ops: &mut dyn Iterator<Item = (u8, i64)>, depth: u32) -> Expr {
     if depth == 0 {
         return leaf(op, x);
     }
-    let cmp = [
-        CmpOp::Eq,
-        CmpOp::Ne,
-        CmpOp::Lt,
-        CmpOp::Le,
-        CmpOp::Gt,
-        CmpOp::Ge,
-    ];
     let sub = |ops: &mut dyn Iterator<Item = (u8, i64)>| random_pred(ops, depth - 1);
     match op % 8 {
         0..=2 => {
             let l = sub(ops);
-            Expr::cmp(l, cmp[(x.rem_euclid(6)) as usize], sub(ops))
+            Expr::cmp(l, CMP_OPS[(x.rem_euclid(6)) as usize], sub(ops))
         }
         3 => Expr::And((0..1 + x.rem_euclid(3)).map(|_| sub(ops)).collect()),
         4 => Expr::Or((0..1 + x.rem_euclid(3)).map(|_| sub(ops)).collect()),
@@ -96,6 +88,45 @@ fn random_pred(ops: &mut dyn Iterator<Item = (u8, i64)>, depth: u32) -> Expr {
             Expr::Arith(Box::new(l), op, Box::new(sub(ops)))
         }
         _ => leaf(op / 8, x),
+    }
+}
+
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+/// Decode a scan filter from `ops`: connectives down to `depth` over
+/// `Col op Lit` comparisons, the form a compiled predicate types. Columns
+/// are those of a 3-column row, one out of range; literals take every
+/// type, null included.
+fn scan_pred(ops: &mut dyn Iterator<Item = (u8, i64)>, depth: u32) -> Expr {
+    let (op, x) = ops.next().unwrap_or((0, 0));
+    if depth == 0 || op % 4 == 0 {
+        let lit = match op / 4 % 8 {
+            0 => Value::Date(x as i32),
+            1 => Value::Bool(x > 0),
+            2 => Value::Null,
+            3 | 4 => Value::Int(x),
+            5 => Value::Float(x as f64 / 4.0),
+            _ => value(7, x),
+        };
+        let cmp = CMP_OPS[(op / 32 % 6) as usize];
+        return Expr::cmp(
+            Expr::Col((x + op as i64).rem_euclid(4) as usize),
+            cmp,
+            Expr::Lit(lit),
+        );
+    }
+    let sub = |ops: &mut dyn Iterator<Item = (u8, i64)>| scan_pred(ops, depth - 1);
+    match op % 4 {
+        1 => Expr::And((0..1 + x.rem_euclid(3)).map(|_| sub(ops)).collect()),
+        2 => Expr::Or((0..1 + x.rem_euclid(3)).map(|_| sub(ops)).collect()),
+        _ => Expr::Not(Box::new(sub(ops))),
     }
 }
 
@@ -488,36 +519,6 @@ proptest! {
         prop_assert_eq!(stats, want_stats);
     }
 
-    /// `Expr::matches` (operands borrowed in place) agrees with
-    /// `eval(t)?.as_bool()` — value and error-ness — on random predicate
-    /// trees over nulls, mixed Int/Float/Date columns and strings.
-    #[test]
-    fn matches_equals_eval_as_bool(
-        cells in prop::collection::vec(((0u8..=10), -4i64..4), 3..4),
-        program in prop::collection::vec((0u8..=255, -4i64..4), 1..24),
-    ) {
-        let row = Tuple::new(
-            cells
-                .iter()
-                .map(|&(c, x)| if c >= 9 { Value::Date(x as i32) } else { value(c, x) })
-                .collect(),
-        );
-        let mut ops = program.iter().copied();
-        let pred = random_pred(&mut ops, 3);
-        let want = pred.eval(&row).and_then(|v| v.as_bool());
-        match (pred.matches(&row), want) {
-            (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "{}", pred),
-            (Err(_), Err(_)) => {}
-            (got, want) => prop_assert!(
-                false,
-                "{}: matches {:?} vs eval {:?}",
-                pred,
-                got.is_ok(),
-                want.is_ok()
-            ),
-        }
-    }
-
     /// The federated seen-set passes exactly the first delivery of each
     /// composite (nullable, string) key, whichever candidate delivers it
     /// and however the feeds are split into batches.
@@ -679,5 +680,110 @@ proptest! {
             "phases: {:?}",
             report.phases.iter().map(|p| p.plan.clone()).collect::<Vec<_>>()
         );
+    }
+}
+
+proptest! {
+    // Each case is one small row; many cases reach every typed leaf and
+    // fallback pair.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `Expr::matches` (operands borrowed in place) agrees with
+    /// `eval(t)?.as_bool()` — value and error-ness — on random predicate
+    /// trees over nulls, mixed Int/Float/Date columns and strings, and the
+    /// compiled `Predicate` agrees with `Expr::matches`.
+    #[test]
+    fn matches_equals_eval_as_bool(
+        cells in prop::collection::vec(((0u8..=10), -4i64..4), 3..4),
+        declared in prop::collection::vec(0u8..=9, 4..5),
+        program in prop::collection::vec((0u8..=255, -4i64..4), 1..24),
+    ) {
+        let row = Tuple::new(
+            cells
+                .iter()
+                .map(|&(c, x)| if c >= 9 { Value::Date(x as i32) } else { value(c, x) })
+                .collect(),
+        );
+        let mut ops = program.iter().copied();
+        let pred = random_pred(&mut ops, 3);
+        let want = pred.eval(&row).and_then(|v| v.as_bool());
+        match (pred.matches(&row), want) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "{}", pred),
+            (Err(_), Err(_)) => {}
+            (got, want) => prop_assert!(
+                false,
+                "{}: matches {:?} vs eval {:?}",
+                pred,
+                got.is_ok(),
+                want.is_ok()
+            ),
+        }
+        // The compiled form answers as `matches` does, on the random tree
+        // and on a scan filter, whose leaves compile to typed comparisons.
+        // Half the declared column types are the row's own, half
+        // arbitrary, so typed leaves meet both their own variant and every
+        // fallback; the schema declares a fourth column the row lacks.
+        let types = [DataType::Bool, DataType::Int, DataType::Float, DataType::Str, DataType::Date];
+        let schema = Schema::new(
+            declared
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| {
+                    let own = row.values().get(i).and_then(Value::dtype);
+                    let dtype = match own {
+                        Some(t) if d < 5 => t,
+                        _ => types[d as usize % 5],
+                    };
+                    Field::new(format!("t.c{i}"), dtype)
+                })
+                .collect(),
+        );
+        let scan = scan_pred(&mut program.iter().rev().copied(), 2);
+        for e in [&pred, &scan] {
+            let compiled = Predicate::compile(e, &schema);
+            match (compiled.matches(&row), e.matches(&row)) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "{} as {:?}", e, compiled),
+                (Err(_), Err(_)) => {}
+                (got, want) => prop_assert!(
+                    false,
+                    "{}: compiled {:?} vs matches {:?}",
+                    e,
+                    got.is_ok(),
+                    want.is_ok()
+                ),
+            }
+        }
+    }
+
+    /// `eq_total`'s same-variant fast paths agree with the full ordering
+    /// on every pair of variants: shared and separate strings, the empty
+    /// string, signed zeros and NaN, and numeric cross-type pairs.
+    #[test]
+    fn eq_total_equals_cmp_total_equal(
+        cells in prop::collection::vec((0u8..=7, -3i64..3), 2..10),
+    ) {
+        let shared: Vec<Value> = ["", "R", "RR", "N"].into_iter().map(Value::str).collect();
+        let vals: Vec<Value> = cells
+            .iter()
+            .map(|&(c, x)| {
+                let i = x.rem_euclid(4) as usize;
+                match c {
+                    0 => Value::Null,
+                    1 => Value::Bool(x > 0),
+                    2 => Value::Int(x),
+                    3 => Value::Float([-0.0, 0.0, f64::NAN, x as f64][i]),
+                    4 => Value::Float(x as f64 / 2.0),
+                    5 => Value::Date(x as i32),
+                    6 => shared[i].clone(),
+                    _ => Value::str(["", "R", "RR", "N"][i]),
+                }
+            })
+            .collect();
+        for a in &vals {
+            for b in &vals {
+                let want = a.cmp_total(b) == std::cmp::Ordering::Equal;
+                prop_assert_eq!(a.eq_total(b), want, "{:?} vs {:?}", a, b);
+            }
+        }
     }
 }
