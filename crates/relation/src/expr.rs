@@ -271,9 +271,10 @@ fn out_of_range(i: usize) -> Error {
 ///
 /// A `Col op Lit` comparison whose column is declared with the literal's
 /// type becomes a typed leaf that reads the row's value directly: string
-/// `=`/`<>` compares lengths, then bytes; ints and dates compare as
-/// numbers. A value of any other variant (a null, a float in an int
-/// column, a row its schema misdeclares) takes the generic comparison.
+/// `=`/`<>` compares lengths, then bytes; dates compare as day numbers.
+/// (These are the forms the workload queries filter on.) A value of any
+/// other variant (a null, an int in a date column, a row its schema
+/// misdeclares) takes the generic comparison.
 /// Every other form stays an [`Expr`] leaf. [`Predicate::matches`]
 /// therefore answers exactly as [`Expr::matches`] does, errors included,
 /// and `Expr::matches` stays the independent oracle.
@@ -284,12 +285,6 @@ pub enum Predicate {
         col: usize,
         lit: Arc<str>,
         negated: bool,
-    },
-    /// `col op lit` on an int column.
-    Int {
-        col: usize,
-        op: CmpOp,
-        lit: i64,
     },
     /// `col op lit` on a date column.
     Date {
@@ -320,7 +315,6 @@ impl Predicate {
                             lit: s.clone(),
                             negated: *op == CmpOp::Ne,
                         },
-                        (DataType::Int, &Value::Int(lit), op) => Predicate::Int { col, op, lit },
                         (DataType::Date, &Value::Date(lit), op) => Predicate::Date { col, op, lit },
                         _ => Predicate::Expr(e.clone()),
                     }
@@ -347,10 +341,6 @@ impl Predicate {
                     let op = if *negated { CmpOp::Ne } else { CmpOp::Eq };
                     compare(other, op, &Value::Str(lit.clone()))
                 }
-            }),
-            Predicate::Int { col: i, op, lit } => Ok(match col(*i)? {
-                Value::Int(x) => op.eval(x.cmp(lit), x == lit),
-                other => compare(other, *op, &Value::Int(*lit)),
             }),
             Predicate::Date { col: i, op, lit } => Ok(match col(*i)? {
                 Value::Date(x) => op.eval(x.cmp(lit), x == lit),
@@ -545,18 +535,15 @@ mod tests {
                 ..
             }
         ));
-        let i = Expr::cmp(Expr::Col(1), CmpOp::Lt, Expr::Lit(Value::Int(3)));
-        assert!(matches!(
-            Predicate::compile(&i, &schema),
-            Predicate::Int { col: 1, .. }
-        ));
         let d = Expr::cmp(Expr::Col(2), CmpOp::Ge, Expr::Lit(Value::Date(9)));
         let n = Predicate::compile(&Expr::Not(Box::new(d)), &schema);
         assert!(matches!(n, Predicate::Not(ref p) if matches!(**p, Predicate::Date { .. })));
-        // String ordering, a literal of another type, a column beyond the
-        // schema and a literal on the left all stay generic.
+        // String ordering, an int column, a literal of another type, a
+        // column beyond the schema and a literal on the left all stay
+        // generic.
         for e in [
             Expr::cmp(Expr::Col(0), CmpOp::Lt, Expr::Lit(Value::str("R"))),
+            Expr::cmp(Expr::Col(1), CmpOp::Lt, Expr::Lit(Value::Int(3))),
             Expr::eq(Expr::Col(1), Expr::Lit(Value::Float(1.0))),
             Expr::eq(Expr::Col(3), Expr::Lit(Value::Int(1))),
             Expr::eq(Expr::Lit(Value::Int(1)), Expr::Col(1)),

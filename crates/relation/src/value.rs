@@ -147,14 +147,13 @@ impl Value {
 
     /// Equality consistent with [`Value::cmp_total`]. Same-variant pairs
     /// skip the full ordering: strings test identity, then lengths and
-    /// bytes; floats keep the total order's `-0.0 ≠ 0.0` and NaN = NaN.
+    /// bytes; ints and dates compare directly.
     pub fn eq_total(&self, other: &Value) -> bool {
         use Value::*;
         match (self, other) {
             (Str(a), Str(b)) => Arc::ptr_eq(a, b) || **a == **b,
             (Int(a), Int(b)) => a == b,
             (Date(a), Date(b)) => a == b,
-            (Float(a), Float(b)) => a.total_cmp(b).is_eq(),
             _ => self.cmp_total(other) == Ordering::Equal,
         }
     }
