@@ -46,7 +46,10 @@
 //! Each scan side's key order is checked as its tuples arrive. A side
 //! that delivers a key out of its requested order or range panics, like
 //! the misdeclared-key guard: completing at a false meeting point would
-//! silently truncate the union.
+//! silently truncate the union. The checked order is also what dedupes a
+//! scan: a side delivered exactly the keys up to its water mark, so its
+//! batch's fresh part is the prefix before its partner's mark (see
+//! [`KeyDedup`]).
 //!
 //! ## Completion rule
 //!
@@ -63,7 +66,7 @@
 //!
 //! Partial replicas must jointly cover the relation for the union to be
 //! complete; the key-dedupe makes any *overlap* harmless — including the
-//! crossing batch of a split.
+//! crossing batch of a split, which the water marks cut.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -98,48 +101,120 @@ impl Hasher for KeyHashId {
 }
 
 /// The key-based dedupe of [`FederatedSource`]: drop keys another
-/// replica already delivered, and catch misdeclared keys by
+/// candidate already delivered, and catch misdeclared keys by
 /// provenance (a candidate re-delivering its *own* key proves the
 /// declared key columns are not unique).
 ///
-/// The seen-set is keyed by a stable composite-key hash computed once
-/// per tuple with no allocation ([`tuple_key_hash`]). Entries sharing a
-/// hash are chained: the map holds the newest entry's index, and `next`
-/// links each entry to the previous one, so an insert allocates nothing
-/// beyond the entry itself. The `GroupKey` is only materialized when a
-/// key is inserted.
+/// A candidate declared a key scan ([`KeyDedup::ascending_scan`],
+/// [`KeyDedup::descending_scan`]) delivers its keys in strict key order,
+/// which [`KeyDedup::filter`] checks per tuple. What a scan delivered is
+/// therefore a key interval up to its water mark — the last key it
+/// delivered — and a scan tuple is a duplicate exactly when it lies at
+/// or beyond its partner's water mark: the fresh part of a scan batch is
+/// a prefix, cut there with no hashing.
+///
+/// Every other candidate (a race, a partial replica, a refused request)
+/// goes through the seen-set: its tuple is a duplicate if its key lies
+/// in a scan interval or in the set. The set is keyed by a stable
+/// composite-key hash computed once per tuple with no allocation
+/// ([`tuple_key_hash`]). Entries sharing a hash are chained: the map
+/// holds the newest entry's index, and `next` links each entry to the
+/// previous one, so an insert allocates nothing beyond the entry itself.
+/// The `GroupKey` is only materialized when a key is inserted. Scan
+/// tuples probe the set only once it holds a key.
 pub struct KeyDedup {
     rel_id: u32,
     key_cols: Vec<usize>,
+    /// The relation key, ascending: the order of key scans.
+    key_order: Vec<SortKey>,
     /// Key-hash → index of the newest entry with that hash (hash
     /// collisions resolved by the exact key comparison below).
     heads: HashMap<u64, u32, BuildHasherDefault<KeyHashId>>,
-    /// Keys delivered to the engine, with the candidate that delivered
-    /// each first.
+    /// Keys delivered by candidates that are not key scans, with the
+    /// candidate that delivered each first.
     entries: Vec<(GroupKey, usize)>,
     /// Per entry: the next-older entry with the same key hash, or
     /// [`NO_ENTRY`].
     next: Vec<u32>,
+    /// The ascending key scan: it started below the first key.
+    ascending: Option<KeyScan>,
+    /// The descending key scan: it started above the last key.
+    descending: Option<KeyScan>,
+    /// The two scans met: one delivered a key its partner already had.
+    met: bool,
 }
 
 /// End of a [`KeyDedup`] hash chain.
 const NO_ENTRY: u32 = u32::MAX;
+
+/// One confirmed key scan of a [`KeyDedup`].
+struct KeyScan {
+    candidate: usize,
+    /// Exclusive lower key bound of a descending scan (`None`: no bound).
+    floor: Option<Tuple>,
+    /// The last tuple delivered; its key is the scan's water mark.
+    last: Option<Tuple>,
+}
 
 impl KeyDedup {
     /// A dedupe for `rel_id` keyed on `key_cols`.
     pub fn new(rel_id: u32, key_cols: Vec<usize>) -> KeyDedup {
         KeyDedup {
             rel_id,
+            key_order: key_cols.iter().map(|&c| SortKey::asc(c)).collect(),
             key_cols,
             heads: HashMap::default(),
             entries: Vec::new(),
             next: Vec::new(),
+            ascending: None,
+            descending: None,
+            met: false,
         }
     }
 
-    /// Distinct keys delivered so far.
+    /// Distinct keys in the seen-set: those delivered first by
+    /// candidates that are not key scans.
     pub fn seen_keys(&self) -> usize {
         self.entries.len()
+    }
+
+    /// From now on `candidate` delivers every key of the relation in
+    /// ascending key order, from the first. Call before its first batch.
+    pub fn ascending_scan(&mut self, candidate: usize) {
+        assert!(self.ascending.is_none(), "one ascending key scan");
+        self.ascending = Some(KeyScan {
+            candidate,
+            floor: None,
+            last: None,
+        });
+    }
+
+    /// From now on `candidate` delivers every key above `floor`'s key
+    /// (every key when `None`) in descending key order, from the last.
+    /// Call before its first batch.
+    pub fn descending_scan(&mut self, candidate: usize, floor: Option<Tuple>) {
+        assert!(self.descending.is_none(), "one descending key scan");
+        self.descending = Some(KeyScan {
+            candidate,
+            floor,
+            last: None,
+        });
+    }
+
+    /// The last tuple key scan `candidate` delivered, if it is one.
+    pub fn water_mark(&self, candidate: usize) -> Option<&Tuple> {
+        [&self.ascending, &self.descending]
+            .into_iter()
+            .flatten()
+            .find(|s| s.candidate == candidate)?
+            .last
+            .as_ref()
+    }
+
+    /// Whether the two key scans met: one delivered a key its partner
+    /// already delivered, so between them they delivered every key.
+    pub fn met(&self) -> bool {
+        self.met
     }
 
     /// Walk the chain of entries with key hash `h` for the key of `t`;
@@ -176,30 +251,130 @@ impl KeyDedup {
         );
     }
 
+    /// Whether a key scan already delivered `t`'s key: it lies at or
+    /// below the ascending scan's water mark, or at or above the
+    /// descending one's.
+    fn scanned(&self, t: &Tuple) -> bool {
+        let keys = &self.key_order;
+        let asc = self.ascending.as_ref().and_then(|s| s.last.as_ref());
+        let desc = self.descending.as_ref().and_then(|s| s.last.as_ref());
+        asc.is_some_and(|m| cmp_tuples(keys, t, m).is_le())
+            || desc.is_some_and(|m| cmp_tuples(keys, t, m).is_ge())
+    }
+
     /// Filter `batch` down to tuples whose key has not been delivered yet.
     ///
     /// Panics if `candidate` (identified by `name` in the diagnostic)
     /// re-delivers a key it delivered itself: each candidate reads its own
     /// data sequentially exactly once, so that can only mean the declared
     /// key columns are not a real key, and silently dropping the tuple
-    /// would corrupt the union.
+    /// would corrupt the union. Panics too when a key scan delivers a key
+    /// out of its order or range: completing at a "meeting" of unordered
+    /// scans would silently truncate the union.
+    ///
     /// The batch is filtered in place, so a batch of fresh tuples costs
     /// no allocation beyond the seen-set entries.
     pub fn filter(&mut self, candidate: usize, name: &str, mut batch: Vec<Tuple>) -> Vec<Tuple> {
-        batch.retain(|t| {
-            let h = tuple_key_hash(t, &self.key_cols);
-            match self.seen_by(h, t) {
-                Some(first) => {
-                    self.assert_fresh_provenance(first, candidate, name);
-                    false
+        let descending = match (&self.ascending, &self.descending) {
+            (Some(s), _) if s.candidate == candidate => Some(false),
+            (_, Some(s)) if s.candidate == candidate => Some(true),
+            _ => None,
+        };
+        let Some(descending) = descending else {
+            batch.retain(|t| {
+                let h = tuple_key_hash(t, &self.key_cols);
+                match self.seen_by(h, t) {
+                    Some(first) => {
+                        self.assert_fresh_provenance(first, candidate, name);
+                        false
+                    }
+                    None if self.scanned(t) => false,
+                    None => {
+                        self.insert(h, group_key(t.values(), &self.key_cols), candidate);
+                        true
+                    }
                 }
-                None => {
-                    self.insert(h, group_key(t.values(), &self.key_cols), candidate);
-                    true
-                }
-            }
-        });
+            });
+            return batch;
+        };
+        let fresh = self.check_scan(descending, name, &batch);
+        batch.truncate(fresh);
+        if !self.entries.is_empty() {
+            batch.retain(
+                |t| match self.seen_by(tuple_key_hash(t, &self.key_cols), t) {
+                    Some(first) => {
+                        self.assert_fresh_provenance(first, candidate, name);
+                        false
+                    }
+                    None => true,
+                },
+            );
+        }
         batch
+    }
+
+    /// Check a batch of the `descending` (or ascending) key scan against
+    /// its order and range, and advance its water mark. Returns the
+    /// length of the batch's fresh prefix: the tuples before the first
+    /// one at or beyond the partner's water mark, which the partner
+    /// already delivered. Reaching the mark is the scans' meeting.
+    fn check_scan(&mut self, descending: bool, name: &str, batch: &[Tuple]) -> usize {
+        let (side, partner) = match descending {
+            true => (&self.descending, &self.ascending),
+            false => (&self.ascending, &self.descending),
+        };
+        let side = side.as_ref().expect("a declared key scan");
+        let partner_mark = partner.as_ref().and_then(|p| p.last.as_ref());
+        let keys = &self.key_order;
+        // The key order of `a` against `b` in the scan's direction.
+        let ahead = |a: &Tuple, b: &Tuple| {
+            let ord = cmp_tuples(keys, a, b);
+            if descending {
+                ord.reverse()
+            } else {
+                ord
+            }
+        };
+        let mut last = side.last.as_ref();
+        for t in batch {
+            if last.is_some_and(|prev| ahead(t, prev).is_eq()) {
+                // A scan repeating its own key: the key is not unique.
+                self.assert_fresh_provenance(side.candidate, side.candidate, name);
+            }
+            let in_order = last.is_none_or(|prev| ahead(t, prev).is_gt())
+                && side
+                    .floor
+                    .as_ref()
+                    .is_none_or(|f| cmp_tuples(keys, t, f).is_gt());
+            assert!(
+                in_order,
+                "relation {}: candidate '{name}' delivered a key out of its requested {} key \
+                 scan, so a split over it could complete before the union is whole",
+                self.rel_id,
+                if descending {
+                    "descending"
+                } else {
+                    "ascending"
+                },
+            );
+            last = Some(t);
+        }
+        // The batch is in order, so the tuples at or beyond the partner's
+        // water mark — keys the partner already delivered — are a suffix.
+        let fresh = match partner_mark {
+            Some(p) if batch.last().is_some_and(|t| ahead(t, p).is_ge()) => {
+                batch.partition_point(|t| ahead(t, p).is_lt())
+            }
+            _ => batch.len(),
+        };
+        let last = last.cloned();
+        self.met |= fresh < batch.len();
+        let side = match descending {
+            true => &mut self.descending,
+            false => &mut self.ascending,
+        };
+        side.as_mut().expect("a declared key scan").last = last;
+        fresh
     }
 }
 
@@ -250,21 +425,17 @@ pub struct FederationReport {
     pub candidates: Vec<CandidateReport>,
 }
 
-/// One side of a split, or the primary before one: a candidate asked
-/// for a key-ordered scan.
+/// A key-scan request whose outcome is not known yet: one side of a
+/// split, or the primary before one. Inline lanes know the outcome at
+/// activation; queue lanes once their producer posts it (see
+/// `FederatedSource::settle_requests`).
 #[derive(Debug, Clone)]
-struct ScanSide {
+struct ScanRequest {
     /// The requested direction.
     descending: bool,
-    /// Whether the candidate took the request. Inline lanes know at
-    /// activation; queue lanes once their producer posts the outcome
-    /// (see `FederatedSource::settle_requests`).
-    confirmed: bool,
     /// Exclusive lower key bound of a descending side: the primary's
     /// high-water tuple when the split began (`None`: no bound).
     floor: Option<Tuple>,
-    /// The last tuple delivered; its key is the side's water mark.
-    last: Option<Tuple>,
 }
 
 /// The adapter under its threaded name, kept for the benchmark harness,
@@ -287,14 +458,14 @@ pub struct FederatedSource {
     due: DueTimes,
     /// The sweep's polling order, reused across polls.
     order: Vec<usize>,
+    /// Dedupe by key; it also holds the confirmed key scans' water marks
+    /// and whether the two sides of a split met (the union is then
+    /// complete once the batch that crossed has been handed out).
     dedup: KeyDedup,
-    /// The relation key, ascending: the order of key scans.
-    key_order: Vec<SortKey>,
-    /// Per lane: its key-scan role, while it has one.
-    scans: Vec<Option<ScanSide>>,
-    /// The two sides of a split met: the union is complete once the
-    /// batch that crossed has been handed out.
-    met: bool,
+    /// The relation key columns, the key of key-scan requests.
+    key_cols: Vec<usize>,
+    /// Per lane: its key-scan request, until the lane took or refused it.
+    requests: Vec<Option<ScanRequest>>,
     /// The scheduling timeline: a private [`VirtualClock`] advanced by
     /// the `poll` argument (inline lanes), or the run's shared wall clock
     /// (queue lanes) — so `clock.is_wall()` tells the lane kind.
@@ -440,10 +611,9 @@ impl FederatedSource {
             // Inline lanes keep promises; `threaded` turns skipping off.
             due: DueTimes::new(candidates.len(), true),
             order: Vec::new(),
-            key_order: key_cols.iter().map(|&c| SortKey::asc(c)).collect(),
-            scans: vec![None; candidates.len()],
-            met: false,
-            dedup: KeyDedup::new(rel_id, key_cols),
+            requests: vec![None; candidates.len()],
+            dedup: KeyDedup::new(rel_id, key_cols.clone()),
+            key_cols,
             clock: Arc::new(VirtualClock::new()),
             carry: Vec::new(),
             fed_rate: RateEstimator::default(),
@@ -541,10 +711,9 @@ impl FederatedSource {
     /// A key-scan request over the relation key for `key > after`'s key
     /// (every key when `after` is `None`).
     fn key_scan(&self, after: Option<&Tuple>, descending: bool) -> SourceControl {
-        let key_cols: Vec<usize> = self.key_order.iter().map(|k| k.col).collect();
-        let after = after.map(|t| key_cols.iter().map(|&c| t.get(c).clone()).collect());
+        let after = after.map(|t| self.key_cols.iter().map(|&c| t.get(c).clone()).collect());
         SourceControl::KeyScan {
-            key_cols,
+            key_cols: self.key_cols.clone(),
             after,
             descending,
         }
@@ -556,11 +725,9 @@ impl FederatedSource {
         if !self.scheduler.primary_may_split() {
             return None;
         }
-        self.scans[0] = Some(ScanSide {
+        self.requests[0] = Some(ScanRequest {
             descending: false,
-            confirmed: false,
             floor: None,
-            last: None,
         });
         Some(self.key_scan(None, false))
     }
@@ -572,13 +739,11 @@ impl FederatedSource {
         let mut request = None;
         if self.scheduler.descending() == Some(idx) {
             let primary = self.scheduler.ascending().expect("a split has a primary");
-            let floor = self.scans[primary].as_ref().and_then(|s| s.last.clone());
+            let floor = self.dedup.water_mark(primary).cloned();
             request = Some(self.key_scan(floor.as_ref(), true));
-            self.scans[idx] = Some(ScanSide {
+            self.requests[idx] = Some(ScanRequest {
                 descending: true,
-                confirmed: false,
                 floor,
-                last: None,
             });
         }
         let taken = self.lanes[idx].activate(now_us, request);
@@ -590,21 +755,19 @@ impl FederatedSource {
     /// races in its own order — and `None` (a queue lane whose producer
     /// has not applied it yet) leaves it pending.
     fn note_request(&mut self, idx: usize, taken: Option<bool>) {
-        let Some(side) = &mut self.scans[idx] else {
+        let Some(taken) = taken else {
             return;
         };
-        match taken {
-            Some(true) => {
-                side.confirmed = true;
-                if !side.descending {
-                    self.scheduler.set_ascending(idx);
-                }
+        let Some(request) = self.requests[idx].take() else {
+            return;
+        };
+        match (taken, request.descending) {
+            (true, false) => {
+                self.dedup.ascending_scan(idx);
+                self.scheduler.set_ascending(idx);
             }
-            Some(false) => {
-                self.scans[idx] = None;
-                self.scheduler.split_refused(idx);
-            }
-            None => {}
+            (true, true) => self.dedup.descending_scan(idx, request.floor),
+            (false, _) => self.scheduler.split_refused(idx),
         }
     }
 
@@ -612,75 +775,12 @@ impl FederatedSource {
     /// for their producers to post the outcome, so the hedge gate knows
     /// whether the primary is an ascending scan before it prices a split.
     fn settle_requests(&mut self) {
-        for idx in 0..self.scans.len() {
-            if self.scans[idx].as_ref().is_some_and(|s| !s.confirmed) {
+        for idx in 0..self.requests.len() {
+            if self.requests[idx].is_some() {
                 let taken = self.lanes[idx].request_accepted();
                 self.note_request(idx, Some(taken == Some(true)));
             }
         }
-    }
-
-    /// Check a batch of lane `idx` against its requested key order and
-    /// advance its water mark; report whether it met its split partner,
-    /// i.e. delivered a key the partner already delivered. A lane that
-    /// is not a confirmed key scan is not checked.
-    ///
-    /// Panics when a scan side delivers a key out of its requested
-    /// order or range: completing at a "meeting" of unordered scans would
-    /// silently truncate the union.
-    fn check_scan(&mut self, idx: usize, batch: &[Tuple]) -> bool {
-        self.settle_requests();
-        let Some(mut side) = self.scans[idx].take() else {
-            return false;
-        };
-        let partner = match side.descending {
-            true => self.scheduler.ascending(),
-            false => self.scheduler.descending(),
-        };
-        let partner_mark = partner.and_then(|p| self.scans[p].as_ref()?.last.as_ref());
-        let keys = &self.key_order;
-        // The key order of `a` against `b` in the side's scan direction.
-        let ahead = |a: &Tuple, b: &Tuple| {
-            let ord = cmp_tuples(keys, a, b);
-            if side.descending {
-                ord.reverse()
-            } else {
-                ord
-            }
-        };
-        let mut met = false;
-        let mut last = side.last.as_ref();
-        for t in batch {
-            if last.is_some_and(|prev| ahead(t, prev).is_eq()) {
-                // A scan repeating its own key: the key is not unique.
-                let name = &self.lanes[idx].descriptor.name;
-                self.dedup.assert_fresh_provenance(idx, idx, name);
-            }
-            let in_order = last.is_none_or(|prev| ahead(t, prev).is_gt())
-                && side
-                    .floor
-                    .as_ref()
-                    .is_none_or(|f| cmp_tuples(keys, t, f).is_gt());
-            assert!(
-                in_order,
-                "relation {}: candidate '{}' delivered a key out of its requested {} key \
-                 scan, so a split over it could complete before the union is whole",
-                self.rel_id,
-                self.lanes[idx].descriptor.name,
-                if side.descending {
-                    "descending"
-                } else {
-                    "ascending"
-                },
-            );
-            // Reaching the partner's water mark: the partner already
-            // delivered this key.
-            met |= partner_mark.is_some_and(|p| ahead(t, p).is_ge());
-            last = Some(t);
-        }
-        side.last = last.cloned();
-        self.scans[idx] = Some(side);
-        met
     }
 
     /// Poll lane `idx` at `now_us` — unless its last `Pending` promise
@@ -728,7 +828,7 @@ impl Source for FederatedSource {
             return self.emit(carry, max_tuples);
         }
         let now_us = self.clock.observe(now_us);
-        if self.met {
+        if self.dedup.met() {
             // The split's two scans met and the crossing batch is out.
             self.complete(now_us);
             return Poll::Eof;
@@ -755,13 +855,15 @@ impl Source for FederatedSource {
                 let idx = self.order[k];
                 let hint = match self.poll_lane(idx, now_us, max_tuples) {
                     Poll::Ready(batch) if !batch.is_empty() => {
-                        self.met |= self.check_scan(idx, &batch);
+                        // The lane's scan role, and its partner's, must be
+                        // known before the batch is deduped.
+                        self.settle_requests();
                         let raw = batch.len() as u64;
                         let name = &self.lanes[idx].descriptor.name;
                         let fresh = self.dedup.filter(idx, name, batch);
                         self.scheduler
                             .note_arrival(idx, now_us, raw, fresh.len() as u64);
-                        if fresh.is_empty() && self.met {
+                        if fresh.is_empty() && self.dedup.met() {
                             self.complete(now_us);
                             return Poll::Eof;
                         }
@@ -937,6 +1039,28 @@ mod tests {
             "overlap (2,b) and (NULL,n) deduped"
         );
         assert_eq!(dedup.seen_keys(), 5);
+    }
+
+    /// Two key scans meeting dedupe by water mark alone: nothing enters
+    /// the seen-set, and the crossing batch keeps only its fresh prefix.
+    #[test]
+    fn a_plain_split_hashes_no_key() {
+        let mut dedup = KeyDedup::new(1, vec![0]);
+        dedup.ascending_scan(0);
+        assert_eq!(dedup.filter(0, "asc", rows(0..50)), rows(0..50));
+        dedup.descending_scan(1, dedup.water_mark(0).cloned());
+        let top: Vec<Tuple> = (60..100).rev().map(tuple).collect();
+        assert_eq!(dedup.filter(1, "desc", top.clone()), top);
+        assert_eq!(dedup.filter(0, "asc", rows(50..55)), rows(50..55));
+        assert!(!dedup.met());
+        let crossing: Vec<Tuple> = (50..60).rev().map(tuple).collect();
+        let fresh: Vec<Tuple> = (55..60).rev().map(tuple).collect();
+        assert_eq!(dedup.filter(1, "desc", crossing), fresh);
+        assert!(
+            dedup.met(),
+            "the descending scan reached the ascending mark"
+        );
+        assert_eq!(dedup.seen_keys(), 0);
     }
 
     #[test]
@@ -1537,6 +1661,7 @@ mod tests {
                 assert_eq!(keys[..50], (0..50).collect::<Vec<_>>());
                 assert_eq!(keys[50..], (50..200).rev().collect::<Vec<_>>());
                 assert_eq!(report.candidates[1].duplicates, 0);
+                assert_eq!(fed.dedup.seen_keys(), 0, "a plain split hashes no key");
             }
             keys.sort_unstable();
             assert_eq!(keys, (0..200).collect::<Vec<_>>(), "every key once");

@@ -145,7 +145,9 @@ impl BehaviorProfile {
             (Some(warm), Some(l)) if l.known_dead() && self.rate.ewma_gap_us().is_none() => warm,
             _ => config.min_stall_us,
         };
-        Some(last + self.rate.stall_threshold_us(config.stall_sigma, floor))
+        // Saturating: a candidate activated at the end of the timeline
+        // (`u64::MAX`) has no later deadline.
+        Some(last.saturating_add(self.rate.stall_threshold_us(config.stall_sigma, floor)))
     }
 
     /// Whether the current silence has been latched as a stall (cleared
@@ -174,10 +176,17 @@ impl BehaviorProfile {
     /// Check (and latch) whether this candidate is stalled at `now_us`.
     /// Returns true at most once per silence period.
     pub fn check_stall(&mut self, now_us: u64, config: &FederationConfig) -> bool {
+        self.latch_stall(now_us, self.stall_deadline_us(config))
+    }
+
+    /// [`BehaviorProfile::check_stall`] against `deadline`, this
+    /// profile's [`BehaviorProfile::stall_deadline_us`] as the scheduler
+    /// keeps it cached.
+    pub(crate) fn latch_stall(&mut self, now_us: u64, deadline: Option<u64>) -> bool {
         if self.eof || self.stall_flagged {
             return false;
         }
-        match self.stall_deadline_us(config) {
+        match deadline {
             Some(deadline) if now_us >= deadline => {
                 self.stalls += 1;
                 self.stall_flagged = true;

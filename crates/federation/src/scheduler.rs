@@ -40,6 +40,14 @@
 //!   remainder comes in at the two candidates' combined rate. One split
 //!   per relation; later hedges race.
 //!
+//! The permutation changes on events, not on polls. Each candidate's
+//! score and stall deadline are cached, and refreshed only by the events
+//! that change them: an arrival, a stall latch, activation and a resume
+//! (EOF takes the candidate out of the order). The polling order is kept
+//! sorted by the cached scores and re-sorted only when one moves, so the
+//! adapter's per-poll questions — the order, a pending lane's stall
+//! check, the next deadline — read state instead of re-deriving it.
+//!
 //! Every decision is a pure function of the supplied timeline instants
 //! and observed tuple counts — the scheduler never reads a clock itself.
 //! Under the virtual clock that makes runs deterministic and replayable;
@@ -83,8 +91,18 @@ use crate::profile::BehaviorProfile;
 #[derive(Debug)]
 pub struct PermutationScheduler {
     profiles: Vec<BehaviorProfile>,
+    /// Per candidate: its profile's [`BehaviorProfile::score`], refreshed
+    /// on the events that change it.
+    scores: Vec<f64>,
+    /// Per candidate: its profile's
+    /// [`BehaviorProfile::stall_deadline_us`], refreshed on the events
+    /// that change it.
+    deadlines: Vec<Option<u64>>,
     /// Activated candidates, in activation order.
     active: Vec<usize>,
+    /// Active, non-EOF candidates in polling order: best cached score
+    /// first, candidate index as the tiebreak.
+    order: Vec<usize>,
     failovers: u64,
     /// Stalls whose hedge the cost gate declined.
     declined: u64,
@@ -133,9 +151,14 @@ impl PermutationScheduler {
     /// first candidate starts active, the rest park as standbys.
     pub fn new(candidates: usize, config: FederationConfig) -> PermutationScheduler {
         assert!(candidates > 0, "scheduler needs at least one candidate");
+        let profiles: Vec<BehaviorProfile> =
+            (0..candidates).map(|_| BehaviorProfile::new()).collect();
         let mut s = PermutationScheduler {
-            profiles: (0..candidates).map(|_| BehaviorProfile::new()).collect(),
+            scores: profiles.iter().map(|p| p.score(&config)).collect(),
+            deadlines: vec![None; candidates],
+            profiles,
             active: Vec::new(),
+            order: Vec::new(),
             failovers: 0,
             declined: 0,
             skipped_covered: 0,
@@ -244,6 +267,7 @@ impl PermutationScheduler {
         for (p, l) in self.profiles.iter_mut().zip(learned) {
             p.seed_learned(l);
         }
+        self.refresh_all();
     }
 
     /// Merge this run's observations back into the configured learning
@@ -292,6 +316,7 @@ impl PermutationScheduler {
         for p in &mut self.profiles {
             p.note_resume(now_us);
         }
+        self.refresh_all();
     }
 
     /// Declare the host core budget (queue lanes), enabling the hedge
@@ -309,11 +334,6 @@ impl PermutationScheduler {
     /// Per-candidate behavior profiles, in registration order.
     pub fn profiles(&self) -> &[BehaviorProfile] {
         &self.profiles
-    }
-
-    /// Mutable access to one candidate's profile.
-    pub fn profile_mut(&mut self, idx: usize) -> &mut BehaviorProfile {
-        &mut self.profiles[idx]
     }
 
     /// The configuration the scheduler was built with.
@@ -349,31 +369,65 @@ impl PermutationScheduler {
     /// The current permutation prefix, written into `order` (a buffer the
     /// caller reuses — the federation sweep asks on every poll): active,
     /// non-EOF candidates in the order they should be polled — best score
-    /// first, candidate index as the deterministic tiebreak.
+    /// first, candidate index as the deterministic tiebreak. The order is
+    /// kept as state and re-sorted only when a cached score changes, so
+    /// asking costs a copy.
     pub fn polling_order(&self, order: &mut Vec<usize>) {
         order.clear();
-        order.extend(self.active.iter().filter(|&&i| !self.profiles[i].eof));
-        order.sort_by(|&a, &b| {
-            let (pa, pb) = (&self.profiles[a], &self.profiles[b]);
-            pb.score(&self.config)
-                .partial_cmp(&pa.score(&self.config))
+        order.extend_from_slice(&self.order);
+    }
+
+    /// Re-derive candidate `idx`'s cached score and stall deadline after
+    /// an event changed its profile; report whether the score moved.
+    fn refresh(&mut self, idx: usize) -> bool {
+        let p = &self.profiles[idx];
+        self.deadlines[idx] = p.stall_deadline_us(&self.config);
+        let score = p.score(&self.config);
+        let moved = score != self.scores[idx];
+        self.scores[idx] = score;
+        moved
+    }
+
+    /// [`PermutationScheduler::refresh`] every candidate, re-ranking if a
+    /// score moved.
+    fn refresh_all(&mut self) {
+        let mut moved = false;
+        for idx in 0..self.profiles.len() {
+            moved |= self.refresh(idx);
+        }
+        if moved {
+            self.rank();
+        }
+    }
+
+    /// Sort the polling order by the cached scores: best first,
+    /// candidate index as the deterministic tiebreak.
+    fn rank(&mut self) {
+        let scores = &self.scores;
+        self.order.sort_by(|&a, &b| {
+            scores[b]
+                .partial_cmp(&scores[a])
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
     }
 
     fn is_past_deadline(&self, idx: usize, now_us: u64) -> bool {
-        matches!(self.profiles[idx].stall_deadline_us(&self.config), Some(d) if now_us >= d)
+        matches!(self.deadlines[idx], Some(d) if now_us >= d)
     }
 
     /// Record an arrival of `tuples` raw tuples (`fresh` after dedup).
     pub fn note_arrival(&mut self, idx: usize, now_us: u64, tuples: u64, fresh: u64) {
         self.profiles[idx].observe_batch(now_us, tuples, fresh);
+        if self.refresh(idx) {
+            self.rank();
+        }
     }
 
     /// Record that candidate `idx` reached end of stream.
     pub fn note_eof(&mut self, idx: usize) {
         self.profiles[idx].eof = true;
+        self.order.retain(|&i| i != idx);
         // The healthy set just shrank, so every previously *declined*
         // stall decision may now be wrong — e.g. the stalled primary was
         // left waiting because this candidate looked credible. Unlatch
@@ -394,7 +448,11 @@ impl PermutationScheduler {
     /// race is worth it — activate the best payer and report it. Declined
     /// races are counted in [`PermutationScheduler::declined_hedges`].
     pub fn on_pending(&mut self, idx: usize, now_us: u64) -> Option<usize> {
-        if self.profiles[idx].check_stall(now_us, &self.config) {
+        if self.profiles[idx].latch_stall(now_us, self.deadlines[idx]) {
+            // The stall discounts the candidate's score.
+            if self.refresh(idx) {
+                self.rank();
+            }
             let standbys = self.activatable_standbys();
             if standbys.is_empty() {
                 // Nothing to activate: neither a race nor a decline.
@@ -615,7 +673,10 @@ impl PermutationScheduler {
     fn activate_idx(&mut self, idx: usize, now_us: u64) -> Option<usize> {
         debug_assert!(!self.profiles[idx].is_active() && !self.profiles[idx].eof);
         self.profiles[idx].activate(now_us);
+        self.refresh(idx);
         self.active.push(idx);
+        self.order.push(idx);
+        self.rank();
         if self.active.len() > 1 {
             self.failovers += 1;
         }
@@ -654,10 +715,9 @@ impl PermutationScheduler {
     /// Earliest virtual instant at which a scheduling decision could
     /// change: the nearest stall deadline of an active, non-EOF candidate.
     pub fn next_deadline_us(&self, now_us: u64) -> Option<u64> {
-        self.active
+        self.order
             .iter()
-            .filter(|&&i| !self.profiles[i].eof)
-            .filter_map(|&i| self.profiles[i].stall_deadline_us(&self.config))
+            .filter_map(|&i| self.deadlines[i])
             .filter(|&d| d > now_us)
             .min()
     }
@@ -758,7 +818,7 @@ mod tests {
     fn declines_not_counted_without_an_activatable_standby() {
         let mut s = sched(2);
         s.note_arrival(0, 0, 100, 100);
-        s.profile_mut(1).eof = true; // the only standby is gone
+        s.note_eof(1); // the only standby is gone
         let d = s.profiles()[0]
             .stall_deadline_us(&FederationConfig::default())
             .unwrap();
@@ -850,6 +910,161 @@ mod tests {
         s.note_eof(1);
         assert!(s.all_eof());
         assert!(order(&s).is_empty());
+    }
+
+    /// The polling order as computed before it was kept as state: active,
+    /// non-EOF candidates sorted by freshly computed scores.
+    fn order_from_scratch(s: &PermutationScheduler) -> Vec<usize> {
+        let mut order: Vec<usize> = s.active.clone();
+        order.retain(|&i| !s.profiles[i].eof);
+        order.sort_by(|&a, &b| {
+            let (pa, pb) = (&s.profiles[a], &s.profiles[b]);
+            pb.score(&s.config)
+                .partial_cmp(&pa.score(&s.config))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        order
+    }
+
+    /// The next stall deadline as computed before deadlines were cached.
+    fn deadline_from_scratch(s: &PermutationScheduler, now_us: u64) -> Option<u64> {
+        s.active
+            .iter()
+            .filter(|&&i| !s.profiles[i].eof)
+            .filter_map(|&i| s.profiles[i].stall_deadline_us(&s.config))
+            .filter(|&d| d > now_us)
+            .min()
+    }
+
+    /// Overwrite every cache with a from-scratch computation, so the
+    /// next event runs as it did before anything was cached.
+    fn recompute(s: &mut PermutationScheduler) {
+        for i in 0..s.profiles.len() {
+            s.scores[i] = s.profiles[i].score(&s.config);
+            s.deadlines[i] = s.profiles[i].stall_deadline_us(&s.config);
+        }
+        s.order = order_from_scratch(s);
+    }
+
+    /// Everything an observer of the scheduler can see.
+    fn observable(s: &PermutationScheduler, now_us: u64) -> impl PartialEq + std::fmt::Debug {
+        let profiles: Vec<_> = s
+            .profiles
+            .iter()
+            .map(|p| (p.delivered, p.duplicates, p.stalls, p.eof, p.is_active()))
+            .collect();
+        (
+            order(s),
+            s.next_deadline_us(now_us),
+            (s.failovers, s.declined, s.skipped_covered),
+            profiles,
+        )
+    }
+
+    /// Random event sequences — arrivals, pending reports before, at and
+    /// past the stall deadline, EOF, resumes and end-of-stream sweeps —
+    /// drive a cached scheduler and one whose caches are recomputed from
+    /// scratch before every event. After every event the cached state
+    /// equals a from-scratch computation, and the two agree on every
+    /// answer and counter.
+    #[test]
+    fn cached_state_matches_a_from_scratch_computation() {
+        for seed in 1..=400u64 {
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = |n: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % n
+            };
+            let n = 2 + next(3) as usize;
+            let cfg = FederationConfig {
+                warm_stall_us: (next(2) == 0).then_some(2_000),
+                ..FederationConfig::default()
+            };
+            let rates: Vec<Option<f64>> = (0..n)
+                .map(|_| (next(2) == 0).then(|| 1.0 + next(50_000) as f64))
+                .collect();
+            let learned: Vec<Option<LearnedProfile>> = (0..n)
+                .map(|_| {
+                    (next(3) == 0).then_some(LearnedProfile {
+                        rate_tuples_per_sec: None,
+                        stalls: 1,
+                        delivered: 0,
+                        queries: 1,
+                    })
+                })
+                .collect();
+            let build = || {
+                let mut s = PermutationScheduler::new(n, cfg.clone());
+                s.set_declared_rates(rates.clone());
+                s.seed_learned(learned.clone());
+                s
+            };
+            let (mut cached, mut scratch) = (build(), build());
+            let mut now = 0u64;
+            for step in 0..120 {
+                recompute(&mut scratch);
+                let live = order(&cached);
+                let pick = live.get(next(live.len().max(1) as u64) as usize).copied();
+                let (a, b) = match (next(6), pick) {
+                    (0 | 1, Some(i)) => {
+                        now += next(3_000);
+                        let raw = 1 + next(20);
+                        let fresh = next(raw + 1);
+                        cached.note_arrival(i, now, raw, fresh);
+                        scratch.note_arrival(i, now, raw, fresh);
+                        (None, None)
+                    }
+                    (2 | 3, Some(i)) => {
+                        // Before, exactly at, or past the stall deadline.
+                        let deadline = cached.deadlines[i].unwrap_or(now);
+                        now = now.max(match next(3) {
+                            0 => now + next(1_000),
+                            1 => deadline,
+                            _ => deadline + next(5_000),
+                        });
+                        (cached.on_pending(i, now), scratch.on_pending(i, now))
+                    }
+                    (4, Some(i)) if next(4) == 0 => {
+                        cached.note_eof(i);
+                        scratch.note_eof(i);
+                        (None, None)
+                    }
+                    (4, _) => {
+                        now += next(20_000);
+                        cached.note_resume(now);
+                        scratch.note_resume(now);
+                        (None, None)
+                    }
+                    _ if live.is_empty() || next(8) == 0 => {
+                        (cached.activate_standby(now), scratch.activate_standby(now))
+                    }
+                    _ => (None, None),
+                };
+                let at = format!("seed {seed}, step {step}");
+                assert_eq!(a, b, "{at}: event answer");
+                assert_eq!(order(&cached), order_from_scratch(&cached), "{at}: order");
+                for i in 0..n {
+                    let p = &cached.profiles[i];
+                    assert_eq!(cached.scores[i], p.score(&cfg), "{at}: score {i}");
+                    let deadline = p.stall_deadline_us(&cfg);
+                    assert_eq!(cached.deadlines[i], deadline, "{at}: deadline {i}");
+                }
+                let probe = now + next(2) * next(10_000);
+                assert_eq!(
+                    cached.next_deadline_us(probe),
+                    deadline_from_scratch(&cached, probe),
+                    "{at}: next deadline"
+                );
+                assert_eq!(
+                    observable(&cached, probe),
+                    observable(&scratch, probe),
+                    "{at}: observable state"
+                );
+            }
+        }
     }
 
     #[test]

@@ -153,10 +153,10 @@ impl Expr {
         self.matches_with(&|i| t.values().get(i))
     }
 
-    /// [`Expr::matches`] over any row layout: `col(i)` is column `i`, or
-    /// `None` when out of range. Joins use it to test a predicate on a
-    /// matched pair before building the joined row.
-    pub fn matches_with<'v>(&'v self, col: &impl Fn(usize) -> Option<&'v Value>) -> Result<bool> {
+    /// [`Expr::matches`] with column `i` read through `col(i)` (`None`
+    /// when out of range): the recursion behind `matches` and the
+    /// predicate operands of comparisons.
+    fn matches_with<'v>(&'v self, col: &impl Fn(usize) -> Option<&'v Value>) -> Result<bool> {
         match self {
             Expr::Cmp(l, op, r) => {
                 let lv = l.operand(col)?;

@@ -556,6 +556,107 @@ proptest! {
         prop_assert_eq!(dedup.seen_keys(), seen.len());
     }
 
+    /// A split's water-mark dedup passes exactly what the hash-only
+    /// seen-set passes. An ascending key scan of a random key-sorted
+    /// relation is split at a random step: a descending scan starts above
+    /// its water mark. An optional racing lane — a full mirror or a
+    /// partial replica, in its own order, possibly repeating one of its
+    /// keys — interleaves with both. Checked per batch: the same fresh
+    /// tuples in the same order, and a panic exactly where the hash-only
+    /// dedup panics; at the end, the same duplicates per candidate, and
+    /// no hashed key without a racing lane; and once the scans report
+    /// that they met, they delivered every key.
+    #[test]
+    fn split_dedup_equals_hash_only_dedup(
+        gaps in prop::collection::vec(1i64..4, 1..60),
+        sizes in prop::collection::vec(1usize..6, 1..8),
+        steps in prop::collection::vec(0u8..3, 1..120),
+        race in 0u8..3,
+        pick in prop::collection::vec(any::<bool>(), 60..61),
+        (rotate, again, at) in (0usize..60, 0usize..90, 0usize..90),
+    ) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let key = |t: &Tuple| t.get(0).as_int().unwrap();
+        let rel: Vec<Tuple> = gaps
+            .iter()
+            .scan(0i64, |k, g| {
+                *k += g;
+                Some(Tuple::new(vec![Value::Int(*k), Value::Int(-*k)]))
+            })
+            .collect();
+        // The racing lane: none, the full relation, or a subset, rotated
+        // out of key order; `again` re-delivers one of its keys.
+        let mut racer: Vec<Tuple> = match race {
+            0 => Vec::new(),
+            1 => rel.clone(),
+            _ => rel.iter().zip(&pick).filter(|(_, &p)| p).map(|(t, _)| t.clone()).collect(),
+        };
+        if !racer.is_empty() {
+            let n = racer.len();
+            racer.rotate_left(rotate % n);
+            if again < n {
+                let repeat = racer[again].clone();
+                racer.insert((again + 1 + at).min(n), repeat);
+            }
+        }
+        let (mut water, mut hash) = (KeyDedup::new(3, vec![0]), KeyDedup::new(3, vec![0]));
+        water.ascending_scan(0);
+        // Per candidate (0 ascending, 1 descending, 2 racing): its feed,
+        // how far it got, and its duplicates under each dedup.
+        let mut feeds = [rel.clone(), Vec::new(), racer];
+        let mut pos = [0usize; 3];
+        let (mut dups_water, mut dups_hash) = ([0usize; 3], [0usize; 3]);
+        let mut split = false;
+        let mut scanned = std::collections::BTreeSet::new();
+        for (i, &step) in steps.iter().enumerate() {
+            let cand = step as usize;
+            if cand == 1 && !split {
+                // The split: the descending side scans down to the
+                // ascending side's water mark, exclusive.
+                split = true;
+                let floor = water.water_mark(0).cloned();
+                feeds[1] = rel
+                    .iter()
+                    .rev()
+                    .take_while(|t| floor.as_ref().is_none_or(|f| key(t) > key(f)))
+                    .cloned()
+                    .collect();
+                water.descending_scan(1, floor);
+                continue;
+            }
+            let size = sizes[i % sizes.len()];
+            let end = (pos[cand] + size).min(feeds[cand].len());
+            let batch = feeds[cand][pos[cand]..end].to_vec();
+            pos[cand] = end;
+            if batch.is_empty() {
+                continue;
+            }
+            let name = format!("cand-{cand}");
+            let got = catch_unwind(AssertUnwindSafe(|| water.filter(cand, &name, batch.clone())));
+            let want = catch_unwind(AssertUnwindSafe(|| hash.filter(cand, &name, batch.clone())));
+            let (got, want) = match (got, want) {
+                (Ok(got), Ok(want)) => (got, want),
+                (got, want) => {
+                    prop_assert_eq!(got.is_err(), want.is_err(), "panic agreement");
+                    return Ok(());
+                }
+            };
+            same_order(&got, &want)?;
+            dups_water[cand] += batch.len() - got.len();
+            dups_hash[cand] += batch.len() - want.len();
+            if cand < 2 {
+                scanned.extend(batch.iter().map(key));
+            }
+            if water.met() {
+                prop_assert_eq!(scanned.len(), rel.len(), "the scans met, so every key is in");
+            }
+        }
+        prop_assert_eq!(dups_water, dups_hash);
+        if race == 0 {
+            prop_assert_eq!(water.seen_keys(), 0, "a plain split hashes no key");
+        }
+    }
+
     /// Tuple adapters invert: adapting A→B then B→A is the identity.
     #[test]
     fn tuple_adapter_roundtrips(perm in prop::sample::subsequence(
