@@ -6,6 +6,8 @@
 //! [`experiments`]; the `repro` binary is a thin CLI over them. Recorded
 //! results live in `results/` (see `results/README.md`).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod fmt;
 pub mod setup;

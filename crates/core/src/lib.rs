@@ -27,6 +27,8 @@
 //! * [`baselines`] — static optimization and plan-partitioning
 //!   (materialize-and-reoptimize) baselines for Figure 2/3.
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod complementary;
 pub mod corrective;

@@ -21,6 +21,8 @@
 //!
 //! [`LogicalQuery`]: tukwila_optimizer::LogicalQuery
 
+#![forbid(unsafe_code)]
+
 pub mod flights;
 pub mod perturb;
 pub mod queries;

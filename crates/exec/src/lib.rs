@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Pipelined query operators and the incremental, push-based execution
 //! engine (paper §3).

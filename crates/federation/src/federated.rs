@@ -68,6 +68,7 @@
 //! complete; the key-dedupe makes any *overlap* harmless — including the
 //! crossing batch of a split, which the water marks cut.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -335,17 +336,13 @@ impl KeyDedup {
                 ord
             }
         };
-        let mut last = side.last.as_ref();
-        for t in batch {
-            if last.is_some_and(|prev| ahead(t, prev).is_eq()) {
-                // A scan repeating its own key: the key is not unique.
-                self.assert_fresh_provenance(side.candidate, side.candidate, name);
-            }
-            let in_order = last.is_none_or(|prev| ahead(t, prev).is_gt())
-                && side
-                    .floor
-                    .as_ref()
-                    .is_none_or(|f| cmp_tuples(keys, t, f).is_gt());
+        // Whether `t` lies above the descending scan's floor.
+        let above_floor = |t: &Tuple| {
+            side.floor
+                .as_ref()
+                .is_none_or(|f| cmp_tuples(keys, t, f).is_gt())
+        };
+        let check = |in_order: bool| {
             assert!(
                 in_order,
                 "relation {}: candidate '{name}' delivered a key out of its requested {} key \
@@ -356,9 +353,26 @@ impl KeyDedup {
                 } else {
                     "ascending"
                 },
-            );
+            )
+        };
+        let mut last = side.last.as_ref();
+        for t in batch {
+            let ord = last.map(|prev| ahead(t, prev));
+            if ord.is_some_and(Ordering::is_eq) {
+                // A scan repeating its own key: the key is not unique.
+                // Every tuple before `t` is in order, so in a descending
+                // scan `t` repeats the lowest key so far: a batch that
+                // crossed the floor earlier crosses it here, and reports
+                // that first.
+                check(above_floor(t));
+                self.assert_fresh_provenance(side.candidate, side.candidate, name);
+            }
+            check(ord.is_none_or(Ordering::is_gt));
             last = Some(t);
         }
+        // The batch is in order, so its last tuple is the lowest key of a
+        // descending scan: the one floor check covers the whole batch.
+        check(batch.last().is_none_or(above_floor));
         // The batch is in order, so the tuples at or beyond the partner's
         // water mark — keys the partner already delivered — are a suffix.
         let fresh = match partner_mark {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Federated source catalog and online source-permutation scheduling.
 //!

@@ -23,6 +23,8 @@
 //! resolved schemas and column maps — which `tukwila-core` lowers onto the
 //! execution engine.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod enumerate;
 pub mod fragment;

@@ -4,10 +4,10 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::schema::Schema;
+use crate::text::Text;
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 
@@ -283,7 +283,7 @@ pub enum Predicate {
     /// `col = lit`, or `col <> lit` when `negated`, on a string column.
     StrEq {
         col: usize,
-        lit: Arc<str>,
+        lit: Text,
         negated: bool,
     },
     /// `col op lit` on a date column.
@@ -335,8 +335,8 @@ impl Predicate {
                 lit,
                 negated,
             } => Ok(match col(*i)? {
-                // `str` equality: lengths, then bytes.
-                Value::Str(s) => (**s == **lit) != *negated,
+                // Identity, then lengths and bytes (`Text`'s `==`).
+                Value::Str(s) => (s == lit) != *negated,
                 other => {
                     let op = if *negated { CmpOp::Ne } else { CmpOp::Eq };
                     compare(other, op, &Value::Str(lit.clone()))

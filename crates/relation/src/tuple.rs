@@ -5,6 +5,12 @@ use std::sync::Arc;
 
 use crate::value::{group_key, GroupKey, Key, Value};
 
+/// Bytes a value costs on the wire in the source delay models, before any
+/// string payload. Fixed, so the modelled arrival times do not move with
+/// the in-memory representation (a `Value` was 24 bytes when it was
+/// chosen and is 16 now).
+const WIRE_BYTES_PER_VALUE: usize = 24;
+
 /// An immutable row. Cloning is a reference-count bump; joins concatenate by
 /// building a fresh value vector whose string payloads are shared.
 #[derive(Clone, PartialEq)]
@@ -52,10 +58,11 @@ impl Tuple {
         group_key(&self.vals, cols)
     }
 
-    /// Rough in-memory footprint in bytes, used by the source bandwidth
-    /// models.
+    /// The row's size on the wire in the source bandwidth models:
+    /// 24 bytes per value plus the bytes of its strings.
+    /// Not the in-memory footprint.
     pub fn approx_bytes(&self) -> usize {
-        let mut n = std::mem::size_of::<Value>() * self.vals.len();
+        let mut n = WIRE_BYTES_PER_VALUE * self.vals.len();
         for v in self.vals.iter() {
             if let Value::Str(s) = v {
                 n += s.len();
@@ -206,6 +213,19 @@ mod tests {
         let short = Tuple::new(vec![Value::Int(1)]);
         let long = Tuple::new(vec![Value::str("hello world, a longer payload")]);
         assert!(long.approx_bytes() > short.approx_bytes());
+    }
+
+    /// The delay model's wire size is pinned, whatever a `Value` occupies
+    /// in memory: moving it would move every modelled arrival time.
+    #[test]
+    fn approx_bytes_is_the_fixed_wire_size() {
+        // A lineitem-shaped row: ten values, one a one-byte flag.
+        let mut vals: Vec<Value> = (0..9).map(Value::Int).collect();
+        vals.insert(7, Value::str("R"));
+        assert_eq!(Tuple::new(vals).approx_bytes(), 241);
+        // Strings count bytes, not chars: "naïve" is 6 bytes, "日本" 6.
+        let utf8 = Tuple::new(vec![Value::str("naïve"), Value::Null, Value::str("日本")]);
+        assert_eq!(utf8.approx_bytes(), 3 * 24 + 12);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::error::{Error, Result};
+use crate::text::Text;
 use crate::tuple::Tuple;
 
 /// The data types the engine understands. Data-integration sources in the
@@ -34,11 +34,12 @@ impl fmt::Display for DataType {
     }
 }
 
-/// A single attribute value.
+/// A single attribute value, 16 bytes.
 ///
-/// Strings are reference counted so tuple cloning and concatenation (which
-/// every join performs) never copies string payloads — the Rust analogue of
-/// the paper's "vectors of pointers to attribute value containers".
+/// Strings are reference counted ([`Text`], one pointer wide) so tuple
+/// cloning and concatenation (which every join performs) never copies
+/// string payloads — the Rust analogue of the paper's "vectors of pointers
+/// to attribute value containers".
 #[derive(Debug, Clone, Default)]
 pub enum Value {
     #[default]
@@ -46,14 +47,14 @@ pub enum Value {
     Bool(bool),
     Int(i64),
     Float(f64),
-    Str(Arc<str>),
+    Str(Text),
     Date(i32),
 }
 
 impl Value {
     /// Create a string value.
     pub fn str(s: &str) -> Value {
-        Value::Str(Arc::from(s))
+        Value::Str(Text::new(s))
     }
 
     /// The value's data type; `None` for `Null`.
@@ -147,11 +148,11 @@ impl Value {
 
     /// Equality consistent with [`Value::cmp_total`]. Same-variant pairs
     /// skip the full ordering: strings test identity, then lengths and
-    /// bytes; ints and dates compare directly.
+    /// bytes (`Text`'s `==`); ints and dates compare directly.
     pub fn eq_total(&self, other: &Value) -> bool {
         use Value::*;
         match (self, other) {
-            (Str(a), Str(b)) => Arc::ptr_eq(a, b) || **a == **b,
+            (Str(a), Str(b)) => a == b,
             (Int(a), Int(b)) => a == b,
             (Date(a), Date(b)) => a == b,
             _ => self.cmp_total(other) == Ordering::Equal,
@@ -232,8 +233,11 @@ pub enum Key {
     /// Total-order bit encoding of an `f64` (see [`Value::to_key`]).
     Float(u64),
     Date(i32),
-    Str(Arc<str>),
+    Str(Text),
 }
+
+// A new variant must not silently re-grow every row, key and index entry.
+const _: () = assert!(size_of::<Value>() == 16 && size_of::<Key>() == 16);
 
 /// Composite key for multi-attribute grouping.
 pub type GroupKey = Box<[Key]>;
@@ -291,7 +295,7 @@ fn hash_str(h: u64, s: &str) -> u64 {
 
 /// Fold one [`Value`] into a running key hash. Values with equal
 /// [`Value::to_key`] forms fold identically; no [`Key`] is materialized
-/// (no string `Arc` clone, no allocation).
+/// (no string clone, no allocation).
 #[inline]
 fn fold_value(h: u64, v: &Value) -> u64 {
     match v {
@@ -323,7 +327,8 @@ pub fn value_key_eq(v: &Value, k: &Key) -> bool {
         (Value::Int(a), Key::Int(b)) => a == b,
         (Value::Float(a), Key::Float(b)) => total_order_bits(*a) == *b,
         (Value::Date(a), Key::Date(b)) => a == b,
-        (Value::Str(a), Key::Str(b)) => a.as_ref() == b.as_ref(),
+        // Identity, then the bytes (`Text`'s `==`).
+        (Value::Str(a), Key::Str(b)) => a == b,
         _ => false,
     }
 }

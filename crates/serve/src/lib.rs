@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Multi-query serving front end over a shared learning catalog.
 //!

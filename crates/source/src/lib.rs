@@ -34,6 +34,8 @@
 //! (post-run report extraction through `Box<dyn Source>`).
 //! [`delay::DelayedSource`] declares `key_scan`.
 
+#![forbid(unsafe_code)]
+
 pub mod delay;
 pub mod mem;
 pub mod source;

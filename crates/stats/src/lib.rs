@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Runtime statistics for adaptive query processing (paper §3.3, §4.2,
 //! §4.5).

@@ -23,6 +23,8 @@
 //! describes, and keeps the reuse/discard accounting reported in the paper's
 //! Tables 1 and 2.
 
+#![forbid(unsafe_code)]
+
 pub mod fx;
 pub mod hash_table;
 pub mod registry;

@@ -34,6 +34,8 @@
 //! println!("{} phases, {} groups", report.phase_count(), report.rows.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// The ADP runtime: corrective query processing, stitch-up, complementary
 /// join pairs, baselines.
 pub use tukwila_core as core;

@@ -6,6 +6,8 @@
 //! sorted buffering, the stitch-up probe, federated key dedup) are pinned
 //! against naive oracles on nullable, string and mixed-type values.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use tukwila::core::{ComplementaryJoinPair, CorrectiveConfig, CorrectiveExec, RouterKind};
@@ -887,4 +889,93 @@ proptest! {
             }
         }
     }
+
+    /// `Value::Str` and `Key::Str` hold a `Text` and must behave exactly as
+    /// they did holding an `Arc<str>`: the same Fx and key-fold hashes,
+    /// equalities, orders and printed forms, on random strings (empty,
+    /// ASCII, multi-byte UTF-8, long), each in a fresh allocation and in a
+    /// clone sharing it.
+    #[test]
+    fn text_values_and_keys_match_arc_str(
+        codes in prop::collection::vec(prop::collection::vec((0u8..4, 0u32..3), 0..40), 1..6),
+    ) {
+        use tukwila::relation::value::{tuple_key_hash, value_key_eq};
+        use tukwila::storage::fx::hash_one;
+        let strings: Vec<String> = codes.iter().map(|cs| random_string(cs)).collect();
+        let arcs: Vec<Arc<str>> = strings.iter().map(|s| Arc::from(s.as_str())).collect();
+        let fresh: Vec<Value> = strings.iter().map(|s| Value::str(s)).collect();
+        // Each string twice: its own allocation, then a clone sharing it.
+        let vals: Vec<(Value, &Arc<str>)> = fresh
+            .iter()
+            .cloned()
+            .chain(fresh.iter().cloned())
+            .zip(arcs.iter().chain(&arcs))
+            .collect();
+        for (v, arc) in &vals {
+            let key = v.to_key();
+            let oracle = ArcKey::Str(Arc::clone(arc));
+            prop_assert_eq!(hash_one(&key), hash_one(&oracle));
+            let Value::Str(text) = v else { unreachable!("a string value") };
+            prop_assert_eq!(hash_one(text), hash_one(*arc));
+            let row = Tuple::new(vec![v.clone()]);
+            prop_assert_eq!(tuple_key_hash(&row, &[0]), arc_fold(arc));
+            prop_assert_eq!(v.to_string(), arc.to_string());
+            prop_assert_eq!(format!("{v:?}"), format!("Str({arc:?})"));
+            prop_assert_eq!(format!("{key:?}"), format!("{oracle:?}"));
+        }
+        for (a, arc_a) in &vals {
+            for (b, arc_b) in &vals {
+                let same = arc_a == arc_b;
+                prop_assert_eq!(a == b, same, "{:?} vs {:?}", a, b);
+                prop_assert_eq!(a.eq_total(b), same);
+                prop_assert_eq!(a.cmp_total(b), arc_a.cmp(arc_b));
+                prop_assert_eq!(value_key_eq(a, &b.to_key()), same);
+                let (ka, kb) = (a.to_key(), b.to_key());
+                prop_assert_eq!(ka == kb, same);
+                prop_assert_eq!(ka.cmp(&kb), arc_a.cmp(arc_b));
+            }
+        }
+    }
+}
+
+/// A random string from `(class, x)` codes, one char each: ASCII, or a
+/// two-, three- or four-byte UTF-8 char. Three values per class keep
+/// short strings colliding.
+fn random_string(codes: &[(u8, u32)]) -> String {
+    codes
+        .iter()
+        .map(|&(class, x)| {
+            let base = [0x41, 0xE9, 0x65E5, 0x1F980][class as usize];
+            char::from_u32(base + x).expect("no surrogate in these ranges")
+        })
+        .collect()
+}
+
+/// `Key` with `Arc<str>` strings: the oracle for hashing and printing
+/// keys. Only `Str` is built; the variants before it give it `Key`'s
+/// discriminant, which the derived `Hash` feeds in first.
+#[allow(dead_code)]
+#[derive(Debug, Hash)]
+enum ArcKey {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(u64),
+    Date(i32),
+    Str(Arc<str>),
+}
+
+/// The key fold of one string column as `relation::value` defines it,
+/// over an `Arc<str>`: tag 5, each 8-byte little-endian word, then the
+/// tail word tagged with its length.
+fn arc_fold(s: &Arc<str>) -> u64 {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(SEED);
+    let mut words = s.as_bytes().chunks_exact(8);
+    let h = words.by_ref().fold(mix(0, 5), |h, w| {
+        mix(h, u64::from_le_bytes(w.try_into().expect("8 bytes")))
+    });
+    let tail = words.remainder();
+    let word = tail.iter().rev().fold(0u64, |w, &b| w << 8 | b as u64);
+    mix(h, word ^ ((tail.len() as u64) << 56))
 }
