@@ -32,7 +32,7 @@ use crate::setup::{
     concurrent_mirror_sources, datasets, federated_mirror_sources, federated_mirror_sources_traced,
     local_sources, mean_ci, pinned_mirror_sources, serve_degraded_catalog,
     slow_customer_mirror_sources, slow_customer_mirror_sources_traced, true_cards,
-    wireless_sources, ExpConfig, MirrorKind, WorkloadQuery,
+    wireless_sources, ExpConfig, MirrorKind, Rows, WorkloadQuery,
 };
 use tukwila_source::Source;
 
@@ -685,11 +685,11 @@ pub fn mirror_failover_suite(cfg: &ExpConfig) -> String {
     let q = WorkloadQuery::Q3A.query();
     let flaky = run(
         &q,
-        pinned_mirror_sources(&uniform, &q, cfg, MirrorKind::FastFlaky),
+        pinned_mirror_sources(&uniform, &q, cfg, MirrorKind::FastFlaky, Rows::Whole),
     );
     let steady = run(
         &q,
-        pinned_mirror_sources(&uniform, &q, cfg, MirrorKind::SteadySlow),
+        pinned_mirror_sources(&uniform, &q, cfg, MirrorKind::SteadySlow, Rows::Whole),
     );
     let order = [
         MirrorKind::FastFlaky,
@@ -701,9 +701,18 @@ pub fn mirror_failover_suite(cfg: &ExpConfig) -> String {
         MirrorKind::FastFlaky,
         MirrorKind::RemoteBackup,
     ];
-    let fed = run(&q, federated_mirror_sources(&uniform, &q, cfg, &order));
-    let fed_rev = run(&q, federated_mirror_sources(&uniform, &q, cfg, &order_rev));
-    let fed_again = run(&q, federated_mirror_sources(&uniform, &q, cfg, &order));
+    let fed = run(
+        &q,
+        federated_mirror_sources(&uniform, &q, cfg, &order, Rows::Whole),
+    );
+    let fed_rev = run(
+        &q,
+        federated_mirror_sources(&uniform, &q, cfg, &order_rev, Rows::Whole),
+    );
+    let fed_again = run(
+        &q,
+        federated_mirror_sources(&uniform, &q, cfg, &order, Rows::Whole),
+    );
 
     // Correctness: identical deduped answers across every source
     // permutation, and determinism under the per-tuple cost model.
@@ -774,17 +783,34 @@ pub fn mirror_failover_suite(cfg: &ExpConfig) -> String {
     // The benchmark's mirror-fleet shapes, each relation behind the
     // [flaky, steady, remote] mirrors: a split re-sends almost nothing,
     // so at least 95% of the tuples polled from candidates are useful.
+    // Then the same shapes with the mirrors shipping only the columns
+    // the query reads, plus the key: identical answers, at most 0.6× the
+    // whole-row completion time.
     let mut shapes = TextTable::new(&["query", "virtual-s", "rows", "split", "polled", "useful"]);
-    for w in [WorkloadQuery::Q3A, WorkloadQuery::Q10, WorkloadQuery::Q10A] {
-        let q = w.query();
-        let r = run(&q, federated_mirror_sources(&uniform, &q, cfg, &order));
+    let mut projected = TextTable::new(&[
+        "query",
+        "whole virtual-s",
+        "projected virtual-s",
+        "ratio",
+        "split",
+        "polled",
+        "useful",
+    ]);
+    let useful = |name: &str, r: &VirtRun| {
         assert!(
             r.useful() >= 0.95,
-            "{}: only {:.3} of {} polled tuples were useful",
-            w.name(),
+            "{name}: only {:.3} of {} polled tuples were useful",
             r.useful(),
             r.polled
         );
+    };
+    for w in [WorkloadQuery::Q3A, WorkloadQuery::Q10, WorkloadQuery::Q10A] {
+        let q = w.query();
+        let r = run(
+            &q,
+            federated_mirror_sources(&uniform, &q, cfg, &order, Rows::Whole),
+        );
+        useful(w.name(), &r);
         shapes.row(vec![
             w.name().into(),
             secs(r.secs),
@@ -793,16 +819,73 @@ pub fn mirror_failover_suite(cfg: &ExpConfig) -> String {
             count(r.polled as usize),
             format!("{:.3}", r.useful()),
         ]);
+        let projected_run = || {
+            run(
+                &q,
+                federated_mirror_sources(&uniform, &q, cfg, &order, Rows::Projected),
+            )
+        };
+        let (p, p_again) = (projected_run(), projected_run());
+        let name = format!("{} projected", w.name());
+        assert_eq!(p.rows, r.rows, "{name}: the answer moved");
+        assert_eq!(p.secs, p_again.secs, "{name}: not deterministic");
+        assert_eq!(p.rows, p_again.rows, "{name}: rows not deterministic");
+        useful(&name, &p);
+        let ratio = p.secs / r.secs.max(1e-9);
+        assert!(
+            ratio <= 0.6,
+            "{name}: {:.3}s is {ratio:.2}× the whole-row {:.3}s, above 0.6×",
+            p.secs,
+            r.secs
+        );
+        projected.row(vec![
+            w.name().into(),
+            secs(r.secs),
+            secs(p.secs),
+            format!("{ratio:.2}×"),
+            format!("{}/{}", p.splits, p.relations),
+            count(p.polled as usize),
+            format!("{:.3}", p.useful()),
+        ]);
+    }
+    // Projected pins against both orders, for the record: a federated
+    // relation ships its key too, which a pinned mirror need not.
+    let mut pins = TextTable::new(&["strategy (Q3A, projected)", "virtual-s"]);
+    for (name, sources) in [
+        (
+            "static flaky mirror",
+            pinned_mirror_sources(&uniform, &q, cfg, MirrorKind::FastFlaky, Rows::Projected),
+        ),
+        (
+            "static steady mirror",
+            pinned_mirror_sources(&uniform, &q, cfg, MirrorKind::SteadySlow, Rows::Projected),
+        ),
+        (
+            "federated [flaky,steady,remote]",
+            federated_mirror_sources(&uniform, &q, cfg, &order, Rows::Projected),
+        ),
+        (
+            "federated [steady,flaky,remote]",
+            federated_mirror_sources(&uniform, &q, cfg, &order_rev, Rows::Projected),
+        ),
+    ] {
+        let r = run(&q, sources);
+        assert_eq!(r.rows, flaky.rows, "{name} (projected): the answer moved");
+        pins.row(vec![name.into(), secs(r.secs)]);
     }
     format!(
         "{}\nadaptive vs worst static: {:.2}× faster, vs best static: {:.2}× (identical \
          answers, deterministic); cost gate declined {} hedges the stall-only rule would \
-         have raced\n\nmirror-fleet shapes, federated [flaky,steady,remote]:\n{}",
+         have raced\n\nmirror-fleet shapes, federated [flaky,steady,remote]:\n{}\n\
+         mirror-fleet shapes, mirrors shipping only the columns read (plus the key), \
+         identical answers:\n{}\n{}",
         t.render(),
         worst / fed.secs.max(1e-9),
         best / fed.secs.max(1e-9),
         fed.declined,
-        shapes.render()
+        shapes.render(),
+        projected.render(),
+        pins.render()
     )
 }
 
@@ -839,7 +922,7 @@ pub fn mirror_failover_wall_suite(cfg: &ExpConfig) -> String {
 
     // The deterministic anchor: the virtual-clock federated run.
     let virtual_answer = {
-        let mut sources = federated_mirror_sources(&uniform, &q, cfg, &order);
+        let mut sources = federated_mirror_sources(&uniform, &q, cfg, &order, Rows::Whole);
         let run = run_static(
             &q,
             &mut sources,
@@ -900,12 +983,12 @@ pub fn mirror_failover_wall_suite(cfg: &ExpConfig) -> String {
         // Pinned mirrors have no producer threads; only the driver waits
         // on the clock.
         let _ = clock;
-        pinned_mirror_sources(&uniform, &q, cfg, MirrorKind::FastFlaky)
+        pinned_mirror_sources(&uniform, &q, cfg, MirrorKind::FastFlaky, Rows::Whole)
     });
     eprintln!("[mirrors-wall] static steady pin");
     let steady = run_wall(&|clock| {
         let _ = clock;
-        pinned_mirror_sources(&uniform, &q, cfg, MirrorKind::SteadySlow)
+        pinned_mirror_sources(&uniform, &q, cfg, MirrorKind::SteadySlow, Rows::Whole)
     });
     eprintln!("[mirrors-wall] threaded federated [flaky,steady,remote]");
     let fed = run_wall(&|clock| concurrent_mirror_sources(&uniform, &q, cfg, &order, clock));
@@ -1574,7 +1657,7 @@ pub fn smoke_suite(cfg: &ExpConfig) -> (String, bool) {
     // orders must agree with each other before touching the golden.
     eprintln!("[smoke] mirrors (virtual clock)");
     let run_fed = |order: &[MirrorKind]| {
-        let mut sources = federated_mirror_sources(&uniform, &q, cfg, order);
+        let mut sources = federated_mirror_sources(&uniform, &q, cfg, order, Rows::Whole);
         let out = run_static(
             &q,
             &mut sources,
@@ -1733,7 +1816,7 @@ pub fn mirrors_trace_suite(cfg: &ExpConfig) -> (String, String) {
             MirrorKind::SteadySlow,
             MirrorKind::RemoteBackup,
         ];
-        let mut sources = federated_mirror_sources(&uniform, &q, cfg, &order);
+        let mut sources = federated_mirror_sources(&uniform, &q, cfg, &order, Rows::Whole);
         let out = run_static(
             &q,
             &mut sources,

@@ -6,7 +6,11 @@ use std::sync::Arc;
 use tukwila_datagen::{queries, Dataset, DatasetConfig, TableId};
 use tukwila_federation::{DeclaredRate, FederatedCatalog, FederationConfig};
 use tukwila_optimizer::LogicalQuery;
-use tukwila_source::{DelayModel, DelayedSource, MemSource, Source};
+use tukwila_relation::{Error, Result, Schema};
+use tukwila_source::{
+    DelayModel, DelayedSource, MemSource, Poll, Source, SourceControl, SourceDescriptor,
+    SourceProgressView,
+};
 use tukwila_stats::{Clock, TraceSink};
 
 /// Global experiment knobs (CLI-settable).
@@ -200,19 +204,84 @@ fn mirror_model(kind: MirrorKind, cfg: &ExpConfig, rel: u32) -> DelayModel {
     }
 }
 
-fn mirror(d: &Dataset, t: TableId, kind: MirrorKind, cfg: &ExpConfig) -> Box<dyn Source> {
+/// What the mirror scenario's candidates ship when the engine asks them
+/// for a projection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rows {
+    /// Whole rows: every mirror refuses projections ([`WholeRows`]). A
+    /// federated relation must also ship its key, which a single pinned
+    /// mirror need not, so the scenario's pins-against-orders claims
+    /// compare whole rows.
+    Whole,
+    /// Only the columns the query reads (and, federated, the key).
+    Projected,
+}
+
+/// A candidate that ships whole rows: it forwards everything, key scans
+/// included, but refuses projections and declares none.
+pub struct WholeRows(pub Box<dyn Source>);
+
+impl Source for WholeRows {
+    fn rel_id(&self) -> u32 {
+        self.0.rel_id()
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn schema(&self) -> &Schema {
+        self.0.schema()
+    }
+
+    fn poll(&mut self, now_us: u64, max_tuples: usize) -> Poll {
+        self.0.poll(now_us, max_tuples)
+    }
+
+    fn progress(&self) -> SourceProgressView {
+        self.0.progress()
+    }
+
+    fn descriptor(&self) -> SourceDescriptor {
+        let mut d = self.0.descriptor();
+        d.capabilities.projection = false;
+        d
+    }
+
+    fn control(&mut self, now_us: u64, request: SourceControl) -> Result<()> {
+        match request {
+            SourceControl::Project { .. } => Err(Error::Exec(format!(
+                "mirror '{}' ships whole rows",
+                self.name()
+            ))),
+            SourceControl::KeyScan { .. } => self.0.control(now_us, request),
+        }
+    }
+}
+
+fn mirror(
+    d: &Dataset,
+    t: TableId,
+    kind: MirrorKind,
+    cfg: &ExpConfig,
+    rows: Rows,
+) -> Box<dyn Source> {
     let suffix = match kind {
         MirrorKind::FastFlaky => "flaky",
         MirrorKind::SteadySlow => "steady",
         MirrorKind::RemoteBackup => "remote",
     };
-    Box::new(DelayedSource::new(
+    let source = Box::new(DelayedSource::new(
         t.rel_id(),
         format!("{}-{suffix}", t.name()),
         Dataset::schema(t),
         d.table(t).to_vec(),
         &mirror_model(kind, cfg, t.rel_id()),
-    ))
+    ));
+    match rows {
+        Rows::Whole => Box::new(WholeRows(source)),
+        Rows::Projected => source,
+    }
 }
 
 /// Every relation pinned to a single mirror kind (the static baseline of
@@ -222,10 +291,11 @@ pub fn pinned_mirror_sources(
     q: &LogicalQuery,
     cfg: &ExpConfig,
     kind: MirrorKind,
+    rows: Rows,
 ) -> Vec<Box<dyn Source>> {
     queries::tables_of(q)
         .into_iter()
-        .map(|t| mirror(d, t, kind, cfg))
+        .map(|t| mirror(d, t, kind, cfg, rows))
         .collect()
 }
 
@@ -237,6 +307,7 @@ fn mirror_catalog(
     q: &LogicalQuery,
     cfg: &ExpConfig,
     order: &[MirrorKind],
+    rows: Rows,
     trace: TraceSink,
 ) -> FederatedCatalog {
     let mut catalog = FederatedCatalog::new(FederationConfig {
@@ -246,7 +317,7 @@ fn mirror_catalog(
     for t in queries::tables_of(q) {
         for &kind in order {
             catalog
-                .register(t.key_cols(), mirror(d, t, kind, cfg))
+                .register(t.key_cols(), mirror(d, t, kind, cfg, rows))
                 .expect("uniform mirrors");
         }
     }
@@ -261,13 +332,16 @@ pub fn federated_mirror_sources(
     q: &LogicalQuery,
     cfg: &ExpConfig,
     order: &[MirrorKind],
+    rows: Rows,
 ) -> Vec<Box<dyn Source>> {
-    federated_mirror_sources_traced(d, q, cfg, order, TraceSink::disabled())
+    mirror_catalog(d, q, cfg, order, rows, TraceSink::disabled())
+        .into_sources()
+        .expect("valid catalog")
 }
 
-/// [`federated_mirror_sources`] with an adaptivity-trace journal: every
-/// hedge-gate evaluation and standby activation the schedulers make lands
-/// in `trace` with its decision provenance.
+/// [`federated_mirror_sources`] over whole rows with an adaptivity-trace
+/// journal: every hedge-gate evaluation and standby activation the
+/// schedulers make lands in `trace` with its decision provenance.
 pub fn federated_mirror_sources_traced(
     d: &Dataset,
     q: &LogicalQuery,
@@ -275,7 +349,7 @@ pub fn federated_mirror_sources_traced(
     order: &[MirrorKind],
     trace: TraceSink,
 ) -> Vec<Box<dyn Source>> {
-    mirror_catalog(d, q, cfg, order, trace)
+    mirror_catalog(d, q, cfg, order, Rows::Whole, trace)
         .into_sources()
         .expect("valid catalog")
 }
@@ -303,7 +377,7 @@ pub fn concurrent_mirror_sources_traced(
     clock: Arc<dyn Clock>,
     trace: TraceSink,
 ) -> Vec<Box<dyn Source>> {
-    mirror_catalog(d, q, cfg, order, trace)
+    mirror_catalog(d, q, cfg, order, Rows::Whole, trace)
         .into_concurrent_sources(clock)
         .expect("valid catalog")
 }

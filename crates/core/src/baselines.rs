@@ -15,6 +15,7 @@ use tukwila_relation::{Error, Result, Tuple};
 use tukwila_source::{MemSource, Source};
 
 use crate::lowering::lower_plan;
+use crate::pushdown::request_projections;
 
 /// Result of a baseline execution.
 pub struct StaticRun {
@@ -48,7 +49,8 @@ pub fn run_static_from(
 
 /// [`run_static_from`] with a caller-built driver — the hook for
 /// wall-clock runs (`SimDriver::with_clock`), where the driver must share
-/// its clock with the sources racing against it.
+/// its clock with the sources racing against it. Asks the sources for
+/// only the columns `q` reads first ([`request_projections`]).
 pub fn run_static_with_driver(
     q: &LogicalQuery,
     sources: &mut [Box<dyn Source>],
@@ -64,6 +66,7 @@ pub fn run_static_with_driver(
     let desc = plan.describe();
     let lowered = lower_plan(&plan, None, true)?;
     let mut pipeline = lowered.pipeline;
+    request_projections(q, sources);
     let (rows, exec) = driver.run(&mut pipeline, sources)?;
     Ok(StaticRun {
         rows,
@@ -92,12 +95,15 @@ pub fn run_plan_partitioning(
 /// order (experiments that study a specific starting plan).
 pub fn run_plan_partitioning_from(
     q: &LogicalQuery,
-    sources: Vec<Box<dyn Source>>,
+    mut sources: Vec<Box<dyn Source>>,
     ctx: OptimizerContext,
     batch_size: usize,
     cpu: CpuCostModel,
     initial_order: Option<&[u32]>,
 ) -> Result<StaticRun> {
+    // The cut's own query does not aggregate, so ask with the whole
+    // query's reads before the sources split up.
+    request_projections(q, &mut sources);
     let opt = Optimizer::new(ctx.clone());
     let full_plan = match initial_order {
         Some(order) => opt.plan_with_order(q, order)?,
@@ -112,10 +118,7 @@ pub fn run_plan_partitioning_from(
         // Whole plan (or no suitable subtree): plan partitioning degenerates
         // to static execution, as in the paper's Q10/Q10A observation.
         Some(node) if node.join_count() < total_joins => node.clone(),
-        _ => {
-            let mut srcs = sources;
-            return run_static(q, &mut srcs, ctx, batch_size, cpu);
-        }
+        _ => return run_static(q, &mut sources, ctx, batch_size, cpu),
     };
 
     // Phase A: execute the cut subtree as its own (non-aggregating) query.

@@ -46,6 +46,7 @@ use tukwila_storage::registry::ReuseStats;
 use tukwila_storage::StateRegistry;
 
 use crate::lowering::{apply_post_project, lower_fragmented};
+use crate::pushdown::request_projections;
 use crate::stitchup::{StitchUp, StitchUpStats};
 
 /// Configuration of the corrective executor.
@@ -350,7 +351,8 @@ impl CorrectiveExec {
         Ok(cfg.clock.clone())
     }
 
-    /// Run to completion over the given sources.
+    /// Run to completion over the given sources, asking them first for
+    /// only the columns the query reads ([`request_projections`]).
     ///
     /// One control loop serves both run modes: each phase lowers the
     /// current plan (fragmented at the cuts the optimizer's fragmentation
@@ -371,6 +373,8 @@ impl CorrectiveExec {
         let cfg = &self.config;
         check_batch_size(cfg.batch_size)?;
         let threads = self.producer_clock()?;
+        // Every phase plan reads the same base columns: the query's.
+        request_projections(&self.q, sources);
         let catalog = Arc::new(SelectivityCatalog::new());
         let registry = StateRegistry::new();
         let mut consumed_total: HashMap<u32, u64> = HashMap::new();

@@ -26,6 +26,9 @@
 //!   persists across phases (Figure 1).
 //! * [`baselines`] — static optimization and plan-partitioning
 //!   (materialize-and-reoptimize) baselines for Figure 2/3.
+//! * [`pushdown`] — projection pushdown: every entry point that owns
+//!   sources asks them, before the first poll, for only the base columns
+//!   the query reads.
 
 #![forbid(unsafe_code)]
 
@@ -33,6 +36,7 @@ pub mod baselines;
 pub mod complementary;
 pub mod corrective;
 pub mod lowering;
+pub mod pushdown;
 pub mod stitchup;
 
 pub use baselines::{

@@ -356,6 +356,18 @@ impl Source for PartialReplica {
         }
     }
 
+    /// Forwards projections only: a replica holding part of the relation
+    /// never splits it, so it takes no key scan.
+    fn control(&mut self, now_us: u64, request: SourceControl) -> Result<()> {
+        match request {
+            SourceControl::Project { .. } => self.inner.control(now_us, request),
+            SourceControl::KeyScan { .. } => Err(Error::Exec(format!(
+                "partial replica '{}' takes no key-scan requests",
+                self.name()
+            ))),
+        }
+    }
+
     fn observed_rate(&self) -> Option<f64> {
         self.inner.observed_rate()
     }

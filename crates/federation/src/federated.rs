@@ -11,7 +11,8 @@
 //! ## Lanes
 //!
 //! Each candidate sits behind a lane: [`FederatedSource::new`] polls
-//! candidates *inline* under a private virtual clock (deterministic);
+//! candidates *inline* on a private timeline, the high-water mark of the
+//! instants it is polled at (deterministic);
 //! [`FederatedSource::threaded`] races each on a producer thread behind a
 //! bounded queue, on a shared wall clock. One sweep loop serves both: a
 //! lane yields a batch, pending with a hint (the source's `next_ready_us`
@@ -51,6 +52,17 @@
 //! batch's fresh part is the prefix before its partner's mark (see
 //! [`KeyDedup`]).
 //!
+//! ## Projection
+//!
+//! The adapter declares the `projection` capability
+//! ([`tukwila_source::SourceCapabilities`]). It forwards each projection
+//! it takes to every candidate, active or parked, on either lane kind,
+//! widened by the relation key: dedup, a split's order checks and its
+//! water marks read the key, and nothing else of a row. A candidate that
+//! refuses ships whole rows, which hold every column. Rows are never
+//! copied or narrowed: what a candidate did not ship is still in memory,
+//! and nothing reads it.
+//!
 //! ## Completion rule
 //!
 //! The federated stream is exhausted when
@@ -75,8 +87,10 @@ use std::sync::Arc;
 
 use tukwila_relation::value::{group_key, tuple_key_hash, value_key_eq, GroupKey};
 use tukwila_relation::{cmp_tuples, Error, Result, Schema, SortKey, Tuple};
-use tukwila_source::{DueTimes, Poll, Source, SourceControl, SourceDescriptor, SourceProgressView};
-use tukwila_stats::clock::{Clock, VirtualClock};
+use tukwila_source::{
+    DueTimes, Poll, Source, SourceCapabilities, SourceControl, SourceDescriptor, SourceProgressView,
+};
+use tukwila_stats::clock::Clock;
 use tukwila_stats::{ArrivalSchedule, RateEstimator, TraceEvent};
 
 use crate::catalog::FederationConfig;
@@ -480,10 +494,16 @@ pub struct FederatedSource {
     key_cols: Vec<usize>,
     /// Per lane: its key-scan request, until the lane took or refused it.
     requests: Vec<Option<ScanRequest>>,
-    /// The scheduling timeline: a private [`VirtualClock`] advanced by
-    /// the `poll` argument (inline lanes), or the run's shared wall clock
-    /// (queue lanes) — so `clock.is_wall()` tells the lane kind.
-    clock: Arc<dyn Clock>,
+    /// The run's shared wall clock, for queue lanes — so `wall.is_some()`
+    /// tells the lane kind. Inline lanes schedule on `high_water_us`.
+    wall: Option<Arc<dyn Clock>>,
+    /// The inline timeline: the latest `poll` instant seen. Never moves
+    /// back, and nothing else advances it.
+    high_water_us: u64,
+    /// Queue lanes only: the primary's gate is still closed. It opens at
+    /// the first poll, so requests made before that poll reach the
+    /// primary before it ships anything.
+    primary_parked: bool,
     /// Deduped tail of an oversized arrival, handed out on later polls so
     /// `Ready` batches respect the engine's `max_tuples`.
     carry: Vec<Tuple>,
@@ -519,16 +539,14 @@ impl FederatedSource {
         let mut fed = FederatedSource::build("fed", key_cols, &candidates, config)?;
         fed.lanes = candidates.into_iter().map(Lane::inline).collect();
         // Candidate 0 is activated at instant 0 of the adapter's timeline.
-        if let Some(request) = fed.primary_request() {
-            let taken = fed.lanes[0].activate(0, Some(request));
-            fed.note_request(0, taken);
-        }
+        fed.activate_primary(0);
         Ok(fed)
     }
 
     /// [`FederatedSource::new`] with queue lanes: every candidate races
-    /// on its own producer thread, spawned now; standbys park at their
-    /// gates until the scheduler hedges onto them. `clock` must be a wall
+    /// on its own producer thread, spawned now. The primary's producer
+    /// starts at the first poll; standbys park at their gates until the
+    /// scheduler hedges onto them. `clock` must be a wall
     /// clock shared with the consumer's driver — under a virtual clock,
     /// producer naps would teleport the shared timeline.
     pub fn threaded(
@@ -546,10 +564,10 @@ impl FederatedSource {
         let host = || std::thread::available_parallelism().map_or(1, |n| n.get());
         fed.scheduler
             .set_core_budget(config.core_budget.unwrap_or_else(host));
-        let first = fed.primary_request();
-        fed.lanes = lane::spawn_all(fed.rel_id, candidates, first, &fed.schema, &clock, &config)?;
+        fed.lanes = lane::spawn_all(fed.rel_id, candidates, &fed.schema, &clock, &config)?;
         fed.due = DueTimes::new(fed.lanes.len(), false);
-        fed.clock = clock;
+        fed.wall = Some(clock);
+        fed.primary_parked = true;
         Ok(fed)
     }
 
@@ -628,7 +646,9 @@ impl FederatedSource {
             requests: vec![None; candidates.len()],
             dedup: KeyDedup::new(rel_id, key_cols.clone()),
             key_cols,
-            clock: Arc::new(VirtualClock::new()),
+            wall: None,
+            high_water_us: 0,
+            primary_parked: false,
             carry: Vec::new(),
             fed_rate: RateEstimator::default(),
             delivered: 0,
@@ -733,17 +753,33 @@ impl FederatedSource {
         }
     }
 
-    /// The primary's ascending full-range request, when the relation can
-    /// split and candidate 0 takes key scans; records its scan role.
-    fn primary_request(&mut self) -> Option<SourceControl> {
-        if !self.scheduler.primary_may_split() {
-            return None;
+    /// Activate candidate 0 at `now_us`, asking it for an ascending scan
+    /// of the whole relation when the relation can split and it takes
+    /// key scans.
+    fn activate_primary(&mut self, now_us: u64) {
+        let mut request = None;
+        if self.scheduler.primary_may_split() {
+            self.requests[0] = Some(ScanRequest {
+                descending: false,
+                floor: None,
+            });
+            request = Some(self.key_scan(None, false));
         }
-        self.requests[0] = Some(ScanRequest {
-            descending: false,
-            floor: None,
-        });
-        Some(self.key_scan(None, false))
+        let taken = self.lanes[0].activate(now_us, request);
+        self.note_request(0, taken);
+    }
+
+    /// Fold the engine's `now_us` into the adapter's timeline: the
+    /// inline high-water mark, or the shared wall clock, which alone
+    /// decides.
+    fn observe(&mut self, now_us: u64) -> u64 {
+        match &self.wall {
+            Some(clock) => clock.observe(now_us),
+            None => {
+                self.high_water_us = self.high_water_us.max(now_us);
+                self.high_water_us
+            }
+        }
     }
 
     /// Activate lane `idx` at `now_us`. A standby the scheduler split
@@ -841,7 +877,13 @@ impl Source for FederatedSource {
             let carry = std::mem::take(&mut self.carry);
             return self.emit(carry, max_tuples);
         }
-        let now_us = self.clock.observe(now_us);
+        let now_us = self.observe(now_us);
+        if std::mem::take(&mut self.primary_parked) {
+            self.activate_primary(now_us);
+            // The primary's producer starts only now: its stall window
+            // does too, not at construction.
+            self.scheduler.note_resume(now_us);
+        }
         if self.dedup.met() {
             // The split's two scans met and the crossing batch is out.
             self.complete(now_us);
@@ -947,8 +989,40 @@ impl Source for FederatedSource {
             complete: true,
             key_range: None,
             declared_rate_tuples_per_sec: None,
-            capabilities: Default::default(),
+            capabilities: SourceCapabilities {
+                key_scan: false,
+                projection: true,
+            },
         }
+    }
+
+    /// Take a projection and forward it, widened by the relation key, to
+    /// every candidate, active or parked: dedup, the split's order checks
+    /// and its water marks read the key. A candidate that refuses ships
+    /// whole rows, which hold every column. Key scans are the adapter's
+    /// own to ask for, so it refuses them.
+    fn control(&mut self, now_us: u64, request: SourceControl) -> Result<()> {
+        let SourceControl::Project { mut cols } = request else {
+            return Err(Error::Exec(format!(
+                "federated source '{}' takes no key-scan requests",
+                self.name
+            )));
+        };
+        let arity = self.schema.arity();
+        if let Some(&c) = cols.iter().find(|&&c| c >= arity) {
+            return Err(Error::Plan(format!(
+                "federated source '{}': cannot ship column {c} of arity {arity}",
+                self.name
+            )));
+        }
+        cols.extend_from_slice(&self.key_cols);
+        cols.sort_unstable();
+        cols.dedup();
+        let now_us = self.observe(now_us);
+        for lane in &mut self.lanes {
+            lane.project(now_us, cols.clone());
+        }
+        Ok(())
     }
 
     fn observed_rate(&self) -> Option<f64> {
@@ -983,8 +1057,8 @@ impl Source for FederatedSource {
                 let accrued = self.lanes[idx].blocked_sends().saturating_sub(before);
                 self.blocked_forgiven[idx] += accrued;
             }
-            if self.clock.is_wall() {
-                self.scheduler.note_resume(self.clock.observe(now_us));
+            if let Some(clock) = &self.wall {
+                self.scheduler.note_resume(clock.observe(now_us));
             }
         }
     }
@@ -999,8 +1073,8 @@ impl Drop for FederatedSource {
     /// its producers and publishes what it saw — partial evidence beats
     /// none. An inline run dropped before EOF publishes nothing.
     fn drop(&mut self) {
-        if self.clock.is_wall() {
-            self.complete(self.clock.now_us());
+        if let Some(now_us) = self.wall.as_ref().map(|c| c.now_us()) {
+            self.complete(now_us);
         }
     }
 }
@@ -1012,7 +1086,7 @@ mod tests {
     use std::time::Duration;
     use tukwila_relation::{DataType, Field, Value};
     use tukwila_source::{DelayModel, DelayedSource};
-    use tukwila_stats::{TraceSink, WallClock};
+    use tukwila_stats::{TraceSink, VirtualClock, WallClock};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -2001,5 +2075,114 @@ mod tests {
         }
         keys.sort_unstable();
         assert_eq!(keys, (0..64).collect::<Vec<_>>());
+    }
+
+    /// A candidate that records the projection it took and fails a poll
+    /// made before it took one.
+    struct ProjectedFirst {
+        inner: Box<dyn Source>,
+        cols: Arc<std::sync::Mutex<Option<Vec<usize>>>>,
+    }
+
+    impl Source for ProjectedFirst {
+        fn rel_id(&self) -> u32 {
+            self.inner.rel_id()
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn poll(&mut self, now_us: u64, max_tuples: usize) -> Poll {
+            let cols = self.cols.lock().unwrap();
+            assert!(
+                cols.is_some(),
+                "'{}' polled before its projection",
+                self.name()
+            );
+            drop(cols);
+            self.inner.poll(now_us, max_tuples)
+        }
+        fn progress(&self) -> SourceProgressView {
+            self.inner.progress()
+        }
+        fn descriptor(&self) -> SourceDescriptor {
+            self.inner.descriptor()
+        }
+        fn control(&mut self, now_us: u64, request: SourceControl) -> Result<()> {
+            if let SourceControl::Project { cols } = &request {
+                *self.cols.lock().unwrap() = Some(cols.clone());
+            }
+            self.inner.control(now_us, request)
+        }
+    }
+
+    /// A projection asked for before the first poll reaches every
+    /// candidate that ships, widened by the key, before it ships
+    /// anything — on inline lanes at once, on queue lanes with the
+    /// primary's activation at the first poll, and on a standby's gate
+    /// when a hedge opens it.
+    #[test]
+    fn a_projection_reaches_every_lane_before_its_first_tuple() {
+        type Taken = Arc<std::sync::Mutex<Option<Vec<usize>>>>;
+        // Per adapter built (inline first), its candidates' records.
+        let taken: std::sync::Mutex<Vec<Vec<Taken>>> = Default::default();
+        let candidates = || -> Vec<Box<dyn Source>> {
+            let slow = DelayModel::Bandwidth {
+                bytes_per_sec: 200.0,
+                initial_latency_us: 1_000,
+            };
+            let stalling = Box::new(DelayedSource::new(1, "slow", schema(), rows(0..60), &slow));
+            let inners: [Box<dyn Source>; 2] = [stalling, steady("b", 0..60, 1e5)];
+            let cols: Vec<Taken> = (0..2).map(|_| Default::default()).collect();
+            taken.lock().unwrap().push(cols.clone());
+            inners
+                .into_iter()
+                .zip(cols)
+                .map(|(inner, cols)| Box::new(ProjectedFirst { inner, cols }) as Box<dyn Source>)
+                .collect()
+        };
+        let feds = per_lane_kind(candidates);
+        let taken = taken.into_inner().unwrap();
+        for ((mut fed, clock), taken) in feds.into_iter().zip(taken) {
+            assert!(fed.descriptor().capabilities.projection);
+            let scan = SourceControl::KeyScan {
+                key_cols: vec![0],
+                after: None,
+                descending: false,
+            };
+            assert!(fed.control(0, scan).is_err(), "key scans are the adapter's");
+            let past = SourceControl::Project { cols: vec![2] };
+            assert!(fed.control(0, past).is_err(), "column 2 of 2");
+            fed.control(0, SourceControl::Project { cols: vec![1] })
+                .unwrap();
+            let mut keys = drain_any(&mut fed, clock.as_ref());
+            keys.sort_unstable();
+            assert_eq!(keys, (0..60).collect::<Vec<_>>());
+            assert!(fed.report().failovers >= 1, "the slow primary is hedged");
+            for cols in &taken {
+                assert_eq!(*cols.lock().unwrap(), Some(vec![0, 1]));
+            }
+        }
+    }
+
+    /// A queue lane's primary starts at the first poll, and so does its
+    /// stall window: a late first poll is the consumer's silence, not a
+    /// stalled mirror.
+    #[test]
+    fn a_late_first_poll_does_not_read_as_a_stall() {
+        let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
+        let candidates = vec![steady("a", 0..60, 1e7), steady("b", 0..60, 1e7)];
+        let cfg = FederationConfig::default();
+        let mut fed = FederatedSource::threaded(vec![0], candidates, cfg, clock.clone()).unwrap();
+        // Five stall floors (`min_stall_us`) before anything polls.
+        std::thread::sleep(Duration::from_millis(100));
+        let mut keys = drain_wall(&mut fed, &clock);
+        keys.sort_unstable();
+        assert_eq!(keys, (0..60).collect::<Vec<_>>());
+        let report = fed.report();
+        assert_eq!(report.candidates[0].stalls, 0, "the primary stalled");
+        assert_eq!(report.failovers, 0);
     }
 }

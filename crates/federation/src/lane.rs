@@ -18,11 +18,16 @@
 //! producers error out of their send, sleeping ones wake within one
 //! bounded clock chunk — and joins every thread before the final `Eof`.
 //!
-//! A key-scan request (see `FederatedSource`'s split) rides activation.
-//! An inline lane applies it directly; a queue lane carries it on the
-//! gate, and the producer applies it before its first poll and posts
-//! whether the candidate took it, which the consumer waits for when it
-//! needs to know.
+//! Requests reach a candidate through its lane. A key-scan request (see
+//! `FederatedSource`'s split) rides activation; a projection request is
+//! forwarded whenever the adapter takes one. An inline lane applies a
+//! request directly; a queue lane carries it on the gate, and the
+//! producer applies every carried request before its next poll — before
+//! its first, for requests made while it was parked. For a key scan it
+//! posts whether the candidate took it, which the consumer waits for when
+//! it needs to know. The primary's gate opens at the adapter's first
+//! poll, not at spawn, so a projection asked for before that poll
+//! applies to every tuple a lane ships.
 //!
 //! An empty queue answers `Pending` one [`POLL_TICK_US`] ahead: a
 //! wall-clock polling tick, not a promise, since the producer may ship at
@@ -63,74 +68,93 @@ const NO_OUTCOME: u8 = 0;
 const ACCEPTED: u8 = 1;
 const REFUSED: u8 = 2;
 
+/// What a [`Gate`]'s lock guards.
+#[derive(Debug)]
+struct GateInner {
+    state: GateState,
+    /// Requests the producer applies, in order, before its next poll.
+    requests: Vec<SourceControl>,
+}
+
 /// A park/activate/cancel latch for one producer thread, carrying the
-/// request to apply on activation.
+/// requests to apply before the next poll.
 #[derive(Debug)]
 struct Gate {
-    state: Mutex<GateState>,
+    inner: Mutex<GateInner>,
     cv: Condvar,
-    /// The request the producer applies before its first poll.
-    request: Mutex<Option<SourceControl>>,
-    /// Whether the candidate took the request: [`NO_OUTCOME`] until the
-    /// producer applied it, then [`ACCEPTED`] or [`REFUSED`].
+    /// Whether the candidate took its key-scan request: [`NO_OUTCOME`]
+    /// until the producer applied it, then [`ACCEPTED`] or [`REFUSED`].
     outcome: AtomicU8,
 }
 
 impl Gate {
-    fn new(initial: GateState, request: Option<SourceControl>) -> Gate {
+    fn new() -> Gate {
         Gate {
-            state: Mutex::new(initial),
+            inner: Mutex::new(GateInner {
+                state: GateState::Standby,
+                requests: Vec::new(),
+            }),
             cv: Condvar::new(),
-            request: Mutex::new(request),
             outcome: AtomicU8::new(NO_OUTCOME),
         }
     }
 
-    /// Apply the carried request, if any, and post the outcome.
-    fn apply_request(&self, source: &mut dyn Source, now_us: u64) {
-        let request = self
-            .request
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
-        if let Some(request) = request {
-            let outcome = match source.control(now_us, request) {
-                Ok(()) => ACCEPTED,
-                Err(_) => REFUSED,
-            };
+    fn lock(&self) -> std::sync::MutexGuard<'_, GateInner> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Apply one carried request; for a key scan, post the outcome.
+    fn apply_request(&self, source: &mut dyn Source, now_us: u64, request: SourceControl) {
+        let key_scan = matches!(request, SourceControl::KeyScan { .. });
+        let taken = source.control(now_us, request).is_ok();
+        if key_scan {
+            let outcome = if taken { ACCEPTED } else { REFUSED };
             self.outcome.store(outcome, Ordering::Release);
-            // Under the state lock, so a consumer about to wait cannot
-            // miss the wake-up.
-            let _state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+            // Under the lock, so a consumer about to wait cannot miss the
+            // wake-up.
+            let _inner = self.lock();
             self.cv.notify_all();
         }
     }
 
     /// Block until activated; `false` means cancelled instead.
     fn wait_active(&self) -> bool {
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut inner = self.lock();
         loop {
-            match *s {
+            match inner.state {
                 GateState::Active => return true,
                 GateState::Cancelled => return false,
                 GateState::Standby => {
-                    s = self.cv.wait(s).unwrap_or_else(|p| p.into_inner());
+                    inner = self.cv.wait(inner).unwrap_or_else(|p| p.into_inner());
                 }
             }
         }
     }
 
-    fn set(&self, to: GateState) {
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        // Cancellation is final; activation must not resurrect a lane.
-        if *s != GateState::Cancelled {
-            *s = to;
+    /// Carry `request` for the producer's next poll and, with
+    /// `activate`, open the gate. Cancellation is final: a cancelled
+    /// gate neither opens nor carries anything.
+    fn carry(&self, request: Option<SourceControl>, activate: bool) {
+        let mut inner = self.lock();
+        if inner.state != GateState::Cancelled {
+            inner.requests.extend(request);
+            if activate {
+                inner.state = GateState::Active;
+            }
         }
         self.cv.notify_all();
     }
 
-    fn cancelled(&self) -> bool {
-        *self.state.lock().unwrap_or_else(|p| p.into_inner()) == GateState::Cancelled
+    fn cancel(&self) {
+        self.lock().state = GateState::Cancelled;
+        self.cv.notify_all();
+    }
+
+    /// The requests to apply before the next poll, or `None` once
+    /// cancelled.
+    fn take_requests(&self) -> Option<Vec<SourceControl>> {
+        let mut inner = self.lock();
+        (inner.state != GateState::Cancelled).then(|| std::mem::take(&mut inner.requests))
     }
 }
 
@@ -144,8 +168,8 @@ struct QueueLane {
     blocked: Arc<AtomicU64>,
 }
 
-/// The producer loop: poll the candidate at the shared clock, push
-/// batches into the bounded queue, finish on EOF.
+/// The producer loop: apply carried requests, poll the candidate at the
+/// shared clock, push batches into the bounded queue, finish on EOF.
 fn run_lane(
     mut source: Box<dyn Source>,
     clock: Arc<dyn Clock>,
@@ -156,10 +180,12 @@ fn run_lane(
     if !gate.wait_active() {
         return;
     }
-    gate.apply_request(source.as_mut(), clock.now_us());
     loop {
-        if gate.cancelled() {
+        let Some(requests) = gate.take_requests() else {
             return;
+        };
+        for request in requests {
+            gate.apply_request(source.as_mut(), clock.now_us(), request);
         }
         match source.poll(clock.now_us(), batch_cap) {
             Poll::Ready(batch) if batch.is_empty() => {
@@ -223,19 +249,32 @@ impl Lane {
     }
 
     /// The scheduler activated this candidate at `now_us`, with an
-    /// optional request. An inline lane applies the request now and
-    /// answers whether the candidate took it; a queue lane opens its gate
-    /// with the request on it and answers `None`: its producer applies
-    /// the request before its first poll (see
+    /// optional key-scan request. An inline lane applies the request now
+    /// and answers whether the candidate took it; a queue lane opens its
+    /// gate with the request on it and answers `None`: its producer
+    /// applies the request before its first poll (see
     /// [`Lane::request_accepted`]).
     pub(crate) fn activate(&mut self, now_us: u64, request: Option<SourceControl>) -> Option<bool> {
         match &mut self.kind {
             Kind::Inline(source) => request.map(|r| source.control(now_us, r).is_ok()),
             Kind::Queue(q) => {
-                *q.gate.request.lock().unwrap_or_else(|p| p.into_inner()) = request;
-                q.gate.set(GateState::Active);
+                q.gate.carry(request, true);
                 None
             }
+        }
+    }
+
+    /// Ask the candidate to ship only `cols` from `now_us` on, whether
+    /// it is active or parked. An inline candidate hears it now; a queue
+    /// lane's producer before its next poll. A refusal is not an error:
+    /// the candidate then ships whole rows, which hold every column.
+    pub(crate) fn project(&mut self, now_us: u64, cols: Vec<usize>) {
+        let request = SourceControl::Project { cols };
+        match &mut self.kind {
+            Kind::Inline(source) => {
+                let _ = source.control(now_us, request);
+            }
+            Kind::Queue(q) => q.gate.carry(Some(request), false),
         }
     }
 
@@ -250,7 +289,7 @@ impl Lane {
             return None;
         };
         let gate = &q.gate;
-        let mut state = gate.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut inner = gate.lock();
         loop {
             match gate.outcome.load(Ordering::Acquire) {
                 ACCEPTED => return Some(true),
@@ -258,13 +297,13 @@ impl Lane {
                 _ => {}
             }
             let ended = q.handle.as_ref().is_none_or(JoinHandle::is_finished);
-            if *state == GateState::Cancelled || ended {
+            if inner.state == GateState::Cancelled || ended {
                 return None;
             }
             let tick = std::time::Duration::from_millis(1);
-            state = gate
+            inner = gate
                 .cv
-                .wait_timeout(state, tick)
+                .wait_timeout(inner, tick)
                 .unwrap_or_else(|p| p.into_inner())
                 .0;
         }
@@ -297,7 +336,7 @@ impl Lane {
     /// (wakes a parked standby), drop the reader (errors a blocked send).
     pub(crate) fn shutdown(&mut self) {
         if let Kind::Queue(q) = &mut self.kind {
-            q.gate.set(GateState::Cancelled);
+            q.gate.cancel();
             q.reader = None;
         }
     }
@@ -320,14 +359,13 @@ impl Drop for Lane {
     }
 }
 
-/// Spawn one queue lane per candidate; only candidate 0 starts active,
-/// carrying `first_request`, and the others park at their gates until
-/// the scheduler hedges onto them. If a spawn fails, dropping the lanes
-/// already started reaps them.
+/// Spawn one queue lane per candidate, every one parked at its gate
+/// until activated: the primary at the adapter's first poll, the others
+/// when the scheduler hedges onto them. If a spawn fails, dropping the
+/// lanes already started reaps them.
 pub(crate) fn spawn_all(
     rel_id: u32,
     candidates: Vec<Box<dyn Source>>,
-    mut first_request: Option<SourceControl>,
     schema: &Schema,
     clock: &Arc<dyn Clock>,
     config: &FederationConfig,
@@ -336,12 +374,7 @@ pub(crate) fn spawn_all(
         let descriptor = source.descriptor();
         let (writer, reader) = queue_pair(schema.clone(), config.queue_capacity);
         let blocked = writer.blocked_handle();
-        let gate = if idx == 0 {
-            Gate::new(GateState::Active, first_request.take())
-        } else {
-            Gate::new(GateState::Standby, None)
-        };
-        let gate = Arc::new(gate);
+        let gate = Arc::new(Gate::new());
         let (thread_clock, thread_gate) = (clock.clone(), gate.clone());
         let batch_cap = config.producer_batch.max(1);
         let handle = std::thread::Builder::new()

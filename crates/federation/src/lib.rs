@@ -42,7 +42,11 @@
 //!   arrival timestamps. One sweep loop serves both. Its observed
 //!   arrival schedule is published through `Source::observed_schedule`,
 //!   which corrective re-optimization forwards into the optimizer's
-//!   schedule-aware overlap costing.
+//!   schedule-aware overlap costing. It declares the `projection`
+//!   capability: a projection request is forwarded to every candidate
+//!   widened by the relation key, which dedup and split delivery read.
+//!   Rows stay whole and shared; the columns no one asked for are in
+//!   memory but never read.
 //!
 //! Time comes from a [`tukwila_stats::Clock`] — the dual-clock design.
 //! Under the default [`tukwila_stats::VirtualClock`] federated executions

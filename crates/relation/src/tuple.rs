@@ -62,13 +62,22 @@ impl Tuple {
     /// 24 bytes per value plus the bytes of its strings.
     /// Not the in-memory footprint.
     pub fn approx_bytes(&self) -> usize {
-        let mut n = WIRE_BYTES_PER_VALUE * self.vals.len();
-        for v in self.vals.iter() {
-            if let Value::Str(s) = v {
-                n += s.len();
-            }
-        }
-        n
+        self.vals.iter().map(value_wire_bytes).sum()
+    }
+
+    /// [`Tuple::approx_bytes`] over the columns `cols` only: the wire size
+    /// of the row when a source ships just those columns. Each column
+    /// counts once per mention, so pass distinct columns.
+    pub fn wire_bytes(&self, cols: &[usize]) -> usize {
+        cols.iter().map(|&c| value_wire_bytes(&self.vals[c])).sum()
+    }
+}
+
+/// One value's wire size: [`WIRE_BYTES_PER_VALUE`] plus a string's bytes.
+fn value_wire_bytes(v: &Value) -> usize {
+    match v {
+        Value::Str(s) => WIRE_BYTES_PER_VALUE + s.len(),
+        _ => WIRE_BYTES_PER_VALUE,
     }
 }
 
@@ -222,7 +231,15 @@ mod tests {
         // A lineitem-shaped row: ten values, one a one-byte flag.
         let mut vals: Vec<Value> = (0..9).map(Value::Int).collect();
         vals.insert(7, Value::str("R"));
-        assert_eq!(Tuple::new(vals).approx_bytes(), 241);
+        let row = Tuple::new(vals);
+        assert_eq!(row.approx_bytes(), 241);
+        assert_eq!(row.wire_bytes(&(0..10).collect::<Vec<_>>()), 241);
+        // A federated lineitem ships its key (columns 0 and 1) with what
+        // the query reads: Q10/Q10A also read the flag and column 9, Q3A
+        // column 9 alone.
+        assert_eq!(row.wire_bytes(&[0, 1, 7, 9]), 97);
+        assert_eq!(row.wire_bytes(&[0, 1, 9]), 72);
+        assert_eq!(row.wire_bytes(&[]), 0);
         // Strings count bytes, not chars: "naïve" is 6 bytes, "日本" 6.
         let utf8 = Tuple::new(vec![Value::str("naïve"), Value::Null, Value::str("日本")]);
         assert_eq!(utf8.approx_bytes(), 3 * 24 + 12);

@@ -95,17 +95,36 @@ macro_rules! impl_range_inclusive_strategy {
 
 impl_range_inclusive_strategy!(i8, i16, i32, i64, u8, u16, u32, u64, usize, isize);
 
-/// String pattern strategy. The shim understands `".{a,b}"` (a–b arbitrary
-/// printable ASCII chars); any other pattern falls back to 0–8 chars.
+/// String pattern strategy. The shim understands `".{a,b}"` (a–b
+/// arbitrary chars); any other pattern falls back to 0–8 chars. Half the
+/// chars are printable ASCII, the rest multi-byte UTF-8 of two, three and
+/// four bytes, so byte length, hashing and ordering properties meet
+/// non-ASCII text by default. The bounds count chars, not bytes.
 impl Strategy for &str {
     type Value = String;
     fn generate(&self, rng: &mut TestRng) -> String {
         let (lo, hi) = parse_repeat_bounds(self).unwrap_or((0, 8));
         let len = rng.0.gen_range(lo..=hi);
-        (0..len)
-            .map(|_| char::from(rng.0.gen_range(0x20u8..0x7f)))
-            .collect()
+        (0..len).map(|_| arbitrary_char(rng)).collect()
     }
+}
+
+/// Code point ranges of the non-ASCII chars: Latin-1 and Latin Extended
+/// and Cyrillic (two UTF-8 bytes), CJK ideographs (three), and
+/// pictographs (four). None holds a surrogate or a control char.
+const MULTI_BYTE: [(u32, u32); 4] = [
+    (0xa1, 0x250),
+    (0x400, 0x500),
+    (0x4e00, 0xa000),
+    (0x1f300, 0x1f600),
+];
+
+fn arbitrary_char(rng: &mut TestRng) -> char {
+    if rng.0.gen_range(0u8..2) == 0 {
+        return char::from(rng.0.gen_range(0x20u8..0x7f));
+    }
+    let (lo, hi) = MULTI_BYTE[rng.0.gen_range(0..MULTI_BYTE.len())];
+    char::from_u32(rng.0.gen_range(lo..hi)).expect("the ranges hold only scalar values")
 }
 
 fn parse_repeat_bounds(pattern: &str) -> Option<(usize, usize)> {
@@ -355,7 +374,7 @@ mod tests {
         ) {
             prop_assert!(xs.iter().all(|x| (-10..10).contains(x)));
             prop_assert!([1, 2, 3].contains(&pick));
-            prop_assert!(s.len() <= 12);
+            prop_assert!(s.chars().count() <= 12);
             let _ = raw;
         }
 
@@ -365,6 +384,21 @@ mod tests {
         ) {
             prop_assert_eq!(sub, (0usize..8).collect::<Vec<_>>());
         }
+    }
+
+    /// Strings reach every UTF-8 width, and each char is one the
+    /// pattern allows.
+    #[test]
+    fn strings_reach_multi_byte_utf8() {
+        let mut rng = crate::TestRng::for_case("utf8", 0);
+        let mut widths = [0usize; 5];
+        for _ in 0..200 {
+            let s = ".{0,12}".generate(&mut rng);
+            assert!(s.chars().count() <= 12);
+            assert!(s.chars().all(|c| !c.is_control()));
+            s.chars().for_each(|c| widths[c.len_utf8()] += 1);
+        }
+        assert!(widths[1..].iter().all(|&n| n > 0), "{widths:?}");
     }
 
     #[test]

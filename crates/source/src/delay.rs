@@ -32,8 +32,8 @@ pub enum DelayModel {
 }
 
 /// The arrival clock of a [`DelayModel`], advanced one tuple at a time:
-/// each call of [`Cursor::next`] charges one tuple's bytes to the link
-/// and returns its arrival instant (µs after the schedule's anchor).
+/// each call of [`Cursor::next`] charges one tuple's wire bytes to the
+/// link and returns its arrival instant (µs after the schedule's anchor).
 /// Arrivals are computed only as far as a consumer reads, so a source
 /// that is never polled costs nothing.
 #[derive(Debug, Clone)]
@@ -87,11 +87,12 @@ impl Cursor {
         }
     }
 
-    /// Charge `tp` to the link; its arrival (µs after the anchor).
-    fn next(&mut self, tp: &Tuple) -> u64 {
+    /// Charge a tuple of `bytes` wire bytes to the link; its arrival (µs
+    /// after the anchor).
+    fn next(&mut self, bytes: usize) -> u64 {
         match self {
             Cursor::Bandwidth { bytes_per_sec, t } => {
-                *t += tp.approx_bytes() as f64 / *bytes_per_sec * 1e6;
+                *t += bytes as f64 / *bytes_per_sec * 1e6;
                 *t as u64
             }
             Cursor::Wireless {
@@ -102,7 +103,7 @@ impl Cursor {
                 now,
                 burst_left,
             } => {
-                let mut need = tp.approx_bytes() as f64 / *bytes_per_sec * 1e6;
+                let mut need = bytes as f64 / *bytes_per_sec * 1e6;
                 // Consume burst time; when a burst is exhausted, idle
                 // through a gap and start a new burst.
                 while need > *burst_left {
@@ -192,10 +193,15 @@ fn key_after(t: &Tuple, key_cols: &[usize], after: Option<&[Value]>) -> bool {
 /// A source whose tuples arrive according to a [`DelayModel`] schedule.
 ///
 /// Arrivals are computed lazily, one tuple ahead of the reader. The
-/// source declares the `key_scan` capability: a
-/// [`SourceControl::KeyScan`] request restarts delivery as the requested
-/// key range in key order, with the link latency and then the model's
-/// bandwidth or burst pattern anchored at the request instant.
+/// source declares two capabilities:
+/// * `key_scan`: a [`SourceControl::KeyScan`] request restarts delivery
+///   as the requested key range in key order, with the link latency and
+///   then the model's bandwidth or burst pattern anchored at the request
+///   instant;
+/// * `projection`: after a [`SourceControl::Project`] request the model
+///   charges each tuple not charged yet only the wire bytes of the
+///   requested columns ([`Tuple::wire_bytes`]). Rows are still handed
+///   out whole and shared; the request changes only when they arrive.
 pub struct DelayedSource {
     rel_id: u32,
     name: String,
@@ -210,6 +216,9 @@ pub struct DelayedSource {
     cursor: Cursor,
     /// Arrival (µs after the anchor) of the tuple at `pos`, once charged.
     next_arrival: Option<u64>,
+    /// The columns shipped, distinct and ascending; `None` ships whole
+    /// rows.
+    shipped: Option<Vec<usize>>,
     advertise_total: bool,
     /// Offset the schedule by the first poll's timestamp (connect-on-
     /// demand semantics); `None` anchors at timeline zero (broadcast
@@ -243,6 +252,7 @@ impl DelayedSource {
             pos: 0,
             cursor: Cursor::start(model),
             next_arrival: None,
+            shipped: None,
             advertise_total: false,
             anchor_at_first_poll: false,
             anchor_us: None,
@@ -275,9 +285,17 @@ impl DelayedSource {
     pub fn completion_time_us(&self) -> u64 {
         let mut cursor = Cursor::start(&self.model);
         (0..self.scan.len())
-            .map(|i| cursor.next(&self.tuples[self.scan.at(i)]))
+            .map(|i| cursor.next(self.wire_bytes(&self.tuples[self.scan.at(i)])))
             .last()
             .unwrap_or(0)
+    }
+
+    /// What shipping `tp` costs the link: its shipped columns' bytes.
+    fn wire_bytes(&self, tp: &Tuple) -> usize {
+        match &self.shipped {
+            Some(cols) => tp.wire_bytes(cols),
+            None => tp.approx_bytes(),
+        }
     }
 
     /// Arrival (µs after the anchor) of the tuple at `pos`, charging it
@@ -286,7 +304,8 @@ impl DelayedSource {
         match self.next_arrival {
             Some(at) => at,
             None => {
-                let at = self.cursor.next(&self.tuples[self.scan.at(self.pos)]);
+                let bytes = self.wire_bytes(&self.tuples[self.scan.at(self.pos)]);
+                let at = self.cursor.next(bytes);
                 self.next_arrival = Some(at);
                 at
             }
@@ -380,21 +399,43 @@ impl Source for DelayedSource {
             complete: true,
             key_range: None,
             declared_rate_tuples_per_sec: None,
-            capabilities: SourceCapabilities { key_scan: true },
+            capabilities: SourceCapabilities {
+                key_scan: true,
+                projection: true,
+            },
         }
     }
 
-    /// Restart delivery as the requested key scan, anchored at `now_us`:
-    /// the link latency first, then the model over the requested order.
-    /// An ascending full-range request at instant 0 over key-sorted
-    /// tuples reproduces the unrequested schedule exactly.
+    /// A key scan restarts delivery as the requested scan, anchored at
+    /// `now_us`: the link latency first, then the model over the
+    /// requested order. An ascending full-range request at instant 0 over
+    /// key-sorted tuples reproduces the unrequested schedule exactly.
+    ///
+    /// A projection charges every tuple not charged yet only its shipped
+    /// columns, and survives later key scans; a tuple already charged
+    /// (the next one, once a poll found it not yet arrived) keeps its
+    /// arrival.
     fn control(&mut self, now_us: u64, request: SourceControl) -> Result<()> {
-        let SourceControl::KeyScan {
-            key_cols,
-            after,
-            descending,
-        } = request;
         let arity = self.schema.arity();
+        let (key_cols, after, descending) = match request {
+            SourceControl::KeyScan {
+                key_cols,
+                after,
+                descending,
+            } => (key_cols, after, descending),
+            SourceControl::Project { mut cols } => {
+                if let Some(&c) = cols.iter().find(|&&c| c >= arity) {
+                    return Err(Error::Plan(format!(
+                        "source '{}': cannot ship column {c} of arity {arity}",
+                        self.name
+                    )));
+                }
+                cols.sort_unstable();
+                cols.dedup();
+                self.shipped = Some(cols);
+                return Ok(());
+            }
+        };
         if key_cols.is_empty()
             || key_cols.iter().any(|&c| c >= arity)
             || after.as_ref().is_some_and(|a| a.len() != key_cols.len())
@@ -427,16 +468,22 @@ mod tests {
     /// The eager per-tuple schedule the source used to build up front,
     /// kept as the oracle for the lazy cursor.
     fn schedule(model: &DelayModel, tuples: &[Tuple]) -> Vec<u64> {
+        let sizes: Vec<usize> = tuples.iter().map(Tuple::approx_bytes).collect();
+        schedule_of_sizes(model, &sizes)
+    }
+
+    /// The eager schedule of tuples of the given wire sizes.
+    fn schedule_of_sizes(model: &DelayModel, sizes: &[usize]) -> Vec<u64> {
         match *model {
             DelayModel::Bandwidth {
                 bytes_per_sec,
                 initial_latency_us,
             } => {
                 let mut t = initial_latency_us as f64;
-                tuples
+                sizes
                     .iter()
-                    .map(|tp| {
-                        t += tp.approx_bytes() as f64 / bytes_per_sec * 1e6;
+                    .map(|&bytes| {
+                        t += bytes as f64 / bytes_per_sec * 1e6;
                         t as u64
                     })
                     .collect()
@@ -450,9 +497,9 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut now = 0.0f64; // microseconds
                 let mut burst_left = exp_sample(&mut rng, burst_ms * 1000.0);
-                let mut out = Vec::with_capacity(tuples.len());
-                for tp in tuples {
-                    let mut need = tp.approx_bytes() as f64 / bytes_per_sec * 1e6;
+                let mut out = Vec::with_capacity(sizes.len());
+                for &bytes in sizes {
+                    let mut need = bytes as f64 / bytes_per_sec * 1e6;
                     while need > burst_left {
                         need -= burst_left;
                         now += burst_left;
@@ -592,6 +639,127 @@ mod tests {
             descending: false,
         };
         assert!(s.control(0, bad).is_err());
+    }
+
+    /// Rows `(key, payload, extra)` whose payload length varies, so a
+    /// projection changes each row's wire size by a different amount.
+    fn wide(n: i64) -> (Schema, Vec<Tuple>) {
+        let schema = Schema::new(vec![
+            Field::new("t.k", DataType::Int),
+            Field::new("t.s", DataType::Str),
+            Field::new("t.x", DataType::Int),
+        ]);
+        let row = |i: i64| {
+            let payload = "é".repeat((i % 7) as usize);
+            Tuple::new(vec![Value::Int(i), Value::str(&payload), Value::Int(-i)])
+        };
+        (schema, (0..n).map(row).collect())
+    }
+
+    fn project(cols: &[usize]) -> SourceControl {
+        SourceControl::Project {
+            cols: cols.to_vec(),
+        }
+    }
+
+    #[test]
+    fn a_projected_schedule_charges_only_the_shipped_columns() {
+        let (schema, ts) = wide(200);
+        for model in models() {
+            for cols in [vec![0], vec![1, 0], vec![2, 0, 2]] {
+                let mut s = DelayedSource::new(1, "t", schema.clone(), ts.clone(), &model);
+                s.control(0, project(&cols)).unwrap();
+                let mut shipped = cols.clone();
+                shipped.sort_unstable();
+                shipped.dedup();
+                let sizes: Vec<usize> = ts.iter().map(|t| t.wire_bytes(&shipped)).collect();
+                let eager = schedule_of_sizes(&model, &sizes);
+                assert_eq!(s.completion_time_us(), *eager.last().unwrap());
+                let got = drain_arrivals(&mut s, 0);
+                let times: Vec<u64> = got.iter().map(|g| g.0).collect();
+                assert_eq!(times, eager, "{model:?} over {cols:?}");
+                let keys: Vec<i64> = got.iter().map(|g| g.1).collect();
+                assert_eq!(keys, (0..200).collect::<Vec<_>>());
+            }
+        }
+        // Rows stay whole and shared: the projection moves arrivals only.
+        let mut s = DelayedSource::new(1, "t", schema, ts.clone(), &models()[0]);
+        s.control(0, project(&[0])).unwrap();
+        assert_eq!(s.poll(u64::MAX, usize::MAX), Poll::Ready(ts));
+    }
+
+    #[test]
+    fn key_scan_and_projection_compose_in_either_order() {
+        let (schema, ts) = wide(120);
+        for model in models() {
+            let scan = || SourceControl::KeyScan {
+                key_cols: vec![0],
+                after: Some(vec![Value::Int(49)]),
+                descending: true,
+            };
+            let mut first = DelayedSource::new(1, "t", schema.clone(), ts.clone(), &model);
+            first.control(0, project(&[2])).unwrap();
+            first.control(3_000, scan()).unwrap();
+            let mut second = DelayedSource::new(1, "t", schema.clone(), ts.clone(), &model);
+            second.control(3_000, scan()).unwrap();
+            second.control(3_000, project(&[2])).unwrap();
+            let expect: Vec<(u64, i64)> = {
+                let keys: Vec<&Tuple> = ts[50..].iter().rev().collect();
+                let sizes: Vec<usize> = keys.iter().map(|t| t.wire_bytes(&[2])).collect();
+                let times = schedule_of_sizes(&model, &sizes);
+                let keys = keys.iter().map(|t| t.get(0).as_int().unwrap());
+                times.into_iter().map(|a| a + 3_000).zip(keys).collect()
+            };
+            assert_eq!(drain_arrivals(&mut first, 0), expect, "{model:?}");
+            assert_eq!(drain_arrivals(&mut second, 0), expect, "{model:?}");
+        }
+    }
+
+    #[test]
+    fn a_late_projection_charges_only_the_tuples_after_it() {
+        let (schema, ts) = wide(60);
+        for model in models() {
+            let mut s = DelayedSource::new(1, "t", schema.clone(), ts.clone(), &model);
+            // Deliver 20 tuples, then find the 21st not yet arrived: it is
+            // charged whole, like the 20 before it.
+            let mut got = Vec::new();
+            let mut now = 0;
+            while got.len() < 20 {
+                match s.poll(now, 20 - got.len()) {
+                    Poll::Ready(b) => got.extend(b),
+                    Poll::Pending { next_ready_us } => now = next_ready_us,
+                    Poll::Eof => unreachable!(),
+                }
+            }
+            let whole = schedule(&model, &ts);
+            assert_eq!(now, whole[19]);
+            let pending = s.poll(now, 1);
+            s.control(now, project(&[0])).unwrap();
+            let mut sizes: Vec<usize> = ts[..21].iter().map(Tuple::approx_bytes).collect();
+            sizes.extend(ts[21..].iter().map(|t| t.wire_bytes(&[0])));
+            let expect = schedule_of_sizes(&model, &sizes);
+            let next_ready_us = expect[20];
+            assert_eq!(pending, Poll::Pending { next_ready_us }, "{model:?}");
+            let rest: Vec<u64> = drain_arrivals(&mut s, now)
+                .into_iter()
+                .map(|g| g.0)
+                .collect();
+            assert_eq!(rest, expect[20..], "{model:?}");
+        }
+    }
+
+    #[test]
+    fn a_projection_past_the_schema_is_refused() {
+        let (schema, ts) = wide(10);
+        let model = &models()[0];
+        let mut s = DelayedSource::new(1, "t", schema, ts.clone(), model);
+        assert!(s.descriptor().capabilities.projection);
+        assert!(s.control(0, project(&[0, 3])).is_err());
+        // A refusal changes nothing: every row still ships whole.
+        assert_eq!(
+            s.completion_time_us(),
+            *schedule(model, &ts).last().unwrap()
+        );
     }
 
     #[test]

@@ -32,7 +32,18 @@
 //! `Source::observed_rate` (self-profiled delivery rates feeding the
 //! re-optimizer's delivery-bound costing), and `Source::as_any`
 //! (post-run report extraction through `Box<dyn Source>`).
-//! [`delay::DelayedSource`] declares `key_scan`.
+//! [`delay::DelayedSource`] declares `key_scan` and `projection`.
+//!
+//! # Projection
+//!
+//! The engine asks every source, before its first poll, for only the
+//! base columns its query reads ([`source::SourceControl::Project`]). A
+//! source that declares `projection` then ships just those columns:
+//! [`delay::DelayedSource`]'s delay model charges their wire bytes
+//! alone, so narrower rows arrive sooner. The rows themselves stay whole
+//! and shared (zero-copy): unshipped columns are still in memory, but
+//! nothing downstream reads them. A test that masks every unshipped
+//! column with `Null` holds the engine to that.
 
 #![forbid(unsafe_code)]
 

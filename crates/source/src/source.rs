@@ -153,6 +153,17 @@ pub struct SourceCapabilities {
     /// after a given one, ascending or descending
     /// ([`SourceControl::KeyScan`]).
     pub key_scan: bool,
+    /// The source can ship only some of a row's columns
+    /// ([`SourceControl::Project`]).
+    ///
+    /// Projection is zero-copy: delivered rows keep the relation's schema
+    /// and arity, and only the columns shipped are guaranteed to hold the
+    /// relation's values. The rest are still in memory but must never be
+    /// read — what the source charges its link for, and what its
+    /// consumer may look at, is the requested columns alone. The engine
+    /// keeps that contract; a test masks every unrequested column with
+    /// `Null` and checks that answers do not move.
+    pub projection: bool,
 }
 
 /// A request to a source, made through [`Source::control`].
@@ -169,17 +180,23 @@ pub enum SourceControl {
         after: Option<Vec<Value>>,
         descending: bool,
     },
+    /// Ship only the columns `cols` of every row not delivered yet (see
+    /// [`SourceCapabilities::projection`] for what that means for the
+    /// rows). A later request replaces an earlier one; a column out of
+    /// the schema's range refuses the request.
+    Project { cols: Vec<usize> },
 }
 
 /// A sequential-only data source. Implementations must deliver tuples in a
 /// fixed order; reading is destructive (no rewinds), mirroring the paper's
 /// "we limit access to the input relations to be sequential only".
 ///
-/// There is one exception, for sources that declare it: a source whose
-/// [`SourceDescriptor::capabilities`] include `key_scan` takes a
-/// key-scan request through [`Source::control`] when it is activated,
-/// and then delivers the requested key range in key order. Every other
-/// source refuses requests and stays strictly sequential.
+/// Sources may take requests that their
+/// [`SourceDescriptor::capabilities`] declare, through
+/// [`Source::control`]. A `key_scan` source takes a key-scan request and
+/// then delivers the requested key range in key order; a `projection`
+/// source ships only the requested columns. Every other source refuses
+/// requests and stays strictly sequential.
 pub trait Source: Send {
     /// Stable identifier of the base relation this source serves.
     fn rel_id(&self) -> u32;
@@ -219,8 +236,10 @@ pub trait Source: Send {
     /// Ask the source to change what it delivers from timeline instant
     /// `now_us` on. Only sources whose descriptor declares the matching
     /// capability take a request; the default refuses every request, and
-    /// a refused request changes nothing. A federation adapter issues at
-    /// most one request per candidate, when it activates the candidate.
+    /// a refused request changes nothing. A federation adapter asks a
+    /// candidate for at most one key scan, when it activates it, and
+    /// forwards every projection request it takes to every candidate.
+    /// The engine asks for a projection before its first poll.
     fn control(&mut self, now_us: u64, request: SourceControl) -> Result<()> {
         let _ = (now_us, request);
         Err(Error::Exec(format!(
@@ -317,6 +336,8 @@ mod tests {
             descending: true,
         };
         assert!(src.control(0, request).is_err());
+        let project = SourceControl::Project { cols: vec![0] };
+        assert!(src.control(0, project).is_err());
         assert_eq!(
             src.poll(0, 8),
             Poll::Ready(rows),
